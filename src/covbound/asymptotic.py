@@ -19,7 +19,9 @@ equivalent bivariate-normal rectangle identity,
       = int_{-z}^{z} D((gamma + rho h) / s, d' / s) phi(h) dh,
 
 which exercises a genuinely different integrand; the two must agree to
-quadrature accuracy.  ``asymptotic_bound`` minimizes over gamma.
+quadrature accuracy.  ``asymptotic_bound`` minimizes over gamma, stopping
+its scan once a certified Gaussian tail bound in gamma - d' shows that no
+later gamma can win.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import BoundResult, SearchConfig, minimize_over_gamma
+from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
+                       minimize_over_gamma)
 from .quadrature import adaptive_quad
 from .rules import NOT_APPLICABLE, NotApplicable, SelectionMethod, asymptotic_threshold
 from .special import norm_pdf, norm_two_sided_quantile, symmetric_interval_prob
@@ -39,6 +42,7 @@ __all__ = [
     "asymptotic_problem",
     "asymptotic_coverage",
     "asymptotic_coverage_bivariate",
+    "asymptotic_tail_slack",
     "asymptotic_bound",
 ]
 
@@ -107,9 +111,41 @@ def asymptotic_coverage_bivariate(problem: AsymptoticProblem, gamma: float,
     return (1.0 - alpha) + term - res.value
 
 
+def asymptotic_tail_slack(problem: AsymptoticProblem):
+    """Certified ``tail_slack(gamma)`` for the gamma search: a bound on
+    |asymptotic_coverage(gamma') - (1 - alpha)| for every gamma' >= gamma,
+    inf up to gamma = d' and exactly 0 once the computed value must equal
+    1 - alpha (see ``additive_tail_slack``).
+
+    With x = gamma - d' > 0: the integral has |D| <= 1, phi(h - gamma')
+    <= phi(x) on [-d', d'] and positive Kronrod weights summing to 2 d';
+    the product term is at most D(gamma', d') <= 2 d' phi(x).  Both
+    D(gamma', d') endpoints Phi(gamma' -+ d') round to 1.0 exactly once
+    erfc(x / sqrt 2) <= 2 phi(x)/x falls to 2^-54, half the rounding
+    threshold of 2 - erfc, making the term exactly 0; before that it
+    carries up to 2^-52 of cancellation.  The factor 2 absorbs the few-ulp
+    relative rounding of the rest.
+    """
+    dp = problem.d_prime
+
+    def correction_bound(gamma: float) -> float:
+        x = gamma - dp
+        if not x > 0.0:
+            return math.inf
+        q = norm_pdf(x)
+        cancellation = 0.0 if 2.0 * q / x <= 2.0 ** -54 else 2.0 ** -52
+        return 2.0 * (4.0 * dp * q) + cancellation
+    return additive_tail_slack(1.0 - problem.alpha, correction_bound)
+
+
 def asymptotic_bound(problem: AsymptoticProblem,
                      config: SearchConfig | None = None) -> BoundResult:
-    """Minimum large-sample coverage over gamma >= 0."""
+    """Minimum large-sample coverage over gamma >= 0.
+
+    The scan stops as soon as the certified tail envelope
+    ``asymptotic_tail_slack`` proves that no later grid point can win, so
+    the result equals the full scan's.
+    """
     return minimize_over_gamma(lambda g: asymptotic_coverage(problem, g),
-                               config=config,
-                               tail_value=1.0 - problem.alpha)
+                               config=config, tail_value=1.0 - problem.alpha,
+                               tail_slack=asymptotic_tail_slack(problem))

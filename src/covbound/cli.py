@@ -159,13 +159,9 @@ def _single_bound(method: SelectionMethod, alpha: float, p: int,
                 "rho": rho, "bound": val, "gamma_star": math.nan,
                 "quad_err": 0.0}
     res = coverage_bound(prob, method)
-    if math.isinf(res.gamma_star):
-        err = 0.0
-    else:
-        err = coverage_probability(prob, method, res.gamma_star).quad_err
     return {"method": method.kind, "alpha": alpha, "p": p, "m": m,
             "rho": rho, "bound": res.bound, "gamma_star": res.gamma_star,
-            "quad_err": err}
+            "quad_err": res.quad_err}
 
 
 _BOUND_FIELDS = ("method", "alpha", "p", "m", "rho", "bound", "gamma_star")
@@ -247,7 +243,7 @@ def cmd_curve(ns) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _default_verify_grid(test_size: float) -> list[tuple[SelectionMethod, int, int]]:
+def _default_verify_grid(test_size: float) -> list[SelectionMethod]:
     methods = [SelectionMethod("cp"), SelectionMethod("adjr2"),
                SelectionMethod("aic"), SelectionMethod("bic"),
                SelectionMethod("ttest", test_size)]
@@ -379,7 +375,7 @@ def cmd_simulate(ns) -> int:
 # parser
 # ----------------------------------------------------------------------
 
-def _add_common(sp, *, method="cp", m="20", p=2, reps=200_000) -> None:
+def _add_common(sp, *, method="cp", m="20", p=2) -> None:
     sp.add_argument("--method", default=method,
                     help=f"one of {', '.join(METHOD_NAMES)}")
     sp.add_argument("--alpha", type=float, default=0.05)
@@ -389,17 +385,16 @@ def _add_common(sp, *, method="cp", m="20", p=2, reps=200_000) -> None:
                     help="error degrees of freedom; comma list, 'inf' allowed")
     sp.add_argument("--rho", type=float, default=None)
     sp.add_argument("--rho-grid", default=None, metavar="LO:STEP:HI")
-    sp.add_argument("--gamma", default=None,
-                    help="comma list of gamma values (verify only)")
     sp.add_argument("--test-size", type=float, default=None,
                     help="two-sided size of the t test (method ttest)")
-    sp.add_argument("--reps", type=int, default=reps)
-    sp.add_argument("--seed", type=int, default=20090415)
     sp.add_argument("--out", default=None, help="output path ('-' = stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default=None,
                     help="output format (each command has its natural default)")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers for grid sweeps")
+
+
+def _add_monte_carlo(sp, *, reps: int) -> None:
+    sp.add_argument("--reps", type=int, default=reps)
+    sp.add_argument("--seed", type=int, default=20090415)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,10 +411,17 @@ def build_parser() -> argparse.ArgumentParser:
             # bare `verify` reproduces the cross-check grid the test
             # suite pins: all methods x m {5,20} x rho {0,.5,.9} x
             # gamma {0,1,3}, p = 10, two million draws per point
-            _add_common(sp, method="all", m="5,20", p=10, reps=2_000_000)
+            _add_common(sp, method="all", m="5,20", p=10)
+            _add_monte_carlo(sp, reps=2_000_000)
+            sp.add_argument("--gamma", default=None,
+                            help="comma list of gamma values")
         else:
             _add_common(sp)
+        if name == "curve":
+            sp.add_argument("--jobs", type=int, default=1,
+                            help="parallel workers for the rho/m sweep")
         if name == "simulate":
+            _add_monte_carlo(sp, reps=200_000)
             sp.add_argument("--design", required=True,
                             help="plain-text design file: 'n p q', X rows, "
                                  "a row, beta row, sigma")

@@ -26,7 +26,9 @@ and the unconditional coverage equals
 a correction to the nominal level carried entirely by the event
 |h|/w < d.  The double integral is evaluated by adaptive Gauss-Kronrod
 panels on [w_lo, w_hi] x [-d, d], where [w_lo, w_hi] holds all but 1e-12
-of the mass of w.
+of the mass of w.  Every node has |h| <= d w_hi, so past gamma = d w_hi
+the computed correction is pinned below a Gaussian tail in gamma - d w_hi;
+``coverage_bound`` uses that to stop its gamma scan early.
 
 At |rho| = 1 this representation degenerates; ``perfect_corr_bound``
 computes the minimum coverage there in closed integral form: it is
@@ -38,11 +40,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optimize import BoundResult, SearchConfig, minimize_over_gamma
+from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
+                       minimize_over_gamma)
 from .quadrature import adaptive_quad, adaptive_quad_2d
 from .rules import BoundProblem, SelectionMethod, selection_threshold
 from .special import (DEFAULT_TOL, Tolerance, gauss_interval_prob, norm_cdf,
@@ -56,6 +59,7 @@ __all__ = [
     "cover_given_full",
     "cover_given_submodel",
     "coverage_probability",
+    "coverage_tail_slack",
     "coverage_bound",
     "perfect_corr_bound",
 ]
@@ -167,6 +171,33 @@ def coverage_probability(problem: BoundProblem, method: SelectionMethod,
                           panels=res.panels)
 
 
+def coverage_tail_slack(problem: BoundProblem, method: SelectionMethod):
+    """Certified ``tail_slack(gamma)`` for the gamma search: a bound on
+    |coverage_probability(gamma').value - (1 - alpha)| for every
+    gamma' >= gamma, inf up to gamma = d w_hi and exactly 0 once the
+    computed value must equal 1 - alpha (see ``additive_tail_slack``).
+
+    Every integrand node has |x| <= d and w <= w_hi, so |h - gamma'| >=
+    gamma - d w_hi once gamma > d w_hi; with |k_sub - k_full| <= 1 the
+    integrand is at most w_hi max f_W phi(gamma - d w_hi).  The Kronrod
+    weights are positive and sum to the domain area 2 d (w_hi - w_lo)
+    whatever the refinement, which bounds the panel sum.  The factor 2
+    absorbs the few-ulp relative rounding of every factor and of the sum.
+    """
+    m = problem.m
+    d = selection_threshold(method, problem.n, problem.p)
+    w_lo, w_hi = residual_scale_interval(m, _W_MASS_EPS)
+    # f_W is unimodal with its mode at sqrt((m - 1)/m) (decreasing for m = 1)
+    f_max = residual_scale_density(
+        min(max(math.sqrt((m - 1.0) / m), w_lo), w_hi), m)
+    scale = 2.0 * (2.0 * d * (w_hi - w_lo)) * w_hi * f_max
+    edge = d * w_hi
+
+    def correction_bound(gamma: float) -> float:
+        return scale * norm_pdf(gamma - edge) if gamma > edge else math.inf
+    return additive_tail_slack(1.0 - problem.alpha, correction_bound)
+
+
 def coverage_bound(problem: BoundProblem, method: SelectionMethod,
                    tol: Tolerance | None = None,
                    search: SearchConfig | None = None) -> BoundResult:
@@ -175,17 +206,26 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
 
     The large-gamma limit of the coverage is the nominal level, so
     1 - alpha enters the minimization as the tail value; a bound equal to
-    1 - alpha reports gamma_star = inf.
+    1 - alpha reports gamma_star = inf.  The gamma scan stops as soon as
+    the certified tail envelope ``coverage_tail_slack`` proves that no
+    later grid point can win, so the result equals the full scan's.
+    ``quad_err`` on the result is the quadrature error at gamma_star
+    (0.0 when the tail value wins).
     """
     if abs(problem.rho) == 1.0:
         raise ValueError("|rho| = 1 is degenerate here; use "
                          "perfect_corr_bound for the minimum coverage")
+    results: dict[float, CoverageResult] = {}
 
     def objective(g: float) -> float:
-        return coverage_probability(problem, method, g, tol).value
+        results[g] = coverage_probability(problem, method, g, tol)
+        return results[g].value
 
-    return minimize_over_gamma(objective, config=search,
-                               tail_value=1.0 - problem.alpha)
+    res = minimize_over_gamma(objective, config=search,
+                              tail_value=1.0 - problem.alpha,
+                              tail_slack=coverage_tail_slack(problem, method))
+    err = 0.0 if math.isinf(res.gamma_star) else results[res.gamma_star].quad_err
+    return replace(res, quad_err=err)
 
 
 def perfect_corr_bound(problem: BoundProblem, method: SelectionMethod,

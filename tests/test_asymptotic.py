@@ -8,7 +8,8 @@ import pytest
 from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
                                  asymptotic_coverage,
                                  asymptotic_coverage_bivariate,
-                                 asymptotic_problem)
+                                 asymptotic_problem, asymptotic_tail_slack)
+from covbound.optimize import minimize_over_gamma
 from covbound.rules import NOT_APPLICABLE, NotApplicable, SelectionMethod
 from covbound.special import norm_cdf, norm_two_sided_quantile
 
@@ -142,3 +143,40 @@ class TestAsymptoticBound:
         a = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.6))
         b = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.6))
         assert a == b
+
+
+@pytest.mark.parametrize("method", [CP, SelectionMethod("adjr2")],
+                         ids=lambda m: m.kind)
+@pytest.mark.parametrize("alpha", [0.05, 0.999])
+@pytest.mark.parametrize("rho", [0.0, 0.9, 0.9999])
+class TestTailCertificate:
+    def test_identical_to_full_scan(self, method, alpha, rho):
+        pr = asymptotic_problem(method, alpha, rho)
+        res = asymptotic_bound(pr)
+        full = minimize_over_gamma(lambda g: asymptotic_coverage(pr, g),
+                                   tail_value=1.0 - alpha)
+        assert (res.bound, res.gamma_star, res.bracket) \
+            == (full.bound, full.gamma_star, full.bracket)
+        assert res.evaluations < full.evaluations
+
+    def test_slack_bounds_computed_coverage(self, method, alpha, rho):
+        pr = asymptotic_problem(method, alpha, rho)
+        slack = asymptotic_tail_slack(pr)
+        assert slack(pr.d_prime) == math.inf
+        for x in (0.05, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 8.5, 9.0, 12.0):
+            value = asymptotic_coverage(pr, pr.d_prime + x)
+            s = slack(pr.d_prime + x)
+            assert abs(value - (1.0 - alpha)) <= s
+            if s == 0.0:
+                assert value == 1.0 - alpha
+        assert slack(pr.d_prime + 12.0) == 0.0
+
+
+def test_slack_carries_cancellation_at_small_cutoff():
+    # with d' = 1e-3 the Gaussian tail bound drops below the rounding of
+    # Phi(gamma + d') - Phi(gamma - d') near 1 before both round to 1.0
+    pr = AsymptoticProblem(0.05, 0.0, 1e-3)
+    slack = asymptotic_tail_slack(pr)
+    for x in np.arange(7.5, 9.0, 0.01):
+        g = pr.d_prime + x
+        assert abs(asymptotic_coverage(pr, g) - 0.95) <= slack(g)

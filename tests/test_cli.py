@@ -308,6 +308,31 @@ class TestSimulate:
         assert code == 2
 
 
+class TestFlagScope:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--method", "cp", "--m", "5", "--rho", "0.5", "--jobs", "2"],
+        ["limit", "--method", "cp", "--rho", "0.5", "--jobs", "2"],
+        ["verify", "--jobs", "2"],
+        ["bound", "--method", "cp", "--m", "5", "--rho", "0.5", "--reps", "10"],
+        ["curve", "--method", "cp", "--m", "5", "--rho", "0.5", "--seed", "1"],
+        ["limit", "--method", "cp", "--rho", "0.5", "--seed", "1"],
+        ["bound", "--method", "cp", "--m", "5", "--rho", "0.5", "--gamma", "1"],
+        ["curve", "--method", "cp", "--m", "5", "--rho", "0.5", "--gamma", "1"],
+    ], ids=["bound-jobs", "limit-jobs", "verify-jobs", "bound-reps",
+            "curve-seed", "limit-seed", "bound-gamma", "curve-gamma"])
+    def test_flag_rejected_where_unread(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_simulate_rejects_gamma(self, capsys, design_file):
+        code, _, err = run(["simulate", "--design", str(design_file),
+                            "--method", "aic", "--gamma", "1"], capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+
 class TestEntryPoint:
     def test_console_script_installed(self, tmp_path):
         """The declared ``covbound`` console script runs and lists subcommands.

@@ -6,14 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from covbound.coverage import (cover_given_full, cover_given_submodel,
-                               coverage_bound, coverage_probability,
-                               full_interval_endpoints, perfect_corr_bound,
-                               submodel_interval_endpoints)
-from covbound.rules import BoundProblem, SelectionMethod
+from covbound import coverage
+from covbound.coverage import (CoverageResult, cover_given_full,
+                               cover_given_submodel, coverage_bound,
+                               coverage_probability,
+                               coverage_tail_slack, full_interval_endpoints,
+                               perfect_corr_bound, submodel_interval_endpoints)
+from covbound.optimize import SearchConfig, minimize_over_gamma
+from covbound.rules import BoundProblem, SelectionMethod, selection_threshold
 from covbound.simulate import mc_coverage
 from covbound.special import (Tolerance, norm_cdf, norm_two_sided_quantile,
-                              symmetric_interval_prob, t_quantile)
+                              residual_scale_interval, symmetric_interval_prob,
+                              t_quantile)
 
 CP = SelectionMethod("cp")
 
@@ -196,9 +200,34 @@ class TestCoverageBound:
         assert res.bound < 0.95  # strictly below at high correlation
 
     def test_gamma_star_nonnegative(self):
-        res = coverage_bound(prob(5, 0.7), CP)
+        # the certified early exit must reproduce the full scan exactly
+        pr = prob(5, 0.7)
+        res = coverage_bound(pr, CP)
+        full = minimize_over_gamma(
+            lambda g: coverage_probability(pr, CP, g).value,
+            tail_value=1 - pr.alpha)
         assert res.gamma_star >= 0.0
-        assert res.evaluations > 300
+        assert res.bound == full.bound
+        assert res.gamma_star == full.gamma_star
+        assert res.evaluations < full.evaluations
+
+    def test_quad_err_is_that_at_gamma_star(self):
+        pr = prob(20, 0.8)
+        res = coverage_bound(pr, CP)
+        assert res.quad_err == coverage_probability(pr, CP, res.gamma_star).quad_err
+
+    def test_quad_err_zero_when_tail_wins(self, monkeypatch):
+        # an objective above the nominal level everywhere: the tail value
+        # wins at gamma_star = inf, where the coverage is exact
+        def above_nominal(problem, method, gamma, tol=None):
+            return CoverageResult(value=0.95 + 1e-3 / (1.0 + gamma),
+                                  quad_err=1e-9, panels=32)
+
+        monkeypatch.setattr(coverage, "coverage_probability", above_nominal)
+        res = coverage_bound(prob(5, 0.7), CP)
+        assert res.bound == 0.95
+        assert res.gamma_star == math.inf
+        assert res.quad_err == 0.0
 
     def test_regression_pin(self):
         # frozen from this implementation as a change detector
@@ -209,3 +238,59 @@ class TestCoverageBound:
     def test_rejects_perfect_correlation(self):
         with pytest.raises(ValueError, match="perfect_corr_bound"):
             coverage_bound(prob(5, 1.0), CP)
+
+
+# corners of the early-exit certificate: m in {1, 2} (w_hi ~ 7 and 5),
+# m = 10000 (w_hi ~ 1.1), rho at 0, 0.9 and clamped to 1 - 1e-6; a t test
+# whose d w_hi exceeds gamma_max (no exit possible), and alpha = 0.999,
+# whose 1 - alpha has a 512x finer ulp than 0.95.  The exit rule does not
+# depend on the grid, so a coarser one keeps the reference scans cheap.
+_CORNER_SEARCH = SearchConfig(step=0.2, refine_tol=1e-4)
+_CORNERS = ([(SelectionMethod(k), 0.05, m, rho) for k in ("aic", "bic")
+             for m in (1, 2, 10_000) for rho in (0.0, 0.9, 1.0 - 1e-8)]
+            + [(SelectionMethod("adjr2"), 0.05, 1, 0.9),
+               (SelectionMethod("ttest", 0.01), 0.05, 1, 0.9),
+               (SelectionMethod("aic"), 0.999, 2, 0.9)])
+
+
+def _corner_id(case):
+    method, alpha, m, rho = case
+    return f"{method.kind}-a{alpha}-m{m}-rho{rho}"
+
+
+def _edge(pr, method):
+    """d w_hi: every integrand node has |h| below it."""
+    return (selection_threshold(method, pr.n, pr.p)
+            * residual_scale_interval(pr.m)[1])
+
+
+@pytest.mark.filterwarnings("ignore:rho=.*clamped")
+@pytest.mark.parametrize("case", _CORNERS, ids=_corner_id)
+class TestTailCertificate:
+    def test_identical_to_full_scan(self, case):
+        method, alpha, m, rho = case
+        pr = BoundProblem.from_m(alpha, 10, m, rho)
+        res = coverage_bound(pr, method, search=_CORNER_SEARCH)
+        full = minimize_over_gamma(
+            lambda g: coverage_probability(pr, method, g).value,
+            _CORNER_SEARCH, tail_value=1.0 - alpha)
+        assert (res.bound, res.gamma_star, res.bracket) \
+            == (full.bound, full.gamma_star, full.bracket)
+        if _edge(pr, method) >= _CORNER_SEARCH.gamma_max:
+            assert res.evaluations == full.evaluations
+        else:
+            assert res.evaluations < full.evaluations
+
+    def test_slack_bounds_computed_coverage(self, case):
+        method, alpha, m, rho = case
+        pr = BoundProblem.from_m(alpha, 10, m, rho)
+        slack = coverage_tail_slack(pr, method)
+        edge = _edge(pr, method)
+        assert slack(edge) == math.inf
+        for x in (0.05, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
+            value = coverage_probability(pr, method, edge + x).value
+            s = slack(edge + x)
+            assert abs(value - (1.0 - alpha)) <= s
+            if s == 0.0:
+                assert value == 1.0 - alpha
+        assert slack(edge + 12.0) == 0.0
