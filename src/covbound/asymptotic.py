@@ -27,7 +27,7 @@ later gamma can win.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,6 +78,12 @@ def asymptotic_problem(method: SelectionMethod, alpha: float,
 def asymptotic_coverage(problem: AsymptoticProblem, gamma: float,
                         abs_err: float = _QUAD_ABS) -> float:
     """Large-sample coverage at gamma (primary single-integral form)."""
+    return _coverage_with_err(problem, gamma, abs_err)[0]
+
+
+def _coverage_with_err(problem: AsymptoticProblem, gamma: float,
+                       abs_err: float) -> tuple[float, float]:
+    # (coverage, the quadrature's error estimate) at gamma
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
     alpha, rho, dp = problem.alpha, problem.rho, problem.d_prime
@@ -91,7 +97,7 @@ def asymptotic_coverage(problem: AsymptoticProblem, gamma: float,
                 * norm_pdf(h - gamma))
 
     res = adaptive_quad(integrand, -dp, dp, abs_err=abs_err)
-    return (1.0 - alpha) + term - res.value
+    return (1.0 - alpha) + term - res.value, res.err
 
 
 def asymptotic_coverage_bivariate(problem: AsymptoticProblem, gamma: float,
@@ -144,8 +150,17 @@ def asymptotic_bound(problem: AsymptoticProblem,
 
     The scan stops as soon as the certified tail envelope
     ``asymptotic_tail_slack`` proves that no later grid point can win, so
-    the result equals the full scan's.
+    the result equals the full scan's.  ``quad_err`` on the result is the
+    quadrature error at gamma_star (0.0 when the tail value wins).
     """
-    return minimize_over_gamma(lambda g: asymptotic_coverage(problem, g),
-                               config=config, tail_value=1.0 - problem.alpha,
-                               tail_slack=asymptotic_tail_slack(problem))
+    errs: dict[float, float] = {}
+
+    def objective(g: float) -> float:
+        value, errs[g] = _coverage_with_err(problem, g, _QUAD_ABS)
+        return value
+
+    res = minimize_over_gamma(objective, config=config,
+                              tail_value=1.0 - problem.alpha,
+                              tail_slack=asymptotic_tail_slack(problem))
+    err = 0.0 if math.isinf(res.gamma_star) else errs[res.gamma_star]
+    return replace(res, quad_err=err)

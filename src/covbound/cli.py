@@ -89,6 +89,24 @@ def _parse_m_list(text: str) -> list[int | str]:
     return out
 
 
+def _parse_gamma_list(text: str) -> list[float]:
+    out: list[float] = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        try:
+            gamma = float(tok)
+        except ValueError as exc:
+            raise CliError(f"bad --gamma entry {tok!r}: expected a number") from exc
+        if not math.isfinite(gamma):
+            raise CliError(f"bad --gamma entry {tok!r}: gamma must be finite")
+        out.append(gamma)
+    if not out:
+        raise CliError("--gamma list is empty")
+    return out
+
+
 def _parse_rho_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -151,7 +169,7 @@ def _single_bound(method: SelectionMethod, alpha: float, p: int,
         res = asymptotic_bound(prob)
         return {"method": method.kind, "alpha": alpha, "p": p, "m": "inf",
                 "rho": rho, "bound": res.bound, "gamma_star": res.gamma_star,
-                "quad_err": 1e-10}
+                "quad_err": res.quad_err}
     prob = BoundProblem.from_m(alpha, p, m, rho)
     if rho == 1.0:
         val = perfect_corr_bound(prob, method)
@@ -266,29 +284,40 @@ def cmd_verify(ns) -> int:
     _check_rho_values(rhos)
     if any(r == 1.0 for r in rhos):
         raise CliError("verify requires rho < 1")
-    gammas = [float(g) for g in ns.gamma.split(",")] if ns.gamma else [0.0, 1.0, 3.0]
+    gammas = _parse_gamma_list(ns.gamma) if ns.gamma else [0.0, 1.0, 3.0]
     ms = _parse_m_list(ns.m)
     if "inf" in ms:
         raise CliError("verify runs at finite m only")
 
+    cells = [(method, m, rho, gamma) for method in methods for m in ms
+             for rho in rhos for gamma in gammas]
+    probs = {(m, rho): BoundProblem.from_m(ns.alpha, ns.p, m, rho)
+             for m in ms for rho in rhos}
+    # one Monte Carlo call per m: its cells share one stream of draws
+    mc = {}
+    for m in dict.fromkeys(ms):
+        group = list(dict.fromkeys(c for c in cells if c[1] == m))
+        ests = mc_coverage([probs[m, rho] for _, _, rho, _ in group],
+                           [method for method, _, _, _ in group],
+                           [gamma for _, _, _, gamma in group],
+                           ns.reps, ns.seed)
+        mc.update(zip(group, ests))
+
     points = []
     failures = []
-    for method in methods:
-        for m in ms:
-            for rho in rhos:
-                for gamma in gammas:
-                    prob = BoundProblem.from_m(ns.alpha, ns.p, m, rho)
-                    quad = coverage_probability(prob, method, gamma)
-                    mc = mc_coverage(prob, method, gamma, ns.reps, ns.seed)
-                    gap = abs(quad.value - mc.estimate)
-                    ok = bool(gap <= 3.0 * mc.std_err)
-                    rec = {"method": method.kind, "alpha": ns.alpha,
-                           "p": ns.p, "m": m, "rho": rho, "gamma": gamma,
-                           "quadrature": quad.value, "mc_estimate": mc.estimate,
-                           "std_err": mc.std_err, "gap": gap, "pass": ok}
-                    points.append(rec)
-                    if not ok:
-                        failures.append(rec)
+    for cell in cells:
+        method, m, rho, gamma = cell
+        quad = coverage_probability(probs[m, rho], method, gamma)
+        est = mc[cell]
+        gap = abs(quad.value - est.estimate)
+        ok = bool(gap <= 3.0 * est.std_err)
+        rec = {"method": method.kind, "alpha": ns.alpha,
+               "p": ns.p, "m": m, "rho": rho, "gamma": gamma,
+               "quadrature": quad.value, "mc_estimate": est.estimate,
+               "std_err": est.std_err, "gap": gap, "pass": ok}
+        points.append(rec)
+        if not ok:
+            failures.append(rec)
     report = {"reps": ns.reps, "seed": ns.seed, "n_points": len(points),
               "n_failures": len(failures), "points": points}
     _write_text(ns.out, json.dumps(report, indent=2) + "\n")

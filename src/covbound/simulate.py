@@ -62,56 +62,102 @@ class MCEstimate(NamedTuple):
     std_err: float
 
 
+def _standard_draws(m: int, n_draws: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (z1, z2, w) in the one fixed draw order: z1, z2, then chi2_m
+    z1 = rng.standard_normal(n_draws)
+    z2 = rng.standard_normal(n_draws)
+    w = np.sqrt(rng.chisquare(m, n_draws) / m)
+    return z1, z2, w
+
+
+def _coefficient(gamma: float, rho: float, z1: np.ndarray,
+                 z2: np.ndarray) -> np.ndarray:
+    # h: mean gamma, unit variance, correlation rho with g = z1
+    return gamma + rho * z1 + math.sqrt(1.0 - rho * rho) * z2
+
+
 def draw_canonical(gamma: float, rho: float, m: int, n_draws: int,
                    rng: np.random.Generator) -> CanonicalSample:
     """Sample (g, h, w): g, h unit-variance normals with correlation rho,
     means 0 and gamma, independent of w = sqrt(chi2_m / m)."""
-    z1 = rng.standard_normal(n_draws)
-    z2 = rng.standard_normal(n_draws)
-    g = z1
-    h = gamma + rho * z1 + math.sqrt(1.0 - rho * rho) * z2
-    w = np.sqrt(rng.chisquare(m, n_draws) / m)
-    return CanonicalSample(g, h, w)
+    z1, z2, w = _standard_draws(m, n_draws, rng)
+    return CanonicalSample(z1, _coefficient(gamma, rho, z1, z2), w)
 
 
-def _covered_canonical(sample: CanonicalSample, d: float, rho: float,
-                       m: int, alpha: float) -> np.ndarray:
-    g, h, w = sample
-    t1 = t_quantile(m, alpha)
-    t2 = t_quantile(m + 1, alpha)
-    keep_sub = np.abs(h) / w < d
-    half = t2 * np.sqrt((m * w * w + h * h) / (m + 1.0)) * math.sqrt(1.0 - rho * rho)
-    return np.where(keep_sub, np.abs(g - rho * h) <= half, np.abs(g) <= t1 * w)
+def _cutoff_value(problem: BoundProblem, cutoff: SelectionMethod | float) -> float:
+    if isinstance(cutoff, SelectionMethod):
+        return selection_threshold(cutoff, problem.n, problem.p)
+    d = float(cutoff)
+    if not d >= 0.0:
+        raise ValueError("cutoff d must be nonnegative")
+    return d
 
 
-def mc_coverage(problem: BoundProblem, cutoff: SelectionMethod | float,
-                gamma: float, n_draws: int, seed: int,
-                chunk_size: int = _DEFAULT_CHUNK) -> MCEstimate:
+def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
+                cutoff: SelectionMethod | float | Sequence[SelectionMethod | float],
+                gamma: float | Sequence[float], n_draws: int, seed: int,
+                chunk_size: int = _DEFAULT_CHUNK) -> MCEstimate | list[MCEstimate]:
     """Monte Carlo coverage estimate from the canonical construction.
 
     ``cutoff`` is a selection method (its threshold is derived from the
-    problem dimensions) or a raw cutoff d > 0.  Estimates are
-    deterministic given (seed, chunk_size).  |rho| = 1 is allowed.
+    problem dimensions) or a raw cutoff d >= 0.  |rho| = 1 is allowed.
+
+    Batched form: equal-length sequences of problems, cutoffs and gammas
+    give one cell each and return a list of estimates in input order.  All
+    problems must share alpha and m.  One (seed, m) stream of n_draws
+    (z1, z2, chi2_m) draws serves every cell (common random numbers):
+    per chunk, w and the full-model hit are computed once, h and the
+    submodel hit once per (rho, gamma), and only the choice between the
+    two hits runs per cutoff.  A cell's estimate depends only on (seed,
+    chunk_size), not on which cells share the call, so the scalar call
+    (the one-cell case) returns exactly the same estimate.
     """
-    if isinstance(cutoff, SelectionMethod):
-        d = selection_threshold(cutoff, problem.n, problem.p)
+    scalar = isinstance(problem, BoundProblem)
+    if scalar:
+        problems, cutoffs, gammas = [problem], [cutoff], [gamma]
     else:
-        d = float(cutoff)
-        if not d >= 0.0:
-            raise ValueError("cutoff d must be nonnegative")
+        problems, cutoffs, gammas = list(problem), list(cutoff), list(gamma)
+        if not len(problems) == len(cutoffs) == len(gammas):
+            raise ValueError("problem, cutoff and gamma sequences must have "
+                             "equal lengths")
+    ds = [_cutoff_value(p, c) for p, c in zip(problems, cutoffs)]
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
-    rho, m, alpha = problem.rho, problem.m, problem.alpha
+    if not problems:
+        return []
+    m, alpha = problems[0].m, problems[0].alpha
+    if any(p.m != m or p.alpha != alpha for p in problems):
+        raise ValueError("batched problems must share alpha and m")
+    t1 = t_quantile(m, alpha)
+    t2 = t_quantile(m + 1, alpha)
+    # cells sharing (rho, gamma) share h and the submodel hit
+    groups: dict[tuple[float, float], list[int]] = {}
+    for k, (p, g) in enumerate(zip(problems, gammas)):
+        groups.setdefault((p.rho, g), []).append(k)
+
+    covered = [0] * len(problems)
     n_chunks = (n_draws + chunk_size - 1) // chunk_size
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    covered = 0
     for i, child in enumerate(children):
         size = min(chunk_size, n_draws - i * chunk_size)
         rng = np.random.Generator(np.random.Philox(child))
-        sample = draw_canonical(gamma, rho, m, size, rng)
-        covered += int(_covered_canonical(sample, d, rho, m, alpha).sum())
-    est = covered / n_draws
-    return MCEstimate(est, math.sqrt(est * (1.0 - est) / n_draws))
+        z1, z2, w = _standard_draws(m, size, rng)
+        mww = m * w * w
+        full = np.abs(z1) <= t1 * w
+        for (rho, g), cells in groups.items():
+            h = _coefficient(g, rho, z1, z2)
+            half = t2 * np.sqrt((mww + h * h) / (m + 1.0)) * math.sqrt(1.0 - rho * rho)
+            sub = np.abs(z1 - rho * h) <= half
+            ratio = np.abs(h) / w
+            for k in cells:
+                covered[k] += int(np.where(ratio < ds[k], sub, full).sum())
+            del h, half, sub, ratio  # hold one (rho, gamma)'s arrays at a time
+    out = []
+    for c in covered:
+        est = c / n_draws
+        out.append(MCEstimate(est, math.sqrt(est * (1.0 - est) / n_draws)))
+    return out[0] if scalar else out
 
 
 # ----------------------------------------------------------------------

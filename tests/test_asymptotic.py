@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from covbound import asymptotic
 from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
                                  asymptotic_coverage,
                                  asymptotic_coverage_bivariate,
                                  asymptotic_problem, asymptotic_tail_slack)
 from covbound.optimize import minimize_over_gamma
 from covbound.rules import NOT_APPLICABLE, NotApplicable, SelectionMethod
-from covbound.special import norm_cdf, norm_two_sided_quantile
+from covbound.quadrature import adaptive_quad
+from covbound.special import (norm_cdf, norm_pdf, norm_two_sided_quantile,
+                              symmetric_interval_prob)
 
 CP = SelectionMethod("cp")
 
@@ -138,6 +141,35 @@ class TestAsymptoticBound:
                   for r in np.arange(0.0, 0.96, 0.19)]
         diffs = np.diff(bounds)
         assert np.all(diffs <= 1e-6)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    def test_quad_err_is_that_at_gamma_star(self, rho):
+        # the 1-D integral of asymptotic_coverage, integrated again at
+        # gamma_star with the same driver and tolerance
+        pr = asymptotic_problem(CP, 0.05, rho)
+        res = asymptotic_bound(pr)
+        s = math.sqrt(1.0 - rho * rho)
+        z = norm_two_sided_quantile(0.05)
+        g = res.gamma_star
+
+        def integrand(h):
+            return (symmetric_interval_prob(rho * (h - g) / s, z / s)
+                    * norm_pdf(h - g))
+
+        quad = adaptive_quad(integrand, -pr.d_prime, pr.d_prime, abs_err=1e-10)
+        assert res.bound == (0.95 + symmetric_interval_prob(rho * g / s, z)
+                             * symmetric_interval_prob(g, pr.d_prime)) - quad.value
+        assert res.quad_err == quad.err
+        assert res.quad_err != 1e-10
+
+    def test_quad_err_zero_when_tail_wins(self, monkeypatch):
+        # a curve above the nominal level everywhere: the tail value wins
+        # at gamma_star = inf, where the coverage is exact
+        monkeypatch.setattr(asymptotic, "_coverage_with_err",
+                            lambda problem, gamma, abs_err:
+                            (0.95 + 1e-3 / (1.0 + gamma), 1e-9))
+        res = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.6))
+        assert (res.bound, res.gamma_star, res.quad_err) == (0.95, math.inf, 0.0)
 
     def test_deterministic(self):
         a = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.6))

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 import covbound.cli as cli
+from covbound.asymptotic import asymptotic_bound, asymptotic_problem
 from covbound.cli import main
-from covbound.simulate import MCEstimate
+from covbound.coverage import coverage_probability
+from covbound.rules import BoundProblem, SelectionMethod
+from covbound.simulate import MCEstimate, mc_coverage
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -112,6 +115,15 @@ class TestLimit:
                               "--rho", "0.6"], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_quad_err_is_the_search_error(self, capsys):
+        code, out, _ = run(["limit", "--method", "cp", "--rho", "0.6"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        res = asymptotic_bound(asymptotic_problem(SelectionMethod("cp"), 0.05, 0.6))
+        assert rec["gamma_star"] == res.gamma_star
+        assert rec["quad_err"] == res.quad_err
+        assert rec["quad_err"] != 1e-10
 
     def test_perfect_correlation_limit_value(self, capsys):
         code, out, _ = run(["limit", "--method", "cp", "--rho", "1.0"],
@@ -234,18 +246,75 @@ class TestVerify:
         assert out1 == out2
 
     def test_forced_failure_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "mc_coverage",
-                            lambda *a, **k: MCEstimate(0.5, 1e-9))
+        # one estimate per requested cell, far from the quadrature
+        monkeypatch.setattr(cli, "mc_coverage", lambda problems, *a, **k:
+                            [MCEstimate(0.5, 1e-9)] * len(problems))
         code, out, err = run(self.ARGS, capsys)
         assert code == 3
         assert json.loads(out)["n_failures"] == 1
         assert "FAIL cp" in err
+
+    @pytest.mark.parametrize("ms, calls", [("5", 1), ("5,20", 2), ("20,5,20", 2)])
+    def test_one_monte_carlo_call_per_m(self, capsys, monkeypatch, ms, calls):
+        seen = []
+        real = cli.mc_coverage
+
+        def counting(problems, *args, **kwargs):
+            seen.append({p.m for p in problems})
+            return real(problems, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "mc_coverage", counting)
+        args = ["verify", "--method", "all", "--m", ms, "--rho", "0.5",
+                "--gamma", "0,1", "--reps", "10000", "--seed", "4"]
+        code, out, _ = run(args, capsys)
+        assert code in (0, 3)
+        assert len(seen) == calls and all(len(s) == 1 for s in seen)
+        assert json.loads(out)["n_points"] == 5 * len(ms.split(",")) * 2
+
+    def test_report_equals_per_point_route(self, capsys):
+        # the grouped Monte Carlo calls must leave the report byte for byte
+        # as one quadrature and one scalar mc_coverage call per point gives
+        code, out, err = run(["verify", "--method", "all", "--m", "5,20",
+                              "--reps", "10000", "--seed", "3"], capsys)
+        methods = [SelectionMethod("cp"), SelectionMethod("adjr2"),
+                   SelectionMethod("aic"), SelectionMethod("bic"),
+                   SelectionMethod("ttest", 0.05)]
+        points, failures = [], 0
+        for method in methods:
+            for m in (5, 20):
+                for rho in (0.0, 0.5, 0.9):
+                    for gamma in (0.0, 1.0, 3.0):
+                        prob = BoundProblem.from_m(0.05, 10, m, rho)
+                        quad = coverage_probability(prob, method, gamma)
+                        mc = mc_coverage(prob, method, gamma, 10000, 3)
+                        gap = abs(quad.value - mc.estimate)
+                        ok = bool(gap <= 3.0 * mc.std_err)
+                        failures += not ok
+                        points.append({
+                            "method": method.kind, "alpha": 0.05, "p": 10,
+                            "m": m, "rho": rho, "gamma": gamma,
+                            "quadrature": quad.value,
+                            "mc_estimate": mc.estimate, "std_err": mc.std_err,
+                            "gap": gap, "pass": ok})
+        report = {"reps": 10000, "seed": 3, "n_points": len(points),
+                  "n_failures": failures, "points": points}
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert code == (3 if failures else 0)
+        assert err.count("FAIL ") == failures
 
     def test_input_validation(self, capsys):
         assert run(["verify", "--format", "csv"], capsys)[0] == 2
         assert run(["verify", "--reps", "100"], capsys)[0] == 2
         assert run(self.ARGS[:-4] + ["--rho", "1.0"], capsys)[0] == 2
         assert run(self.ARGS[:-4] + ["--m", "inf"], capsys)[0] == 2
+        at = self.ARGS.index("--gamma") + 1
+        for bad in ("abc", "nan", "inf", ","):
+            code, _, err = run(self.ARGS[:at] + [bad] + self.ARGS[at + 1:], capsys)
+            assert code == 2 and "--gamma" in err
+        # empty entries are skipped, as in --m
+        code, out, _ = run(self.ARGS[:at] + ["1,,2"] + self.ARGS[at + 1:], capsys)
+        assert code in (0, 3)
+        assert [p["gamma"] for p in json.loads(out)["points"]] == [1.0, 2.0]
 
 
 class TestSimulate:

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from covbound.coverage import coverage_probability
-from covbound.rules import BoundProblem, SelectionMethod
-from covbound.simulate import (EmpiricalCoverage, SimDesign,
+from covbound.rules import BoundProblem, SelectionMethod, selection_threshold
+from covbound.simulate import (EmpiricalCoverage, MCEstimate, SimDesign,
                                all_deletion_subsets, draw_canonical,
                                empirical_min_coverage, mc_coverage,
                                naive_interval, rss_subset, select_model)
@@ -93,6 +93,69 @@ class TestMcCoverage:
             mc_coverage(pr, -0.5, 1.0, 100, seed=1)
         with pytest.raises(ValueError):
             mc_coverage(pr, CP, 1.0, 0, seed=1)
+
+
+class TestMcCoverageBatched:
+    # mixed cutoffs: a selection method, a raw zero cutoff and a t-test
+    CUTOFFS = (CP, 0.0, SelectionMethod("ttest", 0.05))
+    RHOS = (-0.7, 0.0, 0.9, 1.0)
+    GAMMAS = (0.0, 0.5, 3.0)
+
+    def grid(self, m=5, alpha=0.05):
+        return [(BoundProblem.from_m(alpha, 4, m, rho), c, g)
+                for c in self.CUTOFFS for rho in self.RHOS for g in self.GAMMAS]
+
+    def test_grid_equals_per_point_calls(self):
+        # n_draws = 1000 in chunks of 300 ends on a partial chunk
+        cells = self.grid()
+        probs, cuts, gammas = (list(col) for col in zip(*cells))
+        batched = mc_coverage(probs, cuts, gammas, 1000, seed=8, chunk_size=300)
+        single = [mc_coverage(p, c, g, 1000, seed=8, chunk_size=300)
+                  for p, c, g in cells]
+        assert isinstance(batched, list) and len(batched) == len(cells)
+        assert all(isinstance(e, MCEstimate) for e in batched)
+        assert batched == single
+        # the estimates differ across cells, so order mix-ups would show
+        assert len({e.estimate for e in batched}) > len(cells) // 2
+
+    def test_grid_equals_direct_per_point_formula(self):
+        # the per-draw coverage written out on draw_canonical samples, one
+        # point at a time, with the chunk seeding mc_coverage documents
+        cells = self.grid(m=3, alpha=0.1)
+        probs, cuts, gammas = (list(col) for col in zip(*cells))
+        batched = mc_coverage(probs, cuts, gammas, 1000, seed=9, chunk_size=300)
+        t1, t2 = t_quantile(3, 0.1), t_quantile(4, 0.1)
+        for (pr, cut, gamma), est in zip(cells, batched):
+            d = cut if isinstance(cut, float) else \
+                selection_threshold(cut, pr.n, pr.p)
+            rho, covered = pr.rho, 0
+            children = np.random.SeedSequence(9).spawn(4)
+            for i, child in enumerate(children):
+                rng = np.random.Generator(np.random.Philox(child))
+                g, h, w = draw_canonical(gamma, rho, 3, min(300, 1000 - 300 * i), rng)
+                half = (t2 * np.sqrt((3 * w * w + h * h) / 4.0)
+                        * math.sqrt(1.0 - rho * rho))
+                covered += int(np.where(np.abs(h) / w < d,
+                                        np.abs(g - rho * h) <= half,
+                                        np.abs(g) <= t1 * w).sum())
+            assert est.estimate == covered / 1000
+
+    def test_empty_batch(self):
+        assert mc_coverage([], [], [], 100, seed=1) == []
+
+    def test_rejects_mixed_alpha_m_and_lengths(self):
+        a = BoundProblem.from_m(0.05, 2, 5, 0.5)
+        other_alpha = BoundProblem.from_m(0.1, 2, 5, 0.5)
+        other_m = BoundProblem.from_m(0.05, 2, 6, 0.5)
+        for bad in (other_alpha, other_m):
+            with pytest.raises(ValueError, match="alpha and m"):
+                mc_coverage([a, bad], [CP, CP], [1.0, 1.0], 100, seed=1)
+        with pytest.raises(ValueError, match="equal lengths"):
+            mc_coverage([a, a], [CP], [1.0, 1.0], 100, seed=1)
+        with pytest.raises(ValueError, match="equal lengths"):
+            mc_coverage([a], [CP], [1.0, 2.0], 100, seed=1)
+        with pytest.raises(ValueError):
+            mc_coverage([a, a], [CP, -0.5], [1.0, 1.0], 100, seed=1)
 
 
 class TestSimDesign:
