@@ -136,6 +136,16 @@ def _check_alpha(alpha: float) -> None:
         raise CliError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
+def _check_p(p: int) -> None:
+    if p < 2:
+        raise CliError(f"--p must be >= 2, got {p!r}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError(f"--seed must be >= 0, got {seed!r}")
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -200,6 +210,7 @@ def _record_csv(records: list[dict], fields=_BOUND_FIELDS) -> str:
 def cmd_bound(ns) -> int:
     method = _parse_method(ns)
     _check_alpha(ns.alpha)
+    _check_p(ns.p)
     if ns.rho is None:
         raise CliError("--rho is required")
     _check_rho_values([ns.rho])
@@ -232,6 +243,7 @@ def _curve_point(args) -> dict:
 def cmd_curve(ns) -> int:
     method = _parse_method(ns)
     _check_alpha(ns.alpha)
+    _check_p(ns.p)
     if ns.rho_grid is not None:
         rhos = _parse_rho_grid(ns.rho_grid)
     elif ns.rho is not None:
@@ -270,6 +282,8 @@ def _default_verify_grid(test_size: float) -> list[SelectionMethod]:
 
 def cmd_verify(ns) -> int:
     _check_alpha(ns.alpha)
+    _check_p(ns.p)
+    _check_seed(ns.seed)
     if ns.format == "csv":
         raise CliError("verify emits a JSON report; csv is not supported")
     if ns.reps < 10_000:
@@ -366,6 +380,7 @@ def cmd_simulate(ns) -> int:
     _check_alpha(ns.alpha)
     if ns.reps < 1:
         raise CliError("--reps must be positive")
+    _check_seed(ns.seed)
     design = _read_design(ns.design)
     if ns.beta_last:
         try:

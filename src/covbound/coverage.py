@@ -87,6 +87,12 @@ def full_interval_endpoints(w, m: int, alpha: float):
     return lo, hi
 
 
+def _submodel_half_width(t2: float, mww, h, m: int, sd: float):
+    """Submodel half-width t_{m+1} sqrt((m w^2 + h^2)/(m+1)) sqrt(1 - rho^2),
+    from t2 = t_{m+1}, mww = m w^2 and sd = sqrt(1 - rho^2)."""
+    return t2 * np.sqrt((mww + h * h) / (m + 1.0)) * sd
+
+
 def submodel_interval_endpoints(h, w, rho: float, m: int, alpha: float):
     """Endpoints of the standardized submodel interval given (h, w).
 
@@ -97,7 +103,7 @@ def submodel_interval_endpoints(h, w, rho: float, m: int, alpha: float):
     t2 = t_quantile(m + 1, alpha)
     h = np.asarray(h, dtype=float)
     w = np.asarray(w, dtype=float)
-    half = t2 * np.sqrt((m * w * w + h * h) / (m + 1.0)) * math.sqrt(1.0 - rho * rho)
+    half = _submodel_half_width(t2, m * w * w, h, m, math.sqrt(1.0 - rho * rho))
     lo, hi = rho * h - half, rho * h + half
     if np.ndim(lo) == 0:
         return float(lo), float(hi)
@@ -158,7 +164,7 @@ def coverage_probability(problem: BoundProblem, method: SelectionMethod,
         mean = rho * (h - gamma)
         k_full = (norm_cdf((t1 * w - mean) / sd)
                   - norm_cdf((-t1 * w - mean) / sd))
-        half = t2 * np.sqrt((m * w * w + h * h) / (m + 1.0)) * sd
+        half = _submodel_half_width(t2, m * w * w, h, m, sd)
         ctr = rho * h
         k_sub = (norm_cdf((ctr + half - mean) / sd)
                  - norm_cdf((ctr - half - mean) / sd))

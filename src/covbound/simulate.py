@@ -6,11 +6,14 @@ triple (g, h, w) directly -- the same reduction the quadrature engine
 integrates, sampled instead of integrated -- so quadrature and simulation
 form two independent routes to one number.
 
-The rest of the module simulates the full regression pipeline with no
-shortcuts: draw y, enumerate candidate subsets, apply the selection rule,
-refit, and check whether the naive t interval of the selected model covers
-the target.  Subsets K list the 0-based column indices whose coefficients
-are set to zero; the first q columns are protected and never deleted.
+The rest of the module simulates the full regression pipeline: draw y,
+enumerate candidate subsets, apply the selection rule, and check whether
+the naive t interval of the selected model covers the target.  Subsets K
+list the 0-based column indices whose coefficients are set to zero; the
+first q columns are protected and never deleted.  One engine fits each
+chunk of responses once and derives every candidate's estimate, RSS and
+selection from that fit; the pair family {(), (p-1,)} is two rows of the
+full family, so both families are scored on the same fit.
 
 Randomness: streams are derived via SeedSequence(seed).spawn(...), one
 child per fixed-size chunk, each driving a counter-based Philox generator.
@@ -27,6 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .coverage import _submodel_half_width
 from .rules import BoundProblem, SelectionMethod, selection_threshold
 from .special import t_quantile
 
@@ -94,6 +98,11 @@ def _cutoff_value(problem: BoundProblem, cutoff: SelectionMethod | float) -> flo
     return d
 
 
+def _proportion(hits: int, n: int) -> MCEstimate:
+    est = hits / n
+    return MCEstimate(est, math.sqrt(est * (1.0 - est) / n))
+
+
 def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
                 cutoff: SelectionMethod | float | Sequence[SelectionMethod | float],
                 gamma: float | Sequence[float], n_draws: int, seed: int,
@@ -147,16 +156,13 @@ def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
         full = np.abs(z1) <= t1 * w
         for (rho, g), cells in groups.items():
             h = _coefficient(g, rho, z1, z2)
-            half = t2 * np.sqrt((mww + h * h) / (m + 1.0)) * math.sqrt(1.0 - rho * rho)
+            half = _submodel_half_width(t2, mww, h, m, math.sqrt(1.0 - rho * rho))
             sub = np.abs(z1 - rho * h) <= half
             ratio = np.abs(h) / w
             for k in cells:
                 covered[k] += int(np.where(ratio < ds[k], sub, full).sum())
             del h, half, sub, ratio  # hold one (rho, gamma)'s arrays at a time
-    out = []
-    for c in covered:
-        est = c / n_draws
-        out.append(MCEstimate(est, math.sqrt(est * (1.0 - est) / n_draws)))
+    out = [_proportion(c, n_draws) for c in covered]
     return out[0] if scalar else out
 
 
@@ -233,13 +239,107 @@ def all_deletion_subsets(q: int, p: int) -> list[tuple[int, ...]]:
     return out
 
 
+# ----------------------------------------------------------------------
+# the fit-and-select engine
+# ----------------------------------------------------------------------
+
+class _Fit(NamedTuple):
+    """One fit of a chunk of responses (columns = replicates)."""
+
+    beta_hat: np.ndarray   # p x R full-model estimates
+    rss_full: np.ndarray   # R
+    est: np.ndarray        # candidates x R: a' beta_hat_K
+    rss: np.ndarray        # candidates x R: RSS_K
+
+
+class _Engine:
+    """Fit-and-select for one design over a fixed list of candidates K.
+
+    The per-design constants are built once: C = (X'X)^{-1} and, per
+    candidate, G = (C_KK)^{-1}, the weights a_corr = a' C_{.K} G, the
+    variance scale v = Var(a' beta_hat_K) / sigma^2 and the degrees of
+    freedom.  ``fit`` fits a chunk once and derives every candidate from
+    that fit: a' beta_hat_K = a' beta_hat - a_corr b_K and
+    RSS_K = RSS + b_K' G b_K with b = beta_hat.  ``pick`` selects one
+    candidate per replicate, from all candidates or from a subset of them.
+    """
+
+    def __init__(self, design: SimDesign, cands: Sequence[tuple[int, ...]]) -> None:
+        X, a = design.X, design.a
+        n, p = X.shape
+        self.design, self.cands = design, list(cands)
+        self.C = np.linalg.inv(X.T @ X)
+        self.A = self.C @ X.T
+        self.sizes = np.array([len(K) for K in self.cands])
+        self.df = (n - p) + self.sizes
+        self.G, self.a_corr, v = [], [], []
+        for K in self.cands:
+            keep = [j for j in range(p) if j not in K]
+            Z, ak = X[:, keep], a[keep]
+            v.append(float(ak @ np.linalg.solve(Z.T @ Z, ak)))
+            G = np.linalg.inv(self.C[np.ix_(K, K)])
+            self.G.append(G)
+            self.a_corr.append(a @ (self.C[:, list(K)] @ G))
+        self.v = np.array(v)
+
+    def fit(self, Y: np.ndarray) -> _Fit:
+        beta_hat = self.A @ Y
+        rss_full = np.sum((Y - self.design.X @ beta_hat) ** 2, axis=0)
+        est = np.empty((len(self.cands), Y.shape[1]))
+        rss = np.empty_like(est)
+        ab = self.design.a @ beta_hat
+        for i, K in enumerate(self.cands):
+            bk = beta_hat[list(K), :]
+            est[i] = ab - self.a_corr[i] @ bk
+            rss[i] = rss_full + np.einsum("kr,kl,lr->r", bk, self.G[i], bk)
+        return _Fit(beta_hat, rss_full, est, rss)
+
+    def pick(self, method: SelectionMethod, fit: _Fit,
+             rows: slice | Sequence[int] = slice(None)) -> np.ndarray:
+        """Index of the selected candidate per replicate, choosing among
+        the candidates ``rows`` (default all)."""
+        idx = np.arange(len(self.cands))[rows]
+        n, p = self.design.X.shape
+        m = n - p
+        if method.kind == "ttest":
+            # K collects the tested coefficients whose |t| stays below the
+            # critical value; a bitmask over them indexes the candidates
+            cands = [self.cands[i] for i in idx]
+            testable = sorted(set().union(*cands))
+            bit = {j: 1 << b for b, j in enumerate(testable)}
+            table = np.full(1 << len(testable), -1)
+            for i, K in enumerate(cands):
+                table[sum(bit[j] for j in K)] = i
+            tcrit = t_quantile(m, method.test_size)
+            s = np.sqrt(fit.rss_full / m)
+            mask = np.zeros(fit.rss_full.shape, dtype=np.intp)
+            for j in testable:
+                t = fit.beta_hat[j, :] / (s * math.sqrt(self.C[j, j]))
+                mask += (np.abs(t) < tcrit) * bit[j]
+            local = table[mask]
+            if np.any(local < 0):
+                raise ValueError("t-test selection landed outside the "
+                                 "candidate family")
+            return idx[local]
+        rss, size = fit.rss[rows], self.sizes[rows][:, None]
+        if method.kind in ("aic", "bic"):
+            fn = 1.0 if method.kind == "aic" else 0.5 * math.log(n)
+            crit = n * np.log(rss) + 2.0 * (p - size) * fn
+        elif method.kind == "cp":
+            crit = rss / (fit.rss_full / m) - n + 2.0 * (p - size)
+        else:
+            crit = rss / (m + size)
+        return idx[np.argmin(crit, axis=0)]  # first minimum = (|K|, lex) order
+
+
 def rss_subset(design: SimDesign, y: np.ndarray, K: Sequence[int]) -> SubsetState:
     """Refit with the coefficients in K constrained to zero.
 
     The residual sum of squares is computed twice: by direct refit on the
-    reduced design, and through the full-fit identity
-    RSS_K = RSS + b_K' (C_KK)^{-1} b_K with b = beta_hat and C = (X'X)^{-1};
-    the relative gap between the two is recorded.
+    reduced design, and by the fit-and-select engine through the full-fit
+    identity RSS_K = RSS + b_K' (C_KK)^{-1} b_K with b = beta_hat and
+    C = (X'X)^{-1}; the relative gap between the two is recorded (0 for
+    K = (), where the identity is trivial).
     """
     K = tuple(sorted(int(j) for j in K))
     X, a = design.X, design.a
@@ -248,22 +348,14 @@ def rss_subset(design: SimDesign, y: np.ndarray, K: Sequence[int]) -> SubsetStat
         raise ValueError("K must be distinct free-column indices")
     keep = [j for j in range(p) if j not in K]
 
-    beta_full, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    rss_full = float(np.sum((y - X @ beta_full) ** 2))
-
     Z = X[:, keep]
     coef, _, _, _ = np.linalg.lstsq(Z, y, rcond=None)
     beta_hat = np.zeros(p)
     beta_hat[keep] = coef
     rss = float(np.sum((y - Z @ coef) ** 2))
 
-    if K:
-        C = np.linalg.inv(X.T @ X)
-        G = np.linalg.inv(C[np.ix_(K, K)])
-        bk = beta_full[list(K)]
-        rss_ident = rss_full + float(bk @ G @ bk)
-    else:
-        rss_ident = rss_full
+    y_col = np.asarray(y, dtype=float).reshape(-1, 1)
+    rss_ident = float(_Engine(design, [K]).fit(y_col).rss[0, 0]) if K else rss
     gap = abs(rss - rss_ident) / max(rss, 1e-300)
 
     df = (n - p) + len(K)
@@ -288,53 +380,6 @@ def naive_interval(design: SimDesign, y: np.ndarray, K: Sequence[int],
 # selection rules on data
 # ----------------------------------------------------------------------
 
-def _criterion_constants(design: SimDesign, K: tuple[int, ...]):
-    # per-subset constants reused across replications
-    X, a = design.X, design.a
-    n, p = X.shape
-    keep = [j for j in range(p) if j not in K]
-    Z = X[:, keep]
-    ak = a[keep]
-    v = float(ak @ np.linalg.solve(Z.T @ Z, ak))
-    if K:
-        C = np.linalg.inv(X.T @ X)
-        G = np.linalg.inv(C[np.ix_(K, K)])
-        proj = C[:, list(K)] @ G          # p x |K|
-        a_corr = a @ proj                 # weights on beta_hat[K]
-    else:
-        G = np.zeros((0, 0))
-        a_corr = np.zeros(0)
-    return {"K": K, "keep": keep, "G": G, "a_corr": a_corr, "v": v,
-            "df": (n - p) + len(K)}
-
-
-def _criterion_rows(consts, design: SimDesign, method: SelectionMethod,
-                    beta_hat: np.ndarray, rss_full: np.ndarray) -> np.ndarray:
-    # stack of criterion values, one row per candidate, columns = reps
-    n, p = design.n, design.p
-    m = n - p
-    rows = []
-    for c in consts:
-        K = c["K"]
-        if K:
-            bk = beta_hat[list(K), :]
-            quad = np.einsum("kr,kl,lr->r", bk, c["G"], bk)
-        else:
-            quad = 0.0
-        rss_k = rss_full + quad
-        size = len(K)
-        if method.kind in ("aic", "bic"):
-            fn = 1.0 if method.kind == "aic" else 0.5 * math.log(n)
-            rows.append(n * np.log(rss_k) + 2.0 * (p - size) * fn)
-        elif method.kind == "cp":
-            rows.append(rss_k / (rss_full / m) - n + 2.0 * (p - size))
-        elif method.kind == "adjr2":
-            rows.append(rss_k / (m + size))
-        else:
-            raise AssertionError("t-test selection is pattern-based")
-    return np.asarray(rows)
-
-
 def select_model(design: SimDesign, y: np.ndarray, method: SelectionMethod,
                  candidates: Sequence[Sequence[int]] | None = None) -> tuple[int, ...]:
     """Selected deletion set K for one response vector.
@@ -345,61 +390,24 @@ def select_model(design: SimDesign, y: np.ndarray, method: SelectionMethod,
     coefficients whose full-model |t| statistic stays below the critical
     value; the result must be one of the candidates.
     """
-    sel = _select_bulk(design, method,
-                       np.asarray(y, dtype=float).reshape(-1, 1), candidates)
-    return sel[0]
+    cands = _normalize_candidates(design, candidates)
+    engine = _Engine(design, cands)
+    fit = engine.fit(np.asarray(y, dtype=float).reshape(-1, 1))
+    return cands[engine.pick(method, fit)[0]]
 
 
 def _normalize_candidates(design: SimDesign,
                           candidates: Sequence[Sequence[int]] | None):
     if candidates is None:
-        cands = all_deletion_subsets(design.q, design.p)
-    else:
-        cands = [tuple(sorted(int(j) for j in K)) for K in candidates]
-        seen = set()
-        for K in cands:
-            if K in seen:
-                raise ValueError("duplicate candidate subset")
-            seen.add(K)
-            if any(j < design.q or j >= design.p for j in K):
-                raise ValueError("candidate subsets must use free columns only")
-        cands.sort(key=lambda K: (len(K), K))
+        return all_deletion_subsets(design.q, design.p)
+    cands = [tuple(sorted(int(j) for j in K)) for K in candidates]
+    if len(set(cands)) < len(cands):
+        raise ValueError("duplicate candidate subset")
+    if any(j < design.q or j >= design.p for K in cands for j in K):
+        raise ValueError("candidate subsets must use free columns only")
     if not cands:
         raise ValueError("need at least one candidate subset")
-    return cands
-
-
-def _select_bulk(design: SimDesign, method: SelectionMethod,
-                 Y: np.ndarray, candidates=None) -> list[tuple[int, ...]]:
-    cands = _normalize_candidates(design, candidates)
-    X = design.X
-    n, p = X.shape
-    m = n - p
-    XtX_inv = np.linalg.inv(X.T @ X)
-    A = XtX_inv @ X.T
-    beta_hat = A @ Y
-    rss_full = np.sum((Y - X @ beta_hat) ** 2, axis=0)
-    if method.kind == "ttest":
-        testable = sorted(set().union(*map(set, cands))) if any(cands) else []
-        tcrit = t_quantile(m, method.test_size)
-        s = np.sqrt(rss_full / m)
-        idx = {K: i for i, K in enumerate(cands)}
-        accept = {}
-        for j in testable:
-            tj = beta_hat[j, :] / (s * math.sqrt(XtX_inv[j, j]))
-            accept[j] = np.abs(tj) < tcrit
-        chosen = []
-        for r in range(Y.shape[1]):
-            K = tuple(j for j in testable if accept[j][r])
-            if K not in idx:
-                raise ValueError("t-test selection landed outside the "
-                                 "candidate family")
-            chosen.append(K)
-        return chosen
-    consts = [_criterion_constants(design, K) for K in cands]
-    crit = _criterion_rows(consts, design, method, beta_hat, rss_full)
-    picks = np.argmin(crit, axis=0)  # first minimum = (|K|, lex) order
-    return [cands[i] for i in picks]
+    return sorted(cands, key=lambda K: (len(K), K))
 
 
 # ----------------------------------------------------------------------
@@ -420,49 +428,6 @@ class EmpiricalCoverage:
     std_err_pair: float
 
 
-def _coverage_once(design: SimDesign, method: SelectionMethod, alpha: float,
-                   cands, consts, Y: np.ndarray, theta: float) -> int:
-    X = design.X
-    n, p = X.shape
-    m = n - p
-    XtX_inv = np.linalg.inv(X.T @ X)
-    A = XtX_inv @ X.T
-    beta_hat = A @ Y
-    rss_full = np.sum((Y - X @ beta_hat) ** 2, axis=0)
-    R = Y.shape[1]
-
-    if method.kind == "ttest":
-        chosen = _select_bulk(design, method, Y, cands)
-        idx = {K: i for i, K in enumerate(cands)}
-        pick = np.array([idx[K] for K in chosen])
-    else:
-        crit = _criterion_rows(consts, design, method, beta_hat, rss_full)
-        pick = np.argmin(crit, axis=0)
-
-    theta_rows = np.empty((len(cands), R))
-    rss_rows = np.empty((len(cands), R))
-    a = design.a
-    for i, c in enumerate(consts):
-        K = c["K"]
-        if K:
-            bk = beta_hat[list(K), :]
-            theta_rows[i] = a @ beta_hat - c["a_corr"] @ bk
-            rss_rows[i] = rss_full + np.einsum("kr,kl,lr->r", bk, c["G"], bk)
-        else:
-            theta_rows[i] = a @ beta_hat
-            rss_rows[i] = rss_full
-    cols = np.arange(R)
-    th = theta_rows[pick, cols]
-    rs = rss_rows[pick, cols]
-    dfs = np.array([c["df"] for c in consts])[pick]
-    vs = np.array([c["v"] for c in consts])[pick]
-    tq = np.array([t_quantile(d, alpha) for d in np.unique(dfs)])
-    tmap = dict(zip(np.unique(dfs), tq))
-    tcrit = np.array([tmap[d] for d in dfs])
-    half = tcrit * np.sqrt(rs / dfs * vs)
-    return int(np.sum(np.abs(th - theta) <= half))
-
-
 def empirical_min_coverage(design: SimDesign, method: SelectionMethod,
                            alpha: float, beta_grid: Sequence[Sequence[float]],
                            reps: int, seed: int,
@@ -474,32 +439,37 @@ def empirical_min_coverage(design: SimDesign, method: SelectionMethod,
     if reps == 0:
         return []
     full = all_deletion_subsets(design.q, design.p)
-    pair = [(), (design.p - 1,)]
-    consts_full = [_criterion_constants(design, K) for K in full]
-    consts_pair = [_criterion_constants(design, K) for K in pair]
+    engine = _Engine(design, full)
+    # the pair family {(), (p-1,)} is two rows of the full family
+    families = (slice(None), [0, full.index((design.p - 1,))])
+    dfs, inverse = np.unique(engine.df, return_inverse=True)
+    tcrit = np.array([t_quantile(int(d), alpha) for d in dfs])[inverse]
     root = np.random.SeedSequence(seed)
     out = []
     for bi, beta in enumerate(beta_grid):
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (design.p,):
             raise ValueError("each beta must have length p")
-        d = SimDesign(design.X, design.a, design.q, beta, design.sigma)
-        theta = d.theta
-        mean = d.X @ beta
+        theta = float(design.a @ beta)
+        mean = design.X @ beta
         # one subtree per grid point, split further into chunks
         point_seq = np.random.SeedSequence(entropy=root.entropy,
                                            spawn_key=(bi,))
         n_chunks = (reps + chunk_size - 1) // chunk_size
-        cov_f = cov_p = 0
+        covered = [0, 0]
         for ci, cseq in enumerate(point_seq.spawn(n_chunks)):
             size = min(chunk_size, reps - ci * chunk_size)
             rng = np.random.Generator(np.random.Philox(cseq))
-            Y = mean[:, None] + d.sigma * rng.standard_normal((d.n, size))
-            cov_f += _coverage_once(d, method, alpha, full, consts_full, Y, theta)
-            cov_p += _coverage_once(d, method, alpha, pair, consts_pair, Y, theta)
-        pf, pp = cov_f / reps, cov_p / reps
-        out.append(EmpiricalCoverage(
-            beta=tuple(float(b) for b in beta), reps=reps,
-            coverage_full=pf, std_err_full=math.sqrt(pf * (1 - pf) / reps),
-            coverage_pair=pp, std_err_pair=math.sqrt(pp * (1 - pp) / reps)))
+            fit = engine.fit(mean[:, None]
+                             + design.sigma * rng.standard_normal((design.n, size)))
+            cols = np.arange(size)
+            for f, rows in enumerate(families):
+                pick = engine.pick(method, fit, rows)
+                half = tcrit[pick] * np.sqrt(fit.rss[pick, cols] / engine.df[pick]
+                                             * engine.v[pick])
+                covered[f] += int(np.sum(np.abs(fit.est[pick, cols] - theta) <= half))
+            del fit  # hold one chunk's arrays at a time
+        full_est, pair_est = (_proportion(c, reps) for c in covered)
+        out.append(EmpiricalCoverage(tuple(float(b) for b in beta), reps,
+                                     *full_est, *pair_est))
     return out

@@ -95,6 +95,10 @@ class TestBound:
                    capsys)[0] == 2
         assert run(["bound", "--method", "cp", "--alpha", "1.5", "--m", "5",
                     "--rho", "0.5"], capsys)[0] == 2
+        for p in ("1", "0"):
+            code, _, err = run(["bound", "--method", "cp", "--p", p, "--m", "5",
+                                "--rho", "0.5"], capsys)
+            assert code == 2 and "--p" in err
 
     def test_ttest_size_handling(self, capsys):
         assert run(["bound", "--method", "ttest", "--m", "5", "--rho", "0.5"],
@@ -200,6 +204,10 @@ class TestCurve:
                             "--rho-grid", "0.9:0.1:0.1",
                             "--out", str(out_path)], capsys)
         assert code == 2
+        assert not out_path.exists()
+        code, _, err = run(["curve", "--method", "cp", "--p", "0", "--m", "5",
+                            "--rho", "0.5", "--out", str(out_path)], capsys)
+        assert code == 2 and "--p" in err
         assert not out_path.exists()
 
     def test_parallel_matches_serial(self, capsys):
@@ -307,6 +315,9 @@ class TestVerify:
         assert run(["verify", "--reps", "100"], capsys)[0] == 2
         assert run(self.ARGS[:-4] + ["--rho", "1.0"], capsys)[0] == 2
         assert run(self.ARGS[:-4] + ["--m", "inf"], capsys)[0] == 2
+        for flag, bad in (("--p", "0"), ("--p", "1"), ("--seed", "-1")):
+            code, out, err = run(self.ARGS + [flag, bad], capsys)
+            assert code == 2 and flag in err and out == ""
         at = self.ARGS.index("--gamma") + 1
         for bad in ("abc", "nan", "inf", ","):
             code, _, err = run(self.ARGS[:at] + [bad] + self.ARGS[at + 1:], capsys)
@@ -372,9 +383,12 @@ class TestSimulate:
         assert code == 2
         assert "invalid design" in err
 
-    def test_design_flag_required(self, capsys):
+    def test_design_flag_required(self, capsys, design_file):
         code, _, _ = run(["simulate"], capsys)
         assert code == 2
+        code, out, err = run(["simulate", "--design", str(design_file),
+                              "--seed", "-1"], capsys)
+        assert code == 2 and "--seed" in err and out == ""
 
 
 class TestFlagScope:

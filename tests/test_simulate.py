@@ -34,6 +34,29 @@ def orthonormal_design(beta=(1.0, 1.0, 2.0), sigma=2.0):
                      beta=np.asarray(beta, dtype=float), sigma=sigma)
 
 
+def reference_select(d, y, method, candidates=None):
+    """Selected K by direct refits of every candidate: the textbook
+    criteria with ties to the smaller |K|, then lexicographic; or, for the
+    t-test, the columns of the candidates whose full-model |t| < t_crit."""
+    cands = all_deletion_subsets(d.q, d.p) if candidates is None else candidates
+    n, p, m = d.n, d.p, d.n - d.p
+    rss_full = rss_subset(d, y, ()).rss
+    if method.kind == "ttest":
+        b, _, _, _ = np.linalg.lstsq(d.X, y, rcond=None)
+        C = np.linalg.inv(d.X.T @ d.X)
+        s, tcrit = math.sqrt(rss_full / m), t_quantile(m, method.test_size)
+        return tuple(j for j in sorted(set().union(*cands))
+                     if abs(b[j]) / (s * math.sqrt(C[j, j])) < tcrit)
+
+    def criterion(K):
+        rss, k = rss_subset(d, y, K).rss, p - len(K)
+        return {"aic": n * math.log(rss) + 2 * k,
+                "bic": n * math.log(rss) + math.log(n) * k,
+                "cp": rss / (rss_full / m) - n + 2 * k,
+                "adjr2": rss / (n - k)}[method.kind]
+    return min(cands, key=lambda K: (criterion(K), len(K), K))
+
+
 class TestDrawCanonical:
     def test_moments(self):
         rng = np.random.default_rng(11)
@@ -408,6 +431,40 @@ class TestEmpiricalMinCoverage:
         want = coverage_probability(pr, CP, 1.0).value
         res = empirical_min_coverage(d, CP, 0.05, [d.beta], 40_000, seed=12)[0]
         assert abs(res.coverage_pair - want) <= 3.0 * res.std_err_pair
+
+    @pytest.mark.parametrize("kind", ["aic", "bic", "cp", "adjr2", "ttest"])
+    def test_counts_equal_per_replicate_reference(self, kind):
+        # regenerate the draws of empirical_min_coverage (one seed subtree
+        # per grid point, one Philox stream per chunk, the last chunk
+        # partial) and recount coverage one replicate at a time: selection
+        # by direct refits, checked against select_model, and the refit
+        # interval of naive_interval, for both families
+        method = SelectionMethod(kind, 0.2) if kind == "ttest" else SelectionMethod(kind)
+        rng = np.random.default_rng(51)
+        d = SimDesign(X=rng.standard_normal((14, 5)),
+                      a=np.array([0.0, 1.0, 0.5, -0.4, 0.7]), q=2,
+                      beta=np.array([1.0, -0.5, 0.3, 0.15, -0.25]), sigma=1.0)
+        grid = [d.beta, d.beta * np.array([1, 1, 0, 1, 2])]
+        families = {"full": None, "pair": [(), (d.p - 1,)]}
+        reps, chunk, alpha, seed = 300, 128, 0.1, 17
+        res = empirical_min_coverage(d, method, alpha, grid, reps, seed,
+                                     chunk_size=chunk)
+        root = np.random.SeedSequence(seed)
+        for bi, beta in enumerate(grid):
+            point_seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=(bi,))
+            counts = {"full": 0, "pair": 0}
+            for ci, cseq in enumerate(point_seq.spawn(3)):
+                size = min(chunk, reps - ci * chunk)
+                draw = np.random.Generator(np.random.Philox(cseq))
+                Y = (d.X @ beta)[:, None] + d.sigma * draw.standard_normal((d.n, size))
+                for y in Y.T:
+                    for fam, cands in families.items():
+                        K = reference_select(d, y, method, cands)
+                        assert select_model(d, y, method, candidates=cands) == K
+                        lo, hi = naive_interval(d, y, K, alpha)
+                        counts[fam] += lo <= float(d.a @ beta) <= hi
+            assert res[bi].coverage_full == counts["full"] / reps
+            assert res[bi].coverage_pair == counts["pair"] / reps
 
     def test_result_schema(self):
         d = orthonormal_design()
