@@ -35,11 +35,11 @@ from .simulate import (CanonicalSample, EmpiricalCoverage, MCEstimate,
                        SimDesign, SubsetState, all_deletion_subsets,
                        draw_canonical, empirical_min_coverage, mc_coverage,
                        naive_interval, rss_subset, select_model)
-from .special import (DEFAULT_TOL, Tolerance, erfc, gauss_interval_prob,
-                      norm_cdf, norm_pdf, norm_two_sided_quantile,
-                      reg_inc_beta, reg_lower_gamma, residual_scale_density,
-                      residual_scale_interval, symmetric_interval_prob,
-                      t_quantile, t_two_sided_tail)
+from .special import (DEFAULT_TOL, Tolerance, bvn_rectangle, erfc,
+                      gauss_interval_prob, norm_cdf, norm_pdf,
+                      norm_two_sided_quantile, reg_inc_beta, reg_lower_gamma,
+                      residual_scale_density, residual_scale_interval,
+                      symmetric_interval_prob, t_quantile, t_two_sided_tail)
 
 __version__ = "0.1.0"
 
@@ -71,6 +71,7 @@ __all__ = [
     "asymptotic_coverage_bivariate",
     "asymptotic_problem",
     "asymptotic_threshold",
+    "bvn_rectangle",
     "cover_given_full",
     "cover_given_submodel",
     "coverage_bound",

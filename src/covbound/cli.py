@@ -419,21 +419,29 @@ def cmd_simulate(ns) -> int:
 # parser
 # ----------------------------------------------------------------------
 
-def _add_common(sp, *, method="cp", m="20", p=2) -> None:
+def _add_common(sp, *, method: str = "cp") -> None:
     sp.add_argument("--method", default=method,
                     help=f"one of {', '.join(METHOD_NAMES)}")
     sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--p", type=int, default=p,
-                    help="number of regressors (m = n - p)")
-    sp.add_argument("--m", default=m,
-                    help="error degrees of freedom; comma list, 'inf' allowed")
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--rho-grid", default=None, metavar="LO:STEP:HI")
     sp.add_argument("--test-size", type=float, default=None,
                     help="two-sided size of the t test (method ttest)")
     sp.add_argument("--out", default=None, help="output path ('-' = stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default=None,
                     help="output format (each command has its natural default)")
+
+
+def _add_problem(sp, *, p: int = 2, m: str | None = "20",
+                 rho_grid: bool = False) -> None:
+    """--p and --rho, plus --m unless the command fixes m, plus --rho-grid
+    on the commands that sweep rho."""
+    sp.add_argument("--p", type=int, default=p,
+                    help="number of regressors (m = n - p)")
+    if m is not None:
+        sp.add_argument("--m", default=m,
+                        help="error degrees of freedom; comma list, 'inf' allowed")
+    sp.add_argument("--rho", type=float, default=None)
+    if rho_grid:
+        sp.add_argument("--rho-grid", default=None, metavar="LO:STEP:HI")
 
 
 def _add_monte_carlo(sp, *, reps: int) -> None:
@@ -447,32 +455,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Upper bounds on the minimum coverage probability of "
                     "naive confidence intervals after model selection.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in (("bound", cmd_bound), ("limit", cmd_limit),
-                     ("curve", cmd_curve), ("verify", cmd_verify),
-                     ("simulate", cmd_simulate)):
-        sp = sub.add_parser(name)
-        if name == "verify":
-            # bare `verify` reproduces the cross-check grid the test
-            # suite pins: all methods x m {5,20} x rho {0,.5,.9} x
-            # gamma {0,1,3}, p = 10, two million draws per point
-            _add_common(sp, method="all", m="5,20", p=10)
-            _add_monte_carlo(sp, reps=2_000_000)
-            sp.add_argument("--gamma", default=None,
-                            help="comma list of gamma values")
-        else:
-            _add_common(sp)
-        if name == "curve":
-            sp.add_argument("--jobs", type=int, default=1,
-                            help="parallel workers for the rho/m sweep")
-        if name == "simulate":
-            _add_monte_carlo(sp, reps=200_000)
-            sp.add_argument("--design", required=True,
-                            help="plain-text design file: 'n p q', X rows, "
-                                 "a row, beta row, sigma")
-            sp.add_argument("--beta-last", default=None,
-                            help="comma list of values for the last "
-                                 "coefficient, one table row pair each")
-        sp.set_defaults(func=fn)
+
+    def add(name: str) -> argparse.ArgumentParser:
+        # no prefix matching: `limit --m 5` must not be read as --method 5
+        return sub.add_parser(name, allow_abbrev=False)
+
+    sp = add("bound")
+    _add_common(sp)
+    _add_problem(sp)
+    sp.set_defaults(func=cmd_bound)
+
+    sp = add("limit")
+    _add_common(sp)
+    _add_problem(sp, m=None)
+    sp.set_defaults(func=cmd_limit)
+
+    sp = add("curve")
+    _add_common(sp)
+    _add_problem(sp, rho_grid=True)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="parallel workers for the rho/m sweep")
+    sp.set_defaults(func=cmd_curve)
+
+    # bare `verify` reproduces the cross-check grid the test suite pins:
+    # all methods x m {5,20} x rho {0,.5,.9} x gamma {0,1,3}, p = 10,
+    # two million draws per point
+    sp = add("verify")
+    _add_common(sp, method="all")
+    _add_problem(sp, p=10, m="5,20", rho_grid=True)
+    _add_monte_carlo(sp, reps=2_000_000)
+    sp.add_argument("--gamma", default=None, help="comma list of gamma values")
+    sp.set_defaults(func=cmd_verify)
+
+    # n, p and q come from the design file
+    sp = add("simulate")
+    _add_common(sp)
+    _add_monte_carlo(sp, reps=200_000)
+    sp.add_argument("--design", required=True,
+                    help="plain-text design file: 'n p q', X rows, "
+                         "a row, beta row, sigma")
+    sp.add_argument("--beta-last", default=None,
+                    help="comma list of values for the last "
+                         "coefficient, one table row pair each")
+    sp.set_defaults(func=cmd_simulate)
     return ap
 
 

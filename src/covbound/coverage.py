@@ -20,15 +20,28 @@ the coverage indicator averages to a normal interval probability:
 
 and the unconditional coverage equals
 
-  (1 - alpha) + int_0^inf int_{-d}^{d} [k(wx) - k_full(wx)] phi(wx - gamma)
+  (1 - alpha) + int_0^inf int_{-d}^{d} [k_sub(wx) - k_full(wx)] phi(wx - gamma)
                                         w f_W(w) dx dw,
 
 a correction to the nominal level carried entirely by the event
-|h|/w < d.  The double integral is evaluated by adaptive Gauss-Kronrod
-panels on [w_lo, w_hi] x [-d, d], where [w_lo, w_hi] holds all but 1e-12
-of the mass of w.  Every node has |h| <= d w_hi, so past gamma = d w_hi
-the computed correction is pinned below a Gaussian tail in gamma - d w_hi;
-``coverage_bound`` uses that to stop its gamma scan early.
+|h|/w < d (k_sub, k_full: the two conditional coverages at h = wx).  It
+is evaluated in two terms, over [w_lo, w_hi], which holds all but 1e-12
+of the mass of w:
+
+  submodel term    int int_{-d}^{d} D(rho gamma / s, q(w, wx)) phi(wx - gamma)
+                                    w f_W(w) dx dw,
+  full-model term  int f_W(w) P(|G| <= t_m w, |H| <= d w) dw,
+
+and the coverage is (1 - alpha) + submodel term - full-model term.  Here
+D(c, q) = Phi(c + q) - Phi(c - q) = k_sub with s = sqrt(1 - rho^2) and
+q = t_{m+1} sqrt((m w^2 + h^2)/(m+1)), the submodel half-width in units of
+s; (G, H) is bivariate normal with G ~ N(0, 1), H ~ N(gamma, 1) and
+correlation rho.  The full-model term is the k_full part integrated over
+x in closed form: a bivariate-normal rectangle (``bvn_rectangle``) under a
+1-D adaptive Gauss-Kronrod integral in w.  The submodel term is a 2-D
+adaptive Gauss-Kronrod integral over [w_lo, w_hi] x [-d, d], two Phi per
+node.  Past gamma = d w_hi both terms are pinned below a Gaussian tail in
+gamma - d w_hi; ``coverage_bound`` uses that to stop its gamma scan early.
 
 At |rho| = 1 this representation degenerates; ``perfect_corr_bound``
 computes the minimum coverage there in closed integral form: it is
@@ -48,9 +61,10 @@ from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
                        minimize_over_gamma)
 from .quadrature import adaptive_quad, adaptive_quad_2d
 from .rules import BoundProblem, SelectionMethod, selection_threshold
-from .special import (DEFAULT_TOL, Tolerance, gauss_interval_prob, norm_cdf,
-                      norm_pdf, residual_scale_density,
-                      residual_scale_interval, t_quantile)
+from .special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
+                      bvn_rectangle, gauss_interval_prob, norm_cdf, norm_pdf,
+                      residual_scale_density, residual_scale_interval,
+                      t_quantile)
 
 __all__ = [
     "CoverageResult",
@@ -65,12 +79,17 @@ __all__ = [
 ]
 
 _W_MASS_EPS = 1e-12
+# shares of the absolute error budget: the 2-D submodel term, the 1-D
+# full-model term; the rest covers the rectangle and w-window allowances
+_SUB_SHARE = 0.8
+_FULL_SHARE = 0.1
 _RHO_CLAMP = 1e-6
 
 
 @dataclass(frozen=True)
 class CoverageResult:
-    """Coverage value with the quadrature error estimate and panel count."""
+    """Coverage value with its error estimate and the panels of both
+    quadratures (2-D submodel term and 1-D full-model term)."""
 
     value: float
     quad_err: float
@@ -143,8 +162,10 @@ def coverage_probability(problem: BoundProblem, method: SelectionMethod,
     """Coverage probability of the naive post-selection interval.
 
     Deterministic: identical inputs produce bit-identical results.  The
-    reported ``quad_err`` adds the 1e-12 truncation allowance of the w
-    integration window to the panel error estimate.
+    reported ``quad_err`` adds the error estimates of both quadratures,
+    the rectangle's own error bound ``BVN_RECTANGLE_ERR`` and the 1e-12
+    truncation allowance of the w integration window; ``panels`` counts
+    the panels of both.
     """
     tol = tol or DEFAULT_TOL
     if not math.isfinite(gamma):
@@ -157,24 +178,29 @@ def coverage_probability(problem: BoundProblem, method: SelectionMethod,
     t2 = t_quantile(m + 1, alpha)
     w_lo, w_hi = residual_scale_interval(m, _W_MASS_EPS)
     sd = math.sqrt(1.0 - rho * rho)
-    var = 1.0 - rho * rho
+    # D(c, q) = Phi(c + q) - Phi(c - q) is even in c; c <= 0 keeps both
+    # Phi on the lower tail
+    c = -abs(rho * gamma) / sd
 
-    def integrand(w, x):
+    def submodel(w, x):
         h = w * x
-        mean = rho * (h - gamma)
-        k_full = (norm_cdf((t1 * w - mean) / sd)
-                  - norm_cdf((-t1 * w - mean) / sd))
-        half = _submodel_half_width(t2, m * w * w, h, m, sd)
-        ctr = rho * h
-        k_sub = (norm_cdf((ctr + half - mean) / sd)
-                 - norm_cdf((ctr - half - mean) / sd))
-        return (k_sub - k_full) * norm_pdf(h - gamma) * w * residual_scale_density(w, m)
+        q = _submodel_half_width(t2, m * w * w, h, m, 1.0)
+        k_sub = norm_cdf(c + q) - norm_cdf(c - q)
+        return k_sub * norm_pdf(h - gamma) * w * residual_scale_density(w, m)
 
-    res = adaptive_quad_2d(integrand, w_lo, w_hi, -d, d,
-                           abs_err=0.9 * tol.abs_err, rel_err=0.0)
-    value = (1.0 - alpha) + res.value
-    return CoverageResult(value=value, quad_err=res.err + _W_MASS_EPS,
-                          panels=res.panels)
+    def full_model(w):
+        return residual_scale_density(w, m) * bvn_rectangle(
+            -t1 * w, t1 * w, -d * w - gamma, d * w - gamma, rho)
+
+    sub = adaptive_quad_2d(submodel, w_lo, w_hi, -d, d,
+                           abs_err=_SUB_SHARE * tol.abs_err, rel_err=0.0)
+    full = adaptive_quad(full_model, w_lo, w_hi,
+                         abs_err=_FULL_SHARE * tol.abs_err, initial=8)
+    value = ((1.0 - alpha) + sub.value) - full.value
+    return CoverageResult(
+        value=value,
+        quad_err=sub.err + full.err + BVN_RECTANGLE_ERR + _W_MASS_EPS,
+        panels=sub.panels + full.panels)
 
 
 def coverage_tail_slack(problem: BoundProblem, method: SelectionMethod):
@@ -183,12 +209,19 @@ def coverage_tail_slack(problem: BoundProblem, method: SelectionMethod):
     gamma' >= gamma, inf up to gamma = d w_hi and exactly 0 once the
     computed value must equal 1 - alpha (see ``additive_tail_slack``).
 
-    Every integrand node has |x| <= d and w <= w_hi, so |h - gamma'| >=
-    gamma - d w_hi once gamma > d w_hi; with |k_sub - k_full| <= 1 the
-    integrand is at most w_hi max f_W phi(gamma - d w_hi).  The Kronrod
-    weights are positive and sum to the domain area 2 d (w_hi - w_lo)
-    whatever the refinement, which bounds the panel sum.  The factor 2
-    absorbs the few-ulp relative rounding of every factor and of the sum.
+    The value is (1 - alpha) plus the submodel term minus the full-model
+    term.  With x = gamma - d w_hi > 0:
+
+    * submodel term: every node has |x'| <= d and w <= w_hi, so
+      |h - gamma'| >= x; with |k_sub| <= 1 the integrand is at most
+      w_hi max f_W phi(x), and the positive Kronrod weights sum to the
+      domain area 2 d (w_hi - w_lo) whatever the refinement;
+    * full-model term: ``bvn_rectangle`` never exceeds its computed
+      Phi(d w - gamma') - Phi(-d w - gamma') <= Phi(-x) <= phi(x)/x, and
+      the 1-D weights sum to w_hi - w_lo.
+
+    The factor 2 absorbs the few-ulp relative rounding of every factor
+    and of the sums.
     """
     m = problem.m
     d = selection_threshold(method, problem.n, problem.p)
@@ -196,11 +229,15 @@ def coverage_tail_slack(problem: BoundProblem, method: SelectionMethod):
     # f_W is unimodal with its mode at sqrt((m - 1)/m) (decreasing for m = 1)
     f_max = residual_scale_density(
         min(max(math.sqrt((m - 1.0) / m), w_lo), w_hi), m)
-    scale = 2.0 * (2.0 * d * (w_hi - w_lo)) * w_hi * f_max
+    sub_scale = 2.0 * d * (w_hi - w_lo) * w_hi * f_max
+    full_scale = (w_hi - w_lo) * f_max
     edge = d * w_hi
 
     def correction_bound(gamma: float) -> float:
-        return scale * norm_pdf(gamma - edge) if gamma > edge else math.inf
+        if not gamma > edge:
+            return math.inf
+        x = gamma - edge
+        return 2.0 * (sub_scale + full_scale / x) * norm_pdf(x)
     return additive_tail_slack(1.0 - problem.alpha, correction_bound)
 
 

@@ -3,8 +3,11 @@
 Everything here deliberately avoids the package's own numerics: the
 normal CDF goes through the C library's erfc, the t distribution through
 closed-form trigonometric sums valid at integer degrees of freedom, and
-quantiles through plain bisection on those forms.  scipy appears only as
-a second opinion for chi-square tails.
+quantiles through plain bisection on those forms.  scipy appears as a
+second opinion for chi-square tails and, with mpmath, in the two
+integral oracles at the end: the original combined coverage integrand by
+scipy ``dblquad``, and bivariate-normal rectangles as a 1-D mpmath
+integral.  Both import their library on first use.
 """
 
 from __future__ import annotations
@@ -83,3 +86,70 @@ def norm_quantile_bisect(alpha: float, tol: float = 1e-14) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def coverage_dblquad(alpha: float, m: int, rho: float, d: float,
+                     gamma: float) -> float:
+    """Coverage from the combined integrand, by scipy ``dblquad``:
+
+      (1 - alpha) + int int [k_sub(w x) - k_full(w x)] phi(w x - gamma)
+                            w f_W(w) dx dw
+
+    over x in [-d, d] and w over all but 2e-15 of the mass of
+    W = sqrt(chi2_m / m).  k_full and k_sub are the full-model and
+    submodel conditional coverages, written out with scipy's ``ndtr``
+    and t quantiles from ``scipy.stats.t``.
+    """
+    from scipy import integrate, special, stats
+
+    t1 = stats.t.isf(0.5 * alpha, m)
+    t2 = stats.t.isf(0.5 * alpha, m + 1)
+    sd = math.sqrt(1.0 - rho * rho)
+    chi = stats.chi(m, scale=1.0 / math.sqrt(m))
+    w_lo, w_hi = chi.ppf(1e-15), chi.isf(1e-15)
+    log_norm = (math.log(2.0) + 0.5 * m * math.log(0.5 * m)
+                - math.lgamma(0.5 * m))
+
+    def f(x: float, w: float) -> float:
+        h = w * x
+        mean = rho * (h - gamma)
+        k_full = (special.ndtr((t1 * w - mean) / sd)
+                  - special.ndtr((-t1 * w - mean) / sd))
+        half = t2 * math.sqrt((m * w * w + h * h) / (m + 1.0)) * sd
+        k_sub = (special.ndtr((rho * h + half - mean) / sd)
+                 - special.ndtr((rho * h - half - mean) / sd))
+        f_w = math.exp(log_norm + (m - 1) * math.log(w) - 0.5 * m * w * w)
+        phi = math.exp(-0.5 * (h - gamma) ** 2) / math.sqrt(2.0 * math.pi)
+        return (k_sub - k_full) * phi * w * f_w
+
+    val, _ = integrate.dblquad(f, w_lo, w_hi, -d, d, epsabs=1e-13, epsrel=0.0)
+    return (1.0 - alpha) + val
+
+
+def bvn_rectangle_mpmath(lo1: float, hi1: float, lo2: float, hi2: float,
+                         rho: float, dps: int = 20) -> float:
+    """P(lo1 <= X <= hi1, lo2 <= Y <= hi2), standard bivariate normal
+    with correlation |rho| < 1, as the 1-D mpmath integral
+
+      int_{lo1}^{hi1} phi(x) [Phi((hi2 - rho x)/s) - Phi((lo2 - rho x)/s)] dx
+
+    with s = sqrt(1 - rho^2), split where the inner steps of width s sit.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lo1, hi1, lo2, hi2, r = (mp.mpf(v) for v in (lo1, hi1, lo2, hi2, rho))
+        s = mp.sqrt(1 - r * r)
+
+        def f(x):
+            return mp.npdf(x) * (mp.ncdf((hi2 - r * x) / s)
+                                 - mp.ncdf((lo2 - r * x) / s))
+
+        points = {lo1, hi1}
+        if r != 0:
+            for edge in (lo2, hi2):
+                for off in (-8, -1, 0, 1, 8):
+                    c = edge / r + off * s / abs(r)
+                    if lo1 < c < hi1:
+                        points.add(c)
+        return float(mp.quad(f, sorted(points)))

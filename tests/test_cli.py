@@ -401,8 +401,13 @@ class TestFlagScope:
         ["limit", "--method", "cp", "--rho", "0.5", "--seed", "1"],
         ["bound", "--method", "cp", "--m", "5", "--rho", "0.5", "--gamma", "1"],
         ["curve", "--method", "cp", "--m", "5", "--rho", "0.5", "--gamma", "1"],
+        ["limit", "--method", "cp", "--m", "5", "--rho", "0.5"],
+        ["bound", "--method", "cp", "--m", "5", "--rho", "0.5",
+         "--rho-grid", "0:0.1:0.9"],
+        ["limit", "--method", "cp", "--rho-grid", "0:0.1:0.9"],
     ], ids=["bound-jobs", "limit-jobs", "verify-jobs", "bound-reps",
-            "curve-seed", "limit-seed", "bound-gamma", "curve-gamma"])
+            "curve-seed", "limit-seed", "bound-gamma", "curve-gamma",
+            "limit-m", "bound-rho-grid", "limit-rho-grid"])
     def test_flag_rejected_where_unread(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2
@@ -413,6 +418,19 @@ class TestFlagScope:
         code, _, err = run(["simulate", "--design", str(design_file),
                             "--method", "aic", "--gamma", "1"], capsys)
         assert code == 2
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("flag", [["--p", "0"], ["--m", "7"],
+                                      ["--rho", "0.3"],
+                                      ["--rho-grid", "0:0.1:0.9"]],
+                             ids=lambda f: f[0])
+    def test_simulate_rejects_problem_flags(self, flag, capsys, design_file):
+        # n, p and q come from the design file
+        code, out, err = run(["simulate", "--design", str(design_file),
+                              "--method", "aic", "--reps", "100"] + flag,
+                             capsys)
+        assert code == 2
+        assert out == ""
         assert "unrecognized arguments" in err
 
 

@@ -19,6 +19,8 @@ from covbound.special import (Tolerance, norm_cdf, norm_two_sided_quantile,
                               residual_scale_interval, symmetric_interval_prob,
                               t_quantile)
 
+from .oracles import coverage_dblquad
+
 CP = SelectionMethod("cp")
 
 
@@ -161,6 +163,36 @@ class TestCoverageProbability:
                                      Tolerance(rel_err=1e-12, abs_err=1e-10))
         assert abs(loose.value - tight.value) <= 1e-6
         assert tight.panels >= loose.panels
+
+
+# the split form (2-D submodel term minus the 1-D integral of
+# bivariate-normal rectangles) against scipy dblquad of the original
+# combined integrand (k_sub - k_full) phi w f_W
+_SPLIT_CASES = [(SelectionMethod(k), p, m, rho, gamma)
+                for k, p in (("aic", 10), ("cp", 2), ("bic", 10))
+                for m in (5, 20, 1000) for rho in (0.0, 0.5, 0.9)
+                for gamma in (0.0, 1.0, 3.0)]
+# m in {1, 2} with rho -> 1, where the combined 2-D integrand has features
+# of width sqrt(1 - rho^2) / w that its start mesh did not resolve
+_SPLIT_CORNERS = [(SelectionMethod(k), 10, m, rho, gamma)
+                  for k in ("aic", "bic") for m in (1, 2)
+                  for rho in (0.999, 0.9999) for gamma in (0.0, 5.0)]
+
+
+def _split_id(case):
+    method, p, m, rho, gamma = case
+    return f"{method.kind}-m{m}-rho{rho}-g{gamma}"
+
+
+@pytest.mark.parametrize("case", _SPLIT_CASES + _SPLIT_CORNERS, ids=_split_id)
+def test_split_form_within_quad_err_of_combined_integrand(case):
+    pytest.importorskip("scipy")
+    method, p, m, rho, gamma = case
+    pr = BoundProblem.from_m(0.05, p, m, rho)
+    res = coverage_probability(pr, method, gamma)
+    want = coverage_dblquad(0.05, m, rho,
+                            selection_threshold(method, pr.n, pr.p), gamma)
+    assert abs(res.value - want) <= res.quad_err
 
 
 class TestPerfectCorrBound:

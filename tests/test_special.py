@@ -1,20 +1,24 @@
 """Special-function layer: accuracy against independent references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covbound.special import (DEFAULT_TOL, Tolerance, erfc,
-                              gauss_interval_prob, norm_cdf, norm_pdf,
+from covbound.special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
+                              bvn_rectangle, erfc, gauss_interval_prob,
+                              norm_cdf, norm_pdf,
                               norm_two_sided_quantile, reg_inc_beta,
                               reg_lower_gamma, residual_scale_density,
                               residual_scale_interval, symmetric_interval_prob,
                               t_quantile, t_two_sided_tail)
+from covbound import special
 from covbound.quadrature import adaptive_quad
 
-from .oracles import norm_cdf_oracle, t_central_prob, t_quantile_bisect
+from .oracles import (bvn_rectangle_mpmath, norm_cdf_oracle, t_central_prob,
+                      t_quantile_bisect)
 
 # Two-sided t critical values, precomputed with mpmath at 40 digits
 # (regularized incomplete beta inverted by root finding).
@@ -111,6 +115,38 @@ class TestTolerance:
             Tolerance(**kwargs)
 
 
+def _erfc_masked_reference(x):
+    """Cody's erfc with each branch gathered by a mask and scattered back."""
+    y = np.abs(x)
+    out = np.empty_like(y)
+    m1 = y <= 0.46875
+    z = x[m1] * x[m1]
+    num, den = special._ERF_A[4] * z, z
+    for i in range(3):
+        num = (num + special._ERF_A[i]) * z
+        den = (den + special._ERF_B[i]) * z
+    out[m1] = 1.0 - x[m1] * (num + special._ERF_A[3]) / (den + special._ERF_B[3])
+    m2 = (y > 0.46875) & (y <= 4.0)
+    yy = y[m2]
+    num, den = special._ERF_C[8] * yy, yy
+    for i in range(7):
+        num = (num + special._ERF_C[i]) * yy
+        den = (den + special._ERF_D[i]) * yy
+    out[m2] = special._exp_nxx(yy) * (num + special._ERF_C[7]) / (den + special._ERF_D[7])
+    m3 = y > 4.0
+    yy = y[m3]
+    z = 1.0 / (yy * yy)
+    num, den = special._ERF_P[5] * z, z
+    for i in range(4):
+        num = (num + special._ERF_P[i]) * z
+        den = (den + special._ERF_Q[i]) * z
+    r = z * (num + special._ERF_P[4]) / (den + special._ERF_Q[4])
+    out[m3] = special._exp_nxx(yy) * (special.INV_SQRT_PI - r) / yy
+    neg = (x < 0.0) & ~m1
+    out[neg] = 2.0 - out[neg]
+    return out
+
+
 class TestErfcAndNormCdf:
     def test_erfc_against_libm(self):
         x = np.linspace(-6.0, 6.0, 4001)
@@ -141,6 +177,132 @@ class TestErfcAndNormCdf:
         x = np.linspace(-5, 5, 101)
         ref = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
         assert_allclose(norm_pdf(x), ref, rtol=1e-15)
+
+    def test_bit_identical_to_masked_reference(self):
+        # the branch-by-branch masked evaluation erfc used to run; the
+        # in-place rewrite keeps every per-element operation in its order
+        edges = [0.0, 0.46875, 4.0]
+        x = np.concatenate([np.linspace(-27.3, 27.3, 200_001)]
+                           + [s * e + np.linspace(-1e-9, 1e-9, 201)
+                              for e in edges for s in (-1.0, 1.0)]
+                           + [[s * np.nextafter(e, t), s * e]
+                              for e in edges for s in (-1.0, 1.0)
+                              for t in (-np.inf, np.inf)])
+        assert np.array_equal(erfc(x), _erfc_masked_reference(x))
+        assert np.array_equal(np.signbit(erfc(x)),
+                              np.signbit(_erfc_masked_reference(x)))
+
+    def test_scalar_path_matches_array_path(self):
+        # scalars take their own route through the three branches; every
+        # branch edge and both sides of it must give the array's bits
+        edges = [0.0, 0.46875, 4.0, 27.3, 40.0]
+        x = np.concatenate([np.linspace(-30.0, 30.0, 6001)]
+                           + [[s * np.nextafter(e, t), s * e]
+                              for e in edges for s in (-1.0, 1.0)
+                              for t in (-np.inf, np.inf)])
+        got = np.array([erfc(float(v)) for v in x])
+        assert np.array_equal(got, erfc(x))
+
+    def test_nonfinite_arrays(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = erfc(np.array([np.nan, np.nan, 1.0, np.inf, -np.inf,
+                                 1e300, -1e300]))
+            cdf = norm_cdf(np.array([np.nan, np.inf, -np.inf]))
+        assert np.isnan(got[:2]).all()
+        assert got[2] == erfc(1.0)
+        assert list(got[3:]) == [0.0, 2.0, 0.0, 2.0]
+        assert np.isnan(cdf[0]) and list(cdf[1:]) == [1.0, 0.0]
+
+    def test_nonfinite_scalars(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(erfc(math.nan))
+            assert erfc(math.inf) == 0.0
+            assert erfc(-math.inf) == 2.0
+            assert math.isnan(norm_cdf(math.nan))
+            assert norm_cdf(math.inf) == 1.0
+            assert norm_cdf(-math.inf) == 0.0
+            assert gauss_interval_prob(-math.inf, math.inf, 0.0, 1.0) == 1.0
+
+
+# (lo1, hi1, lo2, hi2): central, off-center, narrow, and deep-tail boxes
+# where the four orthant probabilities sit within 1e-16 of 0 or 1
+_BOXES = [(-1.0, 1.0, -1.0, 1.0), (-1.96, 1.96, -4.2, -1.4),
+          (0.3, 0.4, 0.31, 0.5), (-2.0, 2.0, -9.0, -5.0),
+          (-0.5, 0.5, -8.5, -6.5), (5.0, 9.0, 5.0, 9.0), (-9.0, -5.0, 5.0, 9.0),
+          (-10.0, 10.0, -10.0, 10.0)]
+_BVN_RHOS = [0.0, 0.3, -0.3, 0.9, -0.9, 0.925, -0.925, 0.95, -0.95,
+             1.0 - 1e-6, -(1.0 - 1e-6)]
+
+
+@pytest.mark.parametrize("rho", _BVN_RHOS)
+class TestBvnRectangle:
+    def test_against_mpmath(self, rho):
+        pytest.importorskip("mpmath")
+        for box in _BOXES:
+            want = bvn_rectangle_mpmath(*box, rho)
+            assert abs(bvn_rectangle(*box, rho) - want) <= 1e-14
+
+    def test_against_scipy(self, rho):
+        stats = pytest.importorskip("scipy.stats")
+        law = stats.multivariate_normal(mean=[0.0, 0.0],
+                                        cov=[[1.0, rho], [rho, 1.0]])
+        for lo1, hi1, lo2, hi2 in _BOXES:
+            want = law.cdf([hi1, hi2], lower_limit=[lo1, lo2])
+            assert abs(bvn_rectangle(lo1, hi1, lo2, hi2, rho) - want) <= 1e-14
+
+    def test_far_out_is_tiny_or_zero(self, rho):
+        # never above the computed tail probability of either interval,
+        # and exactly 0 once that underflows; an upper-tail box gives its
+        # mirror image's value, not the rounding noise of 1 - 1
+        for k in (6.0, 9.0, 12.0, 20.0):
+            got = bvn_rectangle(-3.0, 3.0, -k - 2.0, -k, rho)
+            assert 0.0 <= got <= norm_cdf(-k)
+            assert bvn_rectangle(-3.0, 3.0, k, k + 2.0, rho) \
+                == pytest.approx(got, rel=1e-12, abs=0.0)
+        assert bvn_rectangle(-3.0, 3.0, -60.0, -40.0, rho) == 0.0
+        assert bvn_rectangle(40.0, 50.0, -3.0, 3.0, rho) == 0.0
+
+    def test_vectorized_matches_scalar_calls(self, rho):
+        lo2 = np.linspace(-6.0, 1.0, 12).reshape(3, 4)
+        got = bvn_rectangle(-1.5, 2.0, lo2, lo2 + 1.5, rho)
+        assert got.shape == (3, 4)
+        want = [bvn_rectangle(-1.5, 2.0, v, v + 1.5, rho) for v in lo2.ravel()]
+        assert np.array_equal(got.ravel(), want)
+        assert isinstance(want[0], float)
+
+    def test_infinite_limits(self, rho):
+        assert abs(bvn_rectangle(-np.inf, np.inf, -np.inf, np.inf, rho)
+                   - 1.0) <= BVN_RECTANGLE_ERR
+        band = bvn_rectangle(-np.inf, np.inf, -0.7, 1.3, rho)
+        assert abs(band - (norm_cdf(1.3) - norm_cdf(-0.7))) <= BVN_RECTANGLE_ERR
+
+
+class TestBvnRectangleEdges:
+    def test_perfect_correlation(self):
+        # X = Y: the overlap of the intervals; X = -Y: of I1 and -I2
+        assert bvn_rectangle(-1.0, 2.0, 0.5, 3.0, 1.0) == pytest.approx(
+            norm_cdf(2.0) - norm_cdf(0.5), abs=1e-15)
+        assert bvn_rectangle(-1.0, 2.0, 0.5, 3.0, -1.0) == pytest.approx(
+            norm_cdf(-0.5) - norm_cdf(-1.0), abs=1e-15)
+        assert bvn_rectangle(-1.0, 0.0, 0.5, 3.0, 1.0) == 0.0
+
+    def test_independence_is_a_product(self):
+        got = bvn_rectangle(-1.0, 2.0, 0.5, 3.0, 0.0)
+        want = ((norm_cdf(2.0) - norm_cdf(-1.0))
+                * (norm_cdf(3.0) - norm_cdf(0.5)))
+        assert got == pytest.approx(want, abs=1e-16)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            bvn_rectangle(1.0, 0.0, 0.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            bvn_rectangle(0.0, 1.0, 0.0, -1.0, 0.5)
+        with pytest.raises(ValueError):
+            bvn_rectangle(0.0, 1.0, 0.0, 1.0, 1.5)
+        with pytest.raises(ValueError):
+            bvn_rectangle(0.0, 1.0, 0.0, 1.0, math.nan)
 
 
 class TestNormQuantile:
