@@ -59,7 +59,7 @@ import numpy as np
 
 from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
                        minimize_over_gamma)
-from .quadrature import adaptive_quad, adaptive_quad_2d
+from .quadrature import adaptive_quad, adaptive_quad_2d, start_nodes
 from .rules import BoundProblem, SelectionMethod, selection_threshold
 from .special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
                       bvn_rectangle, gauss_interval_prob, norm_cdf, norm_pdf,
@@ -83,6 +83,8 @@ _W_MASS_EPS = 1e-12
 # full-model term; the rest covers the rectangle and w-window allowances
 _SUB_SHARE = 0.8
 _FULL_SHARE = 0.1
+# start meshes of the 2-D (w, x) and 1-D (w) quadratures, in panels
+_SUB_MESH, _FULL_MESH = (8, 4), 8
 _RHO_CLAMP = 1e-6
 
 
@@ -152,9 +154,70 @@ def _check_rho(rho: float) -> float:
     if abs(rho) > 1.0 - _RHO_CLAMP:
         clamped = math.copysign(1.0 - _RHO_CLAMP, rho)
         warnings.warn(f"rho={rho!r} is within {_RHO_CLAMP} of a perfect "
-                      f"correlation; clamped to {clamped!r}", stacklevel=3)
+                      f"correlation; clamped to {clamped!r}", stacklevel=4)
         return clamped
     return rho
+
+
+class _CoveragePlan:
+    """``coverage_probability`` for one (problem, method, tol): the scalars
+    and, read-only on both start meshes, the gamma-independent integrand
+    factors.  Refined panels compute them by the same arithmetic, so each
+    ``evaluate`` gives the bits of a fresh evaluation."""
+
+    def __init__(self, problem: BoundProblem, method: SelectionMethod,
+                 tol: Tolerance | None = None) -> None:
+        self.tol = tol or DEFAULT_TOL
+        self.rho = _check_rho(problem.rho)
+        self.m, self.alpha = problem.m, problem.alpha
+        self.d = selection_threshold(method, problem.n, problem.p)
+        self.t1, self.t2 = (t_quantile(df, self.alpha) for df in (self.m, self.m + 1))
+        self.w_lo, self.w_hi = residual_scale_interval(self.m, _W_MASS_EPS)
+        self.sd = math.sqrt(1.0 - self.rho * self.rho)
+        self.sub_start = self._sub_factors(*start_nodes(
+            self.w_lo, self.w_hi, -self.d, self.d, initial=_SUB_MESH))
+        self.full_start = self._full_factors(*start_nodes(
+            self.w_lo, self.w_hi, initial=_FULL_MESH))
+        for z in self.sub_start + self.full_start:
+            z.flags.writeable = False
+
+    def _sub_factors(self, w, x):
+        # h = w x, the submodel half-width q in units of sd, w and f_W(w)
+        h = w * x
+        q = _submodel_half_width(self.t2, self.m * w * w, h, self.m, 1.0)
+        return h, q, w, residual_scale_density(w, self.m)
+
+    def _full_factors(self, w):
+        # f_W(w) and the rectangle limits before the shift by gamma
+        return (residual_scale_density(w, self.m), -self.t1 * w, self.t1 * w,
+                -self.d * w, self.d * w)
+
+    def evaluate(self, gamma: float) -> CoverageResult:
+        if not math.isfinite(gamma):
+            raise ValueError("gamma must be finite")
+        # D(c, q) = Phi(c + q) - Phi(c - q) is even in c; c <= 0 keeps both
+        # Phi on the lower tail
+        c = -abs(self.rho * gamma) / self.sd
+
+        def sub_values(h, q, w, f_w):
+            k_sub = norm_cdf(c + q) - norm_cdf(c - q)
+            return k_sub * norm_pdf(h - gamma) * w * f_w
+
+        def full_values(f_w, lo1, hi1, lo2, hi2):
+            return f_w * bvn_rectangle(lo1, hi1, lo2 - gamma, hi2 - gamma, self.rho)
+
+        sub = adaptive_quad_2d(
+            lambda w, x: sub_values(*self._sub_factors(w, x)), self.w_lo,
+            self.w_hi, -self.d, self.d, abs_err=_SUB_SHARE * self.tol.abs_err,
+            rel_err=0.0, initial=_SUB_MESH, start_values=sub_values(*self.sub_start))
+        full = adaptive_quad(
+            lambda w: full_values(*self._full_factors(w)), self.w_lo, self.w_hi,
+            abs_err=_FULL_SHARE * self.tol.abs_err, initial=_FULL_MESH,
+            start_values=full_values(*self.full_start))
+        return CoverageResult(
+            value=((1.0 - self.alpha) + sub.value) - full.value,
+            quad_err=sub.err + full.err + BVN_RECTANGLE_ERR + _W_MASS_EPS,
+            panels=sub.panels + full.panels)
 
 
 def coverage_probability(problem: BoundProblem, method: SelectionMethod,
@@ -167,40 +230,7 @@ def coverage_probability(problem: BoundProblem, method: SelectionMethod,
     truncation allowance of the w integration window; ``panels`` counts
     the panels of both.
     """
-    tol = tol or DEFAULT_TOL
-    if not math.isfinite(gamma):
-        raise ValueError("gamma must be finite")
-    rho = _check_rho(problem.rho)
-    m = problem.m
-    alpha = problem.alpha
-    d = selection_threshold(method, problem.n, problem.p)
-    t1 = t_quantile(m, alpha)
-    t2 = t_quantile(m + 1, alpha)
-    w_lo, w_hi = residual_scale_interval(m, _W_MASS_EPS)
-    sd = math.sqrt(1.0 - rho * rho)
-    # D(c, q) = Phi(c + q) - Phi(c - q) is even in c; c <= 0 keeps both
-    # Phi on the lower tail
-    c = -abs(rho * gamma) / sd
-
-    def submodel(w, x):
-        h = w * x
-        q = _submodel_half_width(t2, m * w * w, h, m, 1.0)
-        k_sub = norm_cdf(c + q) - norm_cdf(c - q)
-        return k_sub * norm_pdf(h - gamma) * w * residual_scale_density(w, m)
-
-    def full_model(w):
-        return residual_scale_density(w, m) * bvn_rectangle(
-            -t1 * w, t1 * w, -d * w - gamma, d * w - gamma, rho)
-
-    sub = adaptive_quad_2d(submodel, w_lo, w_hi, -d, d,
-                           abs_err=_SUB_SHARE * tol.abs_err, rel_err=0.0)
-    full = adaptive_quad(full_model, w_lo, w_hi,
-                         abs_err=_FULL_SHARE * tol.abs_err, initial=8)
-    value = ((1.0 - alpha) + sub.value) - full.value
-    return CoverageResult(
-        value=value,
-        quad_err=sub.err + full.err + BVN_RECTANGLE_ERR + _W_MASS_EPS,
-        panels=sub.panels + full.panels)
+    return _CoveragePlan(problem, method, tol).evaluate(gamma)
 
 
 def coverage_tail_slack(problem: BoundProblem, method: SelectionMethod):
@@ -251,17 +281,16 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     1 - alpha enters the minimization as the tail value; a bound equal to
     1 - alpha reports gamma_star = inf.  The gamma scan stops as soon as
     the certified tail envelope ``coverage_tail_slack`` proves that no
-    later grid point can win, so the result equals the full scan's.
+    later grid point can win, so the result equals the full scan's.  All
+    evaluations share one ``_CoveragePlan``.
     ``quad_err`` on the result is the quadrature error at gamma_star
     (0.0 when the tail value wins).
     """
-    if abs(problem.rho) == 1.0:
-        raise ValueError("|rho| = 1 is degenerate here; use "
-                         "perfect_corr_bound for the minimum coverage")
+    plan = _CoveragePlan(problem, method, tol)
     results: dict[float, CoverageResult] = {}
 
     def objective(g: float) -> float:
-        results[g] = coverage_probability(problem, method, g, tol)
+        results[g] = plan.evaluate(g)
         return results[g].value
 
     res = minimize_over_gamma(objective, config=search,

@@ -21,11 +21,13 @@ estimate and the achieved error so callers can decide what to do.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["QuadratureError", "QuadResult", "adaptive_quad", "adaptive_quad_2d"]
+__all__ = ["QuadratureError", "QuadResult", "adaptive_quad", "adaptive_quad_2d",
+           "start_nodes"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (ascending order).
 _XK_HALF = (
@@ -82,26 +84,62 @@ def _effective_tol(total: float, abs_err: float, rel_err: float) -> float:
     return max(abs_err, rel_err * abs(total))
 
 
+def _start_mesh(limits, initial):
+    # (c, h) or (cu, cv, hu, hv): centres, then half-widths, of the equal
+    # start panels over [a, b] or [ua, ub] x [va, vb], u major; cached and
+    # read-only, as every gamma of a coverage bound starts on one mesh
+    return _cached_mesh(tuple(map(float, limits)),
+                        tuple(map(int, np.atleast_1d(initial))))
+
+
+@lru_cache(maxsize=8)
+def _cached_mesh(limits, initial):
+    edges = [np.linspace(lo, hi, n + 1)
+             for lo, hi, n in zip(limits[::2], limits[1::2], initial)]
+    mesh = tuple(z.ravel() for z in (
+        *np.meshgrid(*[0.5 * (e[1:] + e[:-1]) for e in edges], indexing="ij"),
+        *np.meshgrid(*[0.5 * (e[1:] - e[:-1]) for e in edges], indexing="ij")))
+    for z in mesh:
+        z.flags.writeable = False
+    return mesh
+
+
+def _nodes(*mesh):
+    # the Kronrod nodes of every panel, one array per axis
+    if len(mesh) == 2:
+        return (mesh[0][:, None] + mesh[1][:, None] * NODES[None, :],)
+    cu, cv, hu, hv = mesh
+    u = cu[:, None, None] + hu[:, None, None] * NODES[None, :, None]
+    v = cv[:, None, None] + hv[:, None, None] * NODES[None, None, :]
+    return np.broadcast_arrays(u, v)
+
+
+def start_nodes(*limits: float, initial):
+    """The nodes, one flat array per axis, where ``adaptive_quad(f, a, b)``
+    or ``adaptive_quad_2d(f, ua, ub, va, vb)`` first calls ``f``."""
+    return tuple(z.ravel() for z in _nodes(*_start_mesh(limits, initial)))
+
+
 def adaptive_quad(f: Callable, a: float, b: float, abs_err: float = 1e-10,
                   rel_err: float = 0.0, max_panels: int = 4096,
-                  initial: int = 4) -> QuadResult:
-    """Integrate vectorized ``f`` over [a, b] to the requested tolerance."""
+                  initial: int = 4, start_values=None) -> QuadResult:
+    """Integrate vectorized ``f`` over [a, b] to the requested tolerance;
+    ``start_values`` are ``f`` at ``start_nodes(a, b, initial=initial)``."""
     if a == b:
         return QuadResult(0.0, 0.0, 0)
     if not b > a:
         raise ValueError("require b >= a")
-    edges = np.linspace(a, b, initial + 1)
-    c = 0.5 * (edges[1:] + edges[:-1])
-    h = 0.5 * (edges[1:] - edges[:-1])
+    c, h = _start_mesh((a, b), initial)
 
-    def evaluate(c, h):
-        x = c[:, None] + h[:, None] * NODES[None, :]
-        fv = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    def evaluate(c, h, fv=None):
+        if fv is None:
+            fv = f(_nodes(c, h)[0].ravel())
+        fv = np.asarray(fv, dtype=float).reshape(len(c), len(NODES))
         val = h * (fv @ WEIGHTS_K)
         err = np.abs(val - h * (fv @ WEIGHTS_G))
         return val, err
 
-    val, err = evaluate(c, h)
+    val, err = evaluate(c, h, start_values)
     while True:
         total = float(val.sum())
         tol = _effective_tol(total, abs_err, rel_err)
@@ -134,30 +172,25 @@ def adaptive_quad(f: Callable, a: float, b: float, abs_err: float = 1e-10,
 def adaptive_quad_2d(f: Callable, ua: float, ub: float, va: float, vb: float,
                      abs_err: float = 1e-8, rel_err: float = 0.0,
                      max_panels: int = 40000,
-                     initial: tuple[int, int] = (8, 4)) -> QuadResult:
+                     initial: tuple[int, int] = (8, 4),
+                     start_values=None) -> QuadResult:
     """Integrate vectorized ``f(u, v)`` over [ua, ub] x [va, vb].
 
     Rectangular panels carry a 15x15 Kronrod tensor value; the error
     indicator is the worst of |KK - GG|, |KK - GK|, |KK - KG|, and each
-    split halves the axis whose Gauss deficit is larger.
+    split halves the axis whose Gauss deficit is larger.  ``start_values``
+    are ``f`` at ``start_nodes(ua, ub, va, vb, initial=initial)``.
     """
     if ua == ub or va == vb:
         return QuadResult(0.0, 0.0, 0)
     if not (ub > ua and vb > va):
         raise ValueError("require ub >= ua and vb >= va")
-    eu = np.linspace(ua, ub, initial[0] + 1)
-    ev = np.linspace(va, vb, initial[1] + 1)
-    cu, cv = np.meshgrid(0.5 * (eu[1:] + eu[:-1]), 0.5 * (ev[1:] + ev[:-1]),
-                         indexing="ij")
-    hu, hv = np.meshgrid(0.5 * (eu[1:] - eu[:-1]), 0.5 * (ev[1:] - ev[:-1]),
-                         indexing="ij")
-    cu, cv, hu, hv = (z.ravel() for z in (cu, cv, hu, hv))
+    cu, cv, hu, hv = _start_mesh((ua, ub, va, vb), initial)
 
-    def evaluate(cu, cv, hu, hv):
-        u = cu[:, None, None] + hu[:, None, None] * NODES[None, :, None]
-        v = cv[:, None, None] + hv[:, None, None] * NODES[None, None, :]
-        u, v = np.broadcast_arrays(u, v)
-        fv = np.asarray(f(u.ravel(), v.ravel()), dtype=float).reshape(u.shape)
+    def evaluate(cu, cv, hu, hv, fv=None):
+        if fv is None:
+            fv = f(*(z.ravel() for z in _nodes(cu, cv, hu, hv)))
+        fv = np.asarray(fv, dtype=float).reshape(len(cu), len(NODES), len(NODES))
         area = hu * hv
         kk = area * np.einsum("pij,i,j->p", fv, WEIGHTS_K, WEIGHTS_K)
         gg = area * np.einsum("pij,i,j->p", fv, WEIGHTS_G, WEIGHTS_G)
@@ -168,7 +201,7 @@ def adaptive_quad_2d(f: Callable, ua: float, ub: float, va: float, vb: float,
         err = np.maximum(np.abs(kk - gg), np.maximum(du, dv))
         return kk, err, du, dv
 
-    val, err, du, dv = evaluate(cu, cv, hu, hv)
+    val, err, du, dv = evaluate(cu, cv, hu, hv, start_values)
     scale = max(abs(ua), abs(ub), abs(va), abs(vb), 1.0)
     while True:
         total = float(val.sum())

@@ -345,14 +345,19 @@ def bvn_rectangle(lo1, hi1, lo2, hi2, rho: float):
         lims[2:] = -lims[3:1:-1]
         rho = -rho
     lo1, hi1, lo2, hi2 = lims
-    # P1, P2 and Pc = P(Z in both intervals), one Phi call for all six ends
+    h = lims[[0, 1, 0, 1]]
+    k = lims[[2, 2, 3, 3]]
+    # one Phi call: P1, P2, Pc = P(Z in both intervals), and Genz's Phi(-b/a)
     lo = np.stack([lo1, lo2, np.maximum(lo1, lo2)])
     hi = np.stack([hi1, hi2, np.maximum(lo[2], np.minimum(hi1, hi2))])
     flip = lo + hi > 0.0
-    cdf = norm_cdf(np.stack([np.where(flip, -lo, hi), np.where(flip, -hi, lo)]))
-    p1, p2, pc = cdf[0] - cdf[1]
-    h = lims[[0, 1, 0, 1]]
-    k = lims[[2, 2, 3, 3]]
+    ends = np.stack([np.where(flip, -lo, hi), np.where(flip, -hi, lo)]).reshape(6, -1)
+    if 0.925 <= rho < 1.0:
+        bs = (h - k) ** 2
+        b = np.sqrt(bs)
+        ends = np.concatenate([ends, -b / math.sqrt((1.0 - rho) * (1.0 + rho))])
+    cdf = norm_cdf(ends)
+    p1, p2, pc = cdf[0:3] - cdf[3:6]
     x, w = _BVN_RULES[0 if rho < 0.3 else 1 if rho < 0.75 else 2]
     if rho < 0.925:
         asr = math.asin(rho)
@@ -360,7 +365,7 @@ def bvn_rectangle(lo1, hi1, lo2, hi2, rho: float):
         terms = np.exp((sn * (h * k) - 0.5 * (h * h + k * k)) / (1.0 - sn * sn))
         val = p1 * p2 + asr / (4.0 * math.pi) * (_BVN_SIGN @ _rule_sum(w, terms))
     elif rho < 1.0:
-        val = pc - _BVN_SIGN @ _genz_correction(h, k, rho, x, w)
+        val = pc - _BVN_SIGN @ _genz_correction(h, k, bs, b, cdf[6:], rho, x, w)
     else:
         val = pc
     val = np.maximum(np.minimum(val, np.minimum(p1, p2)), 0.0).reshape(shape)
@@ -372,24 +377,23 @@ def _rule_sum(w, terms):
     return (w @ terms.reshape(len(w), -1)).reshape(terms.shape[1:])
 
 
-def _genz_correction(h, k, rho, x, w):
+def _genz_correction(h, k, bs, b, cdf_ba, rho, x, w):
     # Phi(-max(h, k)) - P(X > h, Y > k) for 0.925 <= rho < 1 (Genz 2004,
     # BVND): a series in 1 - rho^2 plus a Gauss-Legendre remainder over
-    # the nodes x with weights w; h and k are (corner, point) arrays
+    # the nodes x with weights w; h, k, bs = (h - k)^2, b = sqrt(bs) and
+    # cdf_ba = Phi(-b/a) are (corner, point) arrays
     as_ = (1.0 - rho) * (1.0 + rho)
     a = math.sqrt(as_)
     hk = h * k
-    bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
-    b = np.sqrt(bs)
     val = a * np.exp(-0.5 * (bs / as_ + hk)) * (
         1.0 - c * (bs - as_) * (1.0 - d * bs / 5.0) / 3.0
         + c * d * as_ * as_ / 5.0)
     # Genz drops exp(-hk/2) Phi(-b/a) for hk <= -100, where b/a > 50 and
     # Phi(-b/a) is 0.0; capping hk keeps exp finite there
     val = val - (np.exp(-0.5 * np.maximum(hk, -100.0)) * math.sqrt(2.0 * math.pi)
-                 * norm_cdf(-b / a) * b
+                 * cdf_ba * b
                  * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0))
     half = 0.5 * a
     xs = ((half * (x + 1.0)) ** 2)[:, None, None]

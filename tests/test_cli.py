@@ -20,6 +20,15 @@ from covbound.simulate import MCEstimate, mc_coverage
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
+def child_env(**extra):
+    """The environment for a child Python that must import the covbound
+    imported here, installed or not (pytest's ``pythonpath`` setting does
+    not reach subprocesses)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def run(argv, capsys):
     """Invoke the CLI in process, capturing argparse exits too."""
     try:
@@ -457,7 +466,7 @@ class TestEntryPoint:
         exe = shutil.which("covbound", path=path)
         assert exe is not None
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True,
-                              env={**os.environ, "PATH": path})
+                              env=child_env(PATH=path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: covbound")
         assert "bound" in proc.stdout and "simulate" in proc.stdout
@@ -468,6 +477,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "covbound.cli",
                                "bound", "--method", "adjr2", "--m", "5",
-                               "--rho", "0.4"], capture_output=True, text=True)
+                               "--rho", "0.4"], capture_output=True, text=True,
+                              env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "adjr2"

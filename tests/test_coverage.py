@@ -152,6 +152,14 @@ class TestCoverageProbability:
             ref = coverage_probability(prob(5, 1.0 - 1e-6), CP, 1.0)
         assert res.value == pytest.approx(ref.value, abs=1e-12)
 
+    def test_clamp_warns_once_per_bound(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coverage_bound(prob(5, 1.0 - 1e-8), CP)
+        clamped = [w for w in caught if "clamped" in str(w.message)]
+        assert len(clamped) == 1
+        assert clamped[0].filename == __file__
+
     def test_rejects_nonfinite_gamma(self):
         with pytest.raises(ValueError):
             coverage_probability(prob(5, 0.5), CP, math.inf)
@@ -193,6 +201,28 @@ def test_split_form_within_quad_err_of_combined_integrand(case):
     want = coverage_dblquad(0.05, m, rho,
                             selection_threshold(method, pr.n, pr.p), gamma)
     assert abs(res.value - want) <= res.quad_err
+
+
+# corners where both quadratures refine past their start meshes (32 2-D
+# plus 8 1-D panels); the t test's cutoff d is large at m = 1
+_PLAN_CORNERS = ([(SelectionMethod(k), m, rho) for k in ("aic", "bic")
+                  for m in (1, 2) for rho in (0.999, 0.9999)]
+                 + [(SelectionMethod("ttest", 0.01), 1, 0.9)])
+
+
+@pytest.mark.parametrize("case", _PLAN_CORNERS,
+                         ids=lambda c: f"{c[0].kind}-m{c[1]}-rho{c[2]}")
+def test_plan_reused_across_gammas_matches_fresh_evaluations(case):
+    # one plan serves every gamma of a bound: no evaluation may change
+    # the cached start-mesh factors that a later one reads
+    method, m, rho = case
+    pr = BoundProblem.from_m(0.05, 10, m, rho)
+    fresh = {g: coverage_probability(pr, method, g) for g in (0.0, 5.0)}
+    assert all(r.panels > 40 for r in fresh.values())
+    plan = coverage._CoveragePlan(pr, method)
+    shuffled = np.random.default_rng(3).permutation([0.0, 5.0] * 3)
+    for g in [0.0, 5.0] + [float(g) for g in shuffled]:
+        assert plan.evaluate(g) == fresh[g]
 
 
 class TestPerfectCorrBound:
@@ -251,11 +281,11 @@ class TestCoverageBound:
     def test_quad_err_zero_when_tail_wins(self, monkeypatch):
         # an objective above the nominal level everywhere: the tail value
         # wins at gamma_star = inf, where the coverage is exact
-        def above_nominal(problem, method, gamma, tol=None):
+        def above_nominal(plan, gamma):
             return CoverageResult(value=0.95 + 1e-3 / (1.0 + gamma),
                                   quad_err=1e-9, panels=32)
 
-        monkeypatch.setattr(coverage, "coverage_probability", above_nominal)
+        monkeypatch.setattr(coverage._CoveragePlan, "evaluate", above_nominal)
         res = coverage_bound(prob(5, 0.7), CP)
         assert res.bound == 0.95
         assert res.gamma_star == math.inf

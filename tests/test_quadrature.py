@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from covbound.quadrature import (NODES, WEIGHTS_G, WEIGHTS_K, QuadratureError,
-                                 adaptive_quad, adaptive_quad_2d)
+                                 QuadResult, adaptive_quad, adaptive_quad_2d,
+                                 start_nodes)
 
 
 def _single_panel(f, a, b):
@@ -147,3 +148,53 @@ class TestAdaptiveQuad2d:
         res = adaptive_quad_2d(f, -2, 2, -2, 2, abs_err=1e-9)
         assert res.panels >= 32
         assert res.err <= 1e-9
+
+
+# (driver, integrand, limits, options, outcome): converged on the start
+# mesh, refined for several rounds, or out of panel budget
+_START_CASES = [
+    (adaptive_quad, np.exp, (0.0, 1.0), {}, "start"),
+    (adaptive_quad, lambda x: 1.0 / (1.0 + 25.0 * x * x), (-1.0, 1.0),
+     {"abs_err": 1e-13, "initial": 8}, "refine"),
+    (adaptive_quad, lambda x: np.abs(x) ** -0.9, (-1.0, 1.0),
+     {"abs_err": 1e-12, "max_panels": 64}, "budget"),
+    (adaptive_quad_2d, lambda u, v: u * u * v ** 4, (0.0, 2.0, -1.0, 1.0),
+     {"abs_err": 1e-12}, "start"),
+    (adaptive_quad_2d,
+     lambda u, v: np.exp(-50.0 * (u - v) ** 2) * np.exp(-0.5 * v * v),
+     (-3.0, 3.0, -3.0, 3.0), {"abs_err": 1e-10}, "refine"),
+    (adaptive_quad_2d, lambda u, v: (np.abs(u) + np.abs(v)) ** -0.9,
+     (-1.0, 1.0, -1.0, 1.0), {"abs_err": 1e-13, "max_panels": 400}, "budget"),
+]
+
+
+@pytest.mark.parametrize("case", _START_CASES,
+                         ids=lambda c: f"{c[0].__name__}-{c[4]}")
+def test_start_values_give_the_same_result(case):
+    # values on the start nodes, computed by the caller, stand in for the
+    # driver's first integrand call and change nothing else
+    driver, f, limits, opts, outcome = case
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return f(*args)
+
+    def run(**extra):
+        calls.clear()
+        try:
+            return driver(counted, *limits, **opts, **extra), len(calls)
+        except QuadratureError as exc:
+            return (exc.value, exc.err, exc.panels), len(calls)
+
+    initial = opts.get("initial", 4 if driver is adaptive_quad else (8, 4))
+    start = f(*start_nodes(*limits, initial=initial))
+    plain, n_plain = run()
+    given, n_given = run(start_values=start)
+    assert given == plain
+    assert n_given == n_plain - 1
+    assert isinstance(plain, QuadResult) == (outcome != "budget")
+    if outcome == "start":
+        assert n_plain == 1
+    else:
+        assert n_plain >= 3
