@@ -209,7 +209,7 @@ class _CoveragePlan:
         sub = adaptive_quad_2d(
             lambda w, x: sub_values(*self._sub_factors(w, x)), self.w_lo,
             self.w_hi, -self.d, self.d, abs_err=_SUB_SHARE * self.tol.abs_err,
-            rel_err=0.0, initial=_SUB_MESH, start_values=sub_values(*self.sub_start))
+            initial=_SUB_MESH, start_values=sub_values(*self.sub_start))
         full = adaptive_quad(
             lambda w: full_values(*self._full_factors(w)), self.w_lo, self.w_hi,
             abs_err=_FULL_SHARE * self.tol.abs_err, initial=_FULL_MESH,

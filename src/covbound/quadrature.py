@@ -1,26 +1,25 @@
 """Adaptive panel quadrature with embedded Gauss-Kronrod error estimates.
 
-One panel = one (G7, K15) rule evaluation: the 15-point Kronrod value is
-the estimate, |K15 - G7| the error indicator.  Refinement is round-based
-and deterministic: every panel whose indicator exceeds its equal share of
-the remaining budget is bisected, all children of a round are evaluated in
-a single vectorized call, and the final sum runs over panels sorted by
-position so results are bit-for-bit reproducible.
+A panel carries the (G7, K15) rule, or in 2-D its 15x15 tensor product:
+the Kronrod value is the estimate, its gap to the Gauss rules the error
+indicator.  One round-based, deterministic loop refines over 1 or 2 axes:
+every panel whose indicator exceeds its equal share of the budget is
+halved along the axis with the larger Gauss deficit (ties to the first
+axis, never an axis already at the width floor), all children of a round
+are evaluated in a single vectorized call, and the final sum runs over
+panels sorted by position, so results are bit-for-bit reproducible.
 
-Two drivers are exposed:
-
-* ``adaptive_quad``    -- 1D over [a, b],
-* ``adaptive_quad_2d`` -- tensor-product panels over [ua,ub] x [va,vb];
-  each rectangle carries per-axis (Kronrod x Gauss) deficits and is split
-  along the axis that looks under-resolved.
-
-Integrands must be vectorized (ndarray in, ndarray out, elementwise).
-Exceeding the panel budget raises ``QuadratureError`` carrying the best
-estimate and the achieved error so callers can decide what to do.
+Two entry points share that loop: ``adaptive_quad`` over [a, b] and
+``adaptive_quad_2d`` over [ua, ub] x [va, vb].  Integrands must be
+vectorized (ndarray in, ndarray out, elementwise) and limits finite.  An
+exhausted panel budget, panels too narrow to split, or an error estimate
+that is not finite raise ``QuadratureError``, carrying the best estimate
+and the achieved error so callers can decide what to do.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -64,7 +63,7 @@ WEIGHTS_G[1:14:2] = list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF))
 
 
 class QuadratureError(RuntimeError):
-    """Panel budget exhausted; carries the best estimate reached so far."""
+    """Refinement failed; carries the best estimate reached so far."""
 
     def __init__(self, message: str, value: float, err: float, panels: int):
         super().__init__(f"{message} (best estimate {value!r}, error {err:.3e}, "
@@ -80,14 +79,15 @@ class QuadResult(NamedTuple):
     panels: int
 
 
-def _effective_tol(total: float, abs_err: float, rel_err: float) -> float:
-    return max(abs_err, rel_err * abs(total))
+def _grid(*axes):
+    # the tensor grid of the given axes, u major, one flat row per axis
+    return np.stack([z.ravel() for z in np.meshgrid(*axes, indexing="ij")])
 
 
 def _start_mesh(limits, initial):
-    # (c, h) or (cu, cv, hu, hv): centres, then half-widths, of the equal
-    # start panels over [a, b] or [ua, ub] x [va, vb], u major; cached and
-    # read-only, as every gamma of a coverage bound starts on one mesh
+    # (c, h): centres and half-widths, one row per axis, of the equal start
+    # panels over the box; cached and read-only, as every gamma of a
+    # coverage bound starts on one mesh
     return _cached_mesh(tuple(map(float, limits)),
                         tuple(map(int, np.atleast_1d(initial))))
 
@@ -96,82 +96,103 @@ def _start_mesh(limits, initial):
 def _cached_mesh(limits, initial):
     edges = [np.linspace(lo, hi, n + 1)
              for lo, hi, n in zip(limits[::2], limits[1::2], initial)]
-    mesh = tuple(z.ravel() for z in (
-        *np.meshgrid(*[0.5 * (e[1:] + e[:-1]) for e in edges], indexing="ij"),
-        *np.meshgrid(*[0.5 * (e[1:] - e[:-1]) for e in edges], indexing="ij")))
+    mesh = (_grid(*[0.5 * (e[1:] + e[:-1]) for e in edges]),
+            _grid(*[0.5 * (e[1:] - e[:-1]) for e in edges]))
     for z in mesh:
         z.flags.writeable = False
     return mesh
 
 
-def _nodes(*mesh):
-    # the Kronrod nodes of every panel, one array per axis
-    if len(mesh) == 2:
-        return (mesh[0][:, None] + mesh[1][:, None] * NODES[None, :],)
-    cu, cv, hu, hv = mesh
-    u = cu[:, None, None] + hu[:, None, None] * NODES[None, :, None]
-    v = cv[:, None, None] + hv[:, None, None] * NODES[None, None, :]
-    return np.broadcast_arrays(u, v)
+# row i: axis i's node at every slot of the flat 15**k tensor rule
+_TENSOR = {k: _grid(*[NODES] * k) for k in (1, 2)}
+
+
+def _nodes(c, h):
+    # the Kronrod nodes of every panel, one flat row per axis
+    nodes = c[:, :, None] + h[:, :, None] * _TENSOR[len(c)][:, None, :]
+    return nodes.reshape(len(c), -1)
 
 
 def start_nodes(*limits: float, initial):
     """The nodes, one flat array per axis, where ``adaptive_quad(f, a, b)``
     or ``adaptive_quad_2d(f, ua, ub, va, vb)`` first calls ``f``."""
-    return tuple(z.ravel() for z in _nodes(*_start_mesh(limits, initial)))
+    return tuple(_nodes(*_start_mesh(limits, initial)))
+
+
+def _rule(fv, h):
+    # Kronrod value, error indicator and per-axis Gauss deficits of each
+    # panel, from f on its nodes and its half-widths h
+    fv = np.asarray(fv, dtype=float).reshape((h.shape[1],) + NODES.shape * len(h))
+    if len(h) == 1:
+        val = h[0] * (fv @ WEIGHTS_K)
+        err = np.abs(val - h[0] * (fv @ WEIGHTS_G))
+        return val, err, err[None]
+    area = h[0] * h[1]
+    kk = area * np.einsum("pij,i,j->p", fv, WEIGHTS_K, WEIGHTS_K)
+    gg = area * np.einsum("pij,i,j->p", fv, WEIGHTS_G, WEIGHTS_G)
+    gk = area * np.einsum("pij,i,j->p", fv, WEIGHTS_G, WEIGHTS_K)
+    kg = area * np.einsum("pij,i,j->p", fv, WEIGHTS_K, WEIGHTS_G)
+    dev = np.abs([kk - gk, kk - kg])
+    return kk, np.maximum(np.abs(kk - gg), np.maximum(dev[0], dev[1])), dev
+
+
+def _refine(f, limits, abs_err, max_panels, initial, start_values):
+    # the refinement loop of both drivers over the box limits = (lo, hi)
+    # per axis; c, h and dev hold one row per axis, one column per panel
+    c, h = _start_mesh(limits, initial)
+    floor = 1e-15 * max(*map(abs, limits), 1.0)
+    val, err, dev = _rule(f(*_nodes(c, h)) if start_values is None
+                          else start_values, h)
+    while True:
+        err_sum, n = float(err.sum()), len(val)
+        if not math.isfinite(err_sum):
+            raise QuadratureError("quadrature error estimate is not finite",
+                                  float(val.sum()), err_sum, n)
+        if err_sum <= abs_err:
+            break
+        split = (err > abs_err / (2.0 * n)) & (h.max(axis=0) > floor)
+        grow, stay = np.flatnonzero(split), np.flatnonzero(~split)
+        if not len(grow):
+            raise QuadratureError("quadrature stalled on panels too narrow "
+                                  "to split", float(val.sum()), err_sum, n)
+        if n + len(grow) > max_panels:
+            raise QuadratureError("quadrature did not converge within the "
+                                  "panel budget", float(val.sum()), err_sum, n)
+        # halve each panel along its larger deficit among the axes still
+        # wider than the floor; ties go to axis 0
+        hs, cs = h.take(grow, axis=1), c.take(grow, axis=1)
+        score = np.where(hs > floor, dev.take(grow, axis=1), -1.0)
+        off = np.where(np.arange(len(h))[:, None] == score.argmax(axis=0),
+                       hs / 2.0, 0.0)
+        child_c = np.concatenate([cs - off, cs + off], axis=1)
+        child_h = np.concatenate([hs - off, hs - off], axis=1)
+        new_val, new_err, new_dev = _rule(f(*_nodes(child_c, child_h)), child_h)
+        c = np.concatenate([c.take(stay, axis=1), child_c], axis=1)
+        h = np.concatenate([h.take(stay, axis=1), child_h], axis=1)
+        val = np.concatenate([val.take(stay), new_val])
+        err = np.concatenate([err.take(stay), new_err])
+        dev = np.concatenate([dev.take(stay, axis=1), new_dev], axis=1)
+
+    order = np.lexsort(c[::-1])
+    return QuadResult(float(val[order].sum()), float(err.sum()), len(val))
 
 
 def adaptive_quad(f: Callable, a: float, b: float, abs_err: float = 1e-10,
-                  rel_err: float = 0.0, max_panels: int = 4096,
-                  initial: int = 4, start_values=None) -> QuadResult:
+                  max_panels: int = 4096, initial: int = 4,
+                  start_values=None) -> QuadResult:
     """Integrate vectorized ``f`` over [a, b] to the requested tolerance;
     ``start_values`` are ``f`` at ``start_nodes(a, b, initial=initial)``."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration limits must be finite")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
     if not b > a:
         raise ValueError("require b >= a")
-    c, h = _start_mesh((a, b), initial)
-
-    def evaluate(c, h, fv=None):
-        if fv is None:
-            fv = f(_nodes(c, h)[0].ravel())
-        fv = np.asarray(fv, dtype=float).reshape(len(c), len(NODES))
-        val = h * (fv @ WEIGHTS_K)
-        err = np.abs(val - h * (fv @ WEIGHTS_G))
-        return val, err
-
-    val, err = evaluate(c, h, start_values)
-    while True:
-        total = float(val.sum())
-        tol = _effective_tol(total, abs_err, rel_err)
-        bad = err > tol / (2.0 * len(c))
-        splittable = bad & (h > 1e-15 * max(abs(a), abs(b), 1.0))
-        if float(err.sum()) <= tol or not splittable.any():
-            if float(err.sum()) > tol:
-                raise QuadratureError("quadrature stalled on panels too "
-                                      "narrow to split", total,
-                                      float(err.sum()), len(c))
-            break
-        if len(c) + splittable.sum() > max_panels:
-            raise QuadratureError("quadrature did not converge within the "
-                                  "panel budget", total, float(err.sum()),
-                                  len(c))
-        keep = ~splittable
-        ck, hk = c[splittable], h[splittable]
-        child_c = np.concatenate([ck - hk / 2.0, ck + hk / 2.0])
-        child_h = np.concatenate([hk / 2.0, hk / 2.0])
-        cv, ce = evaluate(child_c, child_h)
-        c = np.concatenate([c[keep], child_c])
-        h = np.concatenate([h[keep], child_h])
-        val = np.concatenate([val[keep], cv])
-        err = np.concatenate([err[keep], ce])
-
-    order = np.argsort(c, kind="stable")
-    return QuadResult(float(val[order].sum()), float(err.sum()), len(c))
+    return _refine(f, (a, b), abs_err, max_panels, initial, start_values)
 
 
 def adaptive_quad_2d(f: Callable, ua: float, ub: float, va: float, vb: float,
-                     abs_err: float = 1e-8, rel_err: float = 0.0,
-                     max_panels: int = 40000,
+                     abs_err: float = 1e-8, max_panels: int = 40000,
                      initial: tuple[int, int] = (8, 4),
                      start_values=None) -> QuadResult:
     """Integrate vectorized ``f(u, v)`` over [ua, ub] x [va, vb].
@@ -181,67 +202,11 @@ def adaptive_quad_2d(f: Callable, ua: float, ub: float, va: float, vb: float,
     split halves the axis whose Gauss deficit is larger.  ``start_values``
     are ``f`` at ``start_nodes(ua, ub, va, vb, initial=initial)``.
     """
+    if not all(map(math.isfinite, (ua, ub, va, vb))):
+        raise ValueError("integration limits must be finite")
     if ua == ub or va == vb:
         return QuadResult(0.0, 0.0, 0)
     if not (ub > ua and vb > va):
         raise ValueError("require ub >= ua and vb >= va")
-    cu, cv, hu, hv = _start_mesh((ua, ub, va, vb), initial)
-
-    def evaluate(cu, cv, hu, hv, fv=None):
-        if fv is None:
-            fv = f(*(z.ravel() for z in _nodes(cu, cv, hu, hv)))
-        fv = np.asarray(fv, dtype=float).reshape(len(cu), len(NODES), len(NODES))
-        area = hu * hv
-        kk = area * np.einsum("pij,i,j->p", fv, WEIGHTS_K, WEIGHTS_K)
-        gg = area * np.einsum("pij,i,j->p", fv, WEIGHTS_G, WEIGHTS_G)
-        gk = area * np.einsum("pij,i,j->p", fv, WEIGHTS_G, WEIGHTS_K)
-        kg = area * np.einsum("pij,i,j->p", fv, WEIGHTS_K, WEIGHTS_G)
-        du = np.abs(kk - gk)  # u-axis under-resolution
-        dv = np.abs(kk - kg)
-        err = np.maximum(np.abs(kk - gg), np.maximum(du, dv))
-        return kk, err, du, dv
-
-    val, err, du, dv = evaluate(cu, cv, hu, hv, start_values)
-    scale = max(abs(ua), abs(ub), abs(va), abs(vb), 1.0)
-    while True:
-        total = float(val.sum())
-        tol = _effective_tol(total, abs_err, rel_err)
-        bad = err > tol / (2.0 * len(val))
-        splittable = bad & (np.maximum(hu, hv) > 1e-15 * scale)
-        if float(err.sum()) <= tol or not splittable.any():
-            if float(err.sum()) > tol:
-                raise QuadratureError("quadrature stalled on panels too "
-                                      "narrow to split", total,
-                                      float(err.sum()), len(val))
-            break
-        if len(val) + splittable.sum() > max_panels:
-            raise QuadratureError("quadrature did not converge within the "
-                                  "panel budget", total, float(err.sum()),
-                                  len(val))
-        keep = ~splittable
-        su, sv = cu[splittable], cv[splittable]
-        shu, shv = hu[splittable], hv[splittable]
-        along_u = du[splittable] >= dv[splittable]
-        # refuse to shrink an axis below the width floor
-        along_u = np.where(shu > 1e-15 * scale, along_u, False)
-        along_u = np.where(shv > 1e-15 * scale, along_u, True)
-        off_u = np.where(along_u, shu / 2.0, 0.0)
-        off_v = np.where(along_u, 0.0, shv / 2.0)
-        new_hu = np.where(along_u, shu / 2.0, shu)
-        new_hv = np.where(along_u, shv, shv / 2.0)
-        child_cu = np.concatenate([su - off_u, su + off_u])
-        child_cv = np.concatenate([sv - off_v, sv + off_v])
-        child_hu = np.concatenate([new_hu, new_hu])
-        child_hv = np.concatenate([new_hv, new_hv])
-        nv_, ne_, ndu_, ndv_ = evaluate(child_cu, child_cv, child_hu, child_hv)
-        cu = np.concatenate([cu[keep], child_cu])
-        cv = np.concatenate([cv[keep], child_cv])
-        hu = np.concatenate([hu[keep], child_hu])
-        hv = np.concatenate([hv[keep], child_hv])
-        val = np.concatenate([val[keep], nv_])
-        err = np.concatenate([err[keep], ne_])
-        du = np.concatenate([du[keep], ndu_])
-        dv = np.concatenate([dv[keep], ndv_])
-
-    order = np.lexsort((cv, cu))
-    return QuadResult(float(val[order].sum()), float(err.sum()), len(val))
+    return _refine(f, (ua, ub, va, vb), abs_err, max_panels, initial,
+                   start_values)

@@ -94,6 +94,16 @@ class TestAdaptiveQuad:
         res = adaptive_quad(np.exp, 2.0, 2.0, abs_err=1e-12)
         assert res.value == 0.0
 
+    def test_stalls_on_panels_at_the_width_floor(self):
+        # a jump inside an interval a few width floors wide: one round of
+        # bisection reaches the floor before the tolerance is met
+        f = lambda x: np.where(x > 1.0 + 5e-15, 1.0, 0.0)
+        with pytest.raises(QuadratureError, match="stalled") as exc:
+            adaptive_quad(f, 1.0, 1.0 + 1e-14, abs_err=1e-30)
+        assert 4 < exc.value.panels < 8
+        assert math.isfinite(exc.value.value)
+        assert 0.0 < exc.value.err < 1e-15
+
     def test_refinement_convergence_order(self):
         # quadruple the panels, error shrinks far faster than 2^-4
         f = lambda x: np.exp(-0.5 * (x - 0.3) ** 2) * np.cos(3.0 * x)
@@ -149,6 +159,40 @@ class TestAdaptiveQuad2d:
         assert res.panels >= 32
         assert res.err <= 1e-9
 
+    @pytest.mark.parametrize("axis", [0, 1], ids=["v-only", "u-only"])
+    def test_splits_only_the_under_resolved_axis(self, axis):
+        # f varies along one axis only, so every split must halve that
+        # axis: the other axis keeps exactly the start mesh's nodes
+        other = 1 - axis
+        seen = []
+
+        def f(u, v):
+            seen.append((u, v))
+            return np.exp(-200.0 * (u, v)[other] ** 2)
+
+        limits = (-1.0, 1.0, -1.0, 1.0)
+        res = adaptive_quad_2d(f, *limits, abs_err=1e-10)
+        assert res.panels > 32 and len(seen) >= 2
+        start = start_nodes(*limits, initial=(8, 4))[axis]
+        got = np.unique(np.concatenate([z[axis] for z in seen]))
+        assert np.array_equal(got, np.unique(start))
+
+    def test_never_halves_an_axis_at_the_width_floor(self):
+        # the jump is along u, but u starts below the width floor: splits
+        # go to v until the budget runs out, and u keeps its start nodes
+        seen = []
+
+        def f(u, v):
+            seen.append(u)
+            return np.where(u > 1.0 + 5e-15, 1.0, 0.0)
+
+        limits = (1.0, 1.0 + 1e-14, 0.0, 1.0)
+        with pytest.raises(QuadratureError, match="budget"):
+            adaptive_quad_2d(f, *limits, abs_err=1e-30, max_panels=400)
+        assert len(seen) >= 2
+        start = start_nodes(*limits, initial=(8, 4))[0]
+        assert np.array_equal(np.unique(np.concatenate(seen)), np.unique(start))
+
 
 # (driver, integrand, limits, options, outcome): converged on the start
 # mesh, refined for several rounds, or out of panel budget
@@ -198,3 +242,33 @@ def test_start_values_give_the_same_result(case):
         assert n_plain == 1
     else:
         assert n_plain >= 3
+
+
+@pytest.mark.parametrize("driver, limits", [
+    (adaptive_quad, (-np.inf, 0.0)),
+    (adaptive_quad, (0.0, np.nan)),
+    (adaptive_quad_2d, (0.0, np.inf, 0.0, 1.0)),
+    (adaptive_quad_2d, (0.0, 1.0, -np.inf, -np.inf)),
+], ids=["1d-inf", "1d-nan", "2d-inf", "2d-empty-inf"])
+def test_non_finite_limits_are_rejected(driver, limits):
+    with pytest.raises(ValueError, match="finite"):
+        driver(lambda *x: np.ones_like(x[0]), *limits)
+
+
+@pytest.mark.parametrize("driver, f, limits", [
+    (adaptive_quad, lambda x: np.full_like(x, np.nan), (0.0, 1.0)),
+    (adaptive_quad, lambda x: np.where(x == x.max(), np.inf, 1.0), (0.0, 1.0)),
+    (adaptive_quad_2d, lambda u, v: np.full_like(u, np.nan), (0.0, 1.0, 0.0, 1.0)),
+    (adaptive_quad_2d, lambda u, v: np.where(u == u.max(), np.inf, 1.0),
+     (0.0, 1.0, 0.0, 1.0)),
+], ids=["1d-nan", "1d-inf", "2d-nan", "2d-inf"])
+@pytest.mark.parametrize("abs_err", [1e-10, np.inf])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_values_raise(driver, f, limits, abs_err):
+    # a NaN or inf from the integrand makes the error estimate non-finite,
+    # which no tolerance accepts
+    with pytest.raises(QuadratureError, match="not finite") as exc:
+        driver(f, *limits, abs_err=abs_err)
+    assert not math.isfinite(exc.value.err)
+    # raised on the start mesh, before any split
+    assert exc.value.panels == (4 if driver is adaptive_quad else 8 * 4)
