@@ -19,8 +19,7 @@ the last coefficient, and the method's selection cutoff d.
 """
 
 from .asymptotic import (AsymptoticProblem, asymptotic_bound,
-                         asymptotic_coverage, asymptotic_coverage_bivariate,
-                         asymptotic_problem)
+                         asymptotic_coverage, asymptotic_problem)
 from .coverage import (CoverageResult, cover_given_full, cover_given_submodel,
                        coverage_bound, coverage_probability,
                        full_interval_endpoints, perfect_corr_bound,
@@ -68,7 +67,6 @@ __all__ = [
     "all_deletion_subsets",
     "asymptotic_bound",
     "asymptotic_coverage",
-    "asymptotic_coverage_bivariate",
     "asymptotic_problem",
     "asymptotic_threshold",
     "bvn_rectangle",

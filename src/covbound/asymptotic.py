@@ -1,27 +1,21 @@
 """Large-sample (m -> infinity) coverage of the naive interval.
 
 With the residual scale known (w == 1 in the finite-sample picture), the
-coverage probability of the naive post-selection interval collapses to a
-single integral.  Writing D(a, b) = Phi(a + b) - Phi(a - b), z for the
-two-sided normal critical value, and d' for the limiting selection cutoff
-(``asymptotic_threshold``; only AIC, Cp, adjusted R^2 have one):
+coverage probability of the naive post-selection interval is a closed
+form.  Writing D(a, b) = Phi(a + b) - Phi(a - b), z for the two-sided
+normal critical value, s = sqrt(1 - rho^2), and d' for the limiting
+selection cutoff (``asymptotic_threshold``; only AIC, Cp, adjusted R^2
+have one):
 
-  coverage(gamma) = 1 - alpha
-                    + D(rho gamma / s, z) D(gamma, d')
-                    - int_{-d'}^{d'} D(rho (h - gamma) / s, z / s) phi(h - gamma) dh
+  coverage(gamma) = 1 - alpha + D(rho gamma / s, z) D(gamma, d')
+                    - P(|A| <= z, |B| <= d'),
 
-with s = sqrt(1 - rho^2).  ``asymptotic_coverage`` evaluates exactly that.
-``asymptotic_coverage_bivariate`` evaluates the same quantity through an
-equivalent bivariate-normal rectangle identity,
-
-  int_{-d'}^{d'} D(...) phi(h - gamma) dh
-      = P(|A| <= z, |B| <= d')         (A, B) ~ N((0, gamma), corr rho)
-      = int_{-z}^{z} D((gamma + rho h) / s, d' / s) phi(h) dh,
-
-which exercises a genuinely different integrand; the two must agree to
-quadrature accuracy.  ``asymptotic_bound`` minimizes over gamma, stopping
-its scan once a certified Gaussian tail bound in gamma - d' shows that no
-later gamma can win.
+where (A, B) is bivariate normal with means (0, gamma), unit variances
+and correlation rho.  The last term is the bivariate-normal rectangle
+``bvn_rectangle(-z, z, -d' - gamma, d' - gamma, rho)``: the w = 1 case of
+the full-model term in ``coverage``.  ``asymptotic_bound`` minimizes over
+gamma, stopping its scan once a certified Gaussian tail bound in
+gamma - d' shows that no later gamma can win.
 """
 
 from __future__ import annotations
@@ -29,24 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
                        minimize_over_gamma)
-from .quadrature import adaptive_quad
 from .rules import NOT_APPLICABLE, NotApplicable, SelectionMethod, asymptotic_threshold
-from .special import norm_pdf, norm_two_sided_quantile, symmetric_interval_prob
+from .special import (BVN_RECTANGLE_ERR, bvn_rectangle, norm_pdf,
+                      norm_two_sided_quantile, symmetric_interval_prob)
 
 __all__ = [
     "AsymptoticProblem",
     "asymptotic_problem",
     "asymptotic_coverage",
-    "asymptotic_coverage_bivariate",
     "asymptotic_tail_slack",
     "asymptotic_bound",
 ]
-
-_QUAD_ABS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,46 +64,17 @@ def asymptotic_problem(method: SelectionMethod, alpha: float,
     return AsymptoticProblem(alpha=alpha, rho=rho, d_prime=d_prime)
 
 
-def asymptotic_coverage(problem: AsymptoticProblem, gamma: float,
-                        abs_err: float = _QUAD_ABS) -> float:
-    """Large-sample coverage at gamma (primary single-integral form)."""
-    return _coverage_with_err(problem, gamma, abs_err)[0]
-
-
-def _coverage_with_err(problem: AsymptoticProblem, gamma: float,
-                       abs_err: float) -> tuple[float, float]:
-    # (coverage, the quadrature's error estimate) at gamma
+def asymptotic_coverage(problem: AsymptoticProblem, gamma: float) -> float:
+    """Large-sample coverage at gamma, in closed form; absolute error below
+    ``BVN_RECTANGLE_ERR`` plus rounding."""
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
     alpha, rho, dp = problem.alpha, problem.rho, problem.d_prime
-    s = math.sqrt(1.0 - rho * rho)
     z = norm_two_sided_quantile(alpha)
-    term = (symmetric_interval_prob(rho * gamma / s, z)
+    term = (symmetric_interval_prob(rho * gamma / math.sqrt(1.0 - rho * rho), z)
             * symmetric_interval_prob(gamma, dp))
-
-    def integrand(h):
-        return (symmetric_interval_prob(rho * (h - gamma) / s, z / s)
-                * norm_pdf(h - gamma))
-
-    res = adaptive_quad(integrand, -dp, dp, abs_err=abs_err)
-    return (1.0 - alpha) + term - res.value, res.err
-
-
-def asymptotic_coverage_bivariate(problem: AsymptoticProblem, gamma: float,
-                                  abs_err: float = _QUAD_ABS) -> float:
-    """Same quantity via the bivariate rectangle identity (cross-check)."""
-    alpha, rho, dp = problem.alpha, problem.rho, problem.d_prime
-    s = math.sqrt(1.0 - rho * rho)
-    z = norm_two_sided_quantile(alpha)
-    term = (symmetric_interval_prob(rho * gamma / s, z)
-            * symmetric_interval_prob(gamma, dp))
-
-    def integrand(h):
-        return (symmetric_interval_prob((gamma + rho * h) / s, dp / s)
-                * norm_pdf(h))
-
-    res = adaptive_quad(integrand, -z, z, abs_err=abs_err)
-    return (1.0 - alpha) + term - res.value
+    return ((1.0 - alpha) + term
+            - bvn_rectangle(-z, z, -dp - gamma, dp - gamma, rho))
 
 
 def asymptotic_tail_slack(problem: AsymptoticProblem):
@@ -123,14 +83,15 @@ def asymptotic_tail_slack(problem: AsymptoticProblem):
     inf up to gamma = d' and exactly 0 once the computed value must equal
     1 - alpha (see ``additive_tail_slack``).
 
-    With x = gamma - d' > 0: the integral has |D| <= 1, phi(h - gamma')
-    <= phi(x) on [-d', d'] and positive Kronrod weights summing to 2 d';
-    the product term is at most D(gamma', d') <= 2 d' phi(x).  Both
-    D(gamma', d') endpoints Phi(gamma' -+ d') round to 1.0 exactly once
-    erfc(x / sqrt 2) <= 2 phi(x)/x falls to 2^-54, half the rounding
+    With x = gamma' - d' > 0, P(|B| <= d') = D(gamma', d') <= 2 d' phi(x).
+    ``bvn_rectangle`` clips the rectangle to its computed tail-side
+    Phi(d' - gamma') - Phi(-d' - gamma'), which is that probability, and
+    the product term is at most D(gamma', d') too.  Both D(gamma', d')
+    endpoints Phi(gamma' -+ d') of the product term round to 1.0 exactly
+    once erfc(x / sqrt 2) <= 2 phi(x)/x falls to 2^-54, half the rounding
     threshold of 2 - erfc, making the term exactly 0; before that it
     carries up to 2^-52 of cancellation.  The factor 2 absorbs the few-ulp
-    relative rounding of the rest.
+    rounding of the rest.
     """
     dp = problem.d_prime
 
@@ -151,16 +112,11 @@ def asymptotic_bound(problem: AsymptoticProblem,
     The scan stops as soon as the certified tail envelope
     ``asymptotic_tail_slack`` proves that no later grid point can win, so
     the result equals the full scan's.  ``quad_err`` on the result is the
-    quadrature error at gamma_star (0.0 when the tail value wins).
+    closed form's error bound ``BVN_RECTANGLE_ERR`` (0.0 when the tail
+    value wins, which is exact).
     """
-    errs: dict[float, float] = {}
-
-    def objective(g: float) -> float:
-        value, errs[g] = _coverage_with_err(problem, g, _QUAD_ABS)
-        return value
-
-    res = minimize_over_gamma(objective, config=config,
-                              tail_value=1.0 - problem.alpha,
+    res = minimize_over_gamma(lambda g: asymptotic_coverage(problem, g),
+                              config=config, tail_value=1.0 - problem.alpha,
                               tail_slack=asymptotic_tail_slack(problem))
-    err = 0.0 if math.isinf(res.gamma_star) else errs[res.gamma_star]
+    err = 0.0 if math.isinf(res.gamma_star) else BVN_RECTANGLE_ERR
     return replace(res, quad_err=err)

@@ -164,32 +164,22 @@ def _write_text(path: str | None, text: str) -> None:
 def _single_bound(method: SelectionMethod, alpha: float, p: int,
                   m: int | str, rho: float) -> dict:
     """One bound record; m is an integer or the string 'inf'."""
-    if m == "inf":
-        if asymptotic_threshold(method) is NOT_APPLICABLE:
-            raise CliError(_INF_MESSAGE.format(method.kind))
-        if rho == 1.0:
-            # the limit of the perfect-correlation bound as m -> inf
-            z = norm_two_sided_quantile(alpha)
-            d = asymptotic_threshold(method)
-            val = 0.0 if d >= z else 2.0 * (norm_cdf(z) - norm_cdf(d))
-            return {"method": method.kind, "alpha": alpha, "p": p, "m": "inf",
-                    "rho": rho, "bound": val, "gamma_star": math.nan,
-                    "quad_err": 0.0}
-        prob = asymptotic_problem(method, alpha, rho)
-        res = asymptotic_bound(prob)
-        return {"method": method.kind, "alpha": alpha, "p": p, "m": "inf",
-                "rho": rho, "bound": res.bound, "gamma_star": res.gamma_star,
-                "quad_err": res.quad_err}
-    prob = BoundProblem.from_m(alpha, p, m, rho)
-    if rho == 1.0:
-        val = perfect_corr_bound(prob, method)
-        return {"method": method.kind, "alpha": alpha, "p": p, "m": m,
-                "rho": rho, "bound": val, "gamma_star": math.nan,
-                "quad_err": 0.0}
-    res = coverage_bound(prob, method)
-    return {"method": method.kind, "alpha": alpha, "p": p, "m": m,
-            "rho": rho, "bound": res.bound, "gamma_star": res.gamma_star,
-            "quad_err": res.quad_err}
+    if m == "inf" and asymptotic_threshold(method) is NOT_APPLICABLE:
+        raise CliError(_INF_MESSAGE.format(method.kind))
+    gamma_star, quad_err = math.nan, 0.0
+    if rho == 1.0 and m == "inf":
+        # the limit of the perfect-correlation bound as m -> inf
+        z = norm_two_sided_quantile(alpha)
+        d = asymptotic_threshold(method)
+        bound = 0.0 if d >= z else 2.0 * (norm_cdf(z) - norm_cdf(d))
+    elif rho == 1.0:
+        bound = perfect_corr_bound(BoundProblem.from_m(alpha, p, m, rho), method)
+    else:
+        res = (asymptotic_bound(asymptotic_problem(method, alpha, rho)) if m == "inf"
+               else coverage_bound(BoundProblem.from_m(alpha, p, m, rho), method))
+        bound, gamma_star, quad_err = res.bound, res.gamma_star, res.quad_err
+    return {"method": method.kind, "alpha": alpha, "p": p, "m": m, "rho": rho,
+            "bound": bound, "gamma_star": gamma_star, "quad_err": quad_err}
 
 
 _BOUND_FIELDS = ("method", "alpha", "p", "m", "rho", "bound", "gamma_star")
@@ -255,6 +245,8 @@ def cmd_curve(ns) -> int:
     for m in ms:
         if m == "inf" and asymptotic_threshold(method) is NOT_APPLICABLE:
             raise CliError(_INF_MESSAGE.format(method.kind))
+    if ns.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {ns.jobs!r}")
     points = [(method, ns.alpha, ns.p, m, rho) for m in ms for rho in rhos]
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
@@ -273,11 +265,13 @@ def cmd_curve(ns) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _default_verify_grid(test_size: float) -> list[SelectionMethod]:
-    methods = [SelectionMethod("cp"), SelectionMethod("adjr2"),
-               SelectionMethod("aic"), SelectionMethod("bic"),
-               SelectionMethod("ttest", test_size)]
-    return methods
+def _default_verify_grid(test_size: float | None) -> list[SelectionMethod]:
+    # the t test runs at --test-size, 0.05 when it is not given
+    try:
+        ttest = SelectionMethod("ttest", 0.05 if test_size is None else test_size)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    return [SelectionMethod(k) for k in ("cp", "adjr2", "aic", "bic")] + [ttest]
 
 
 def cmd_verify(ns) -> int:
@@ -289,7 +283,7 @@ def cmd_verify(ns) -> int:
     if ns.reps < 10_000:
         raise CliError("verify needs --reps >= 10000 for a meaningful SE")
     if ns.method == "all":
-        methods = _default_verify_grid(ns.test_size or 0.05)
+        methods = _default_verify_grid(ns.test_size)
     else:
         methods = [_parse_method(ns)]
     rhos = ([ns.rho] if ns.rho is not None
@@ -387,6 +381,8 @@ def cmd_simulate(ns) -> int:
             lasts = [float(t) for t in ns.beta_last.split(",")]
         except ValueError as exc:
             raise CliError(f"bad --beta-last list {ns.beta_last!r}") from exc
+        if not all(map(math.isfinite, lasts)):
+            raise CliError(f"bad --beta-last list {ns.beta_last!r}: values must be finite")
         grid = []
         for b in lasts:
             row = np.array(design.beta, copy=True)

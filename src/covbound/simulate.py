@@ -133,6 +133,8 @@ def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
     ds = [_cutoff_value(p, c) for p, c in zip(problems, cutoffs)]
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
+    if not all(map(math.isfinite, gammas)):
+        raise ValueError("gamma must be finite")
     if not problems:
         return []
     m, alpha = problems[0].m, problems[0].alpha
@@ -188,6 +190,8 @@ class SimDesign:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "beta", beta)
+        if not all(np.isfinite(v).all() for v in (X, a, beta, self.sigma)):
+            raise ValueError("X, a, beta and sigma must be finite")
         n, p = X.shape
         if not (2 <= p < n):
             raise ValueError("need n > p >= 2")
@@ -450,6 +454,8 @@ def empirical_min_coverage(design: SimDesign, method: SelectionMethod,
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (design.p,):
             raise ValueError("each beta must have length p")
+        if not np.isfinite(beta).all():
+            raise ValueError("each beta must be finite")
         theta = float(design.a @ beta)
         mean = design.X @ beta
         # one subtree per grid point, split further into chunks

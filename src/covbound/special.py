@@ -107,6 +107,9 @@ _ERF_Q = (2.56852019228982242e0, 1.87295284992346047e0,
 # erfc(x) is exactly 0.0 in double precision from x ~ 27.3 on; clipping
 # |x| here keeps +inf and huge finite x finite (0.0, not NaN or warnings).
 _ERFC_CLIP = 40.0
+# up to this many elements the scalar route (about 4 us each) is cheaper
+# than the array route's fixed cost of about 50 numpy calls (40-80 us)
+_ERFC_FEW = 16
 
 
 def _exp_nxx(y):
@@ -162,24 +165,31 @@ def _erfc_big(y, e):
     return e * (INV_SQRT_PI - r) / y
 
 
+def _erfc_float(v: float) -> float:
+    y = abs(v)
+    if y <= 0.46875:
+        return float(_erfc_small(v))
+    y = min(y, _ERFC_CLIP)  # NaN stays NaN
+    e = _exp_nxx(y)
+    out = float(_erfc_mid(y, e) if y <= 4.0 else _erfc_big(y, e))
+    return 2.0 - out if v < -0.46875 else out
+
+
 def erfc(x):
     """Complementary error function, a few-ulp rational approximation.
 
     erfc(+inf) = 0, erfc(-inf) = 2 and NaN gives NaN, without warnings.
     On arrays the middle branch (0.46875 < |x| <= 4) runs over every
     element, without a mask; only the elements of the two outer branches
-    are gathered and overwritten.
+    are gathered and overwritten.  Arrays of at most ``_ERFC_FEW``
+    elements take the scalar route per element instead, which gives the
+    same bits without the array route's fixed cost.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        v = float(x)
-        y = abs(v)
-        if y <= 0.46875:
-            return float(_erfc_small(v))
-        y = min(y, _ERFC_CLIP)  # NaN stays NaN
-        e = _exp_nxx(y)
-        out = float(_erfc_mid(y, e) if y <= 4.0 else _erfc_big(y, e))
-        return 2.0 - out if v < -0.46875 else out
+        return _erfc_float(float(x))
+    if x.size <= _ERFC_FEW:
+        return np.array([_erfc_float(v) for v in x.ravel().tolist()]).reshape(x.shape)
     y = np.abs(x)
     np.minimum(y, _ERFC_CLIP, out=y)  # NaN stays NaN
     e = _exp_nxx(y)

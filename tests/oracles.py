@@ -4,10 +4,11 @@ Everything here deliberately avoids the package's own numerics: the
 normal CDF goes through the C library's erfc, the t distribution through
 closed-form trigonometric sums valid at integer degrees of freedom, and
 quantiles through plain bisection on those forms.  scipy appears as a
-second opinion for chi-square tails and, with mpmath, in the two
+second opinion for chi-square tails and, with mpmath, in the three
 integral oracles at the end: the original combined coverage integrand by
-scipy ``dblquad``, and bivariate-normal rectangles as a 1-D mpmath
-integral.  Both import their library on first use.
+scipy ``dblquad``, bivariate-normal rectangles as a 1-D mpmath integral,
+and the large-sample coverage as a 1-D scipy ``quad``.  Each imports its
+library on first use.
 """
 
 from __future__ import annotations
@@ -153,3 +154,41 @@ def bvn_rectangle_mpmath(lo1: float, hi1: float, lo2: float, hi2: float,
                     if lo1 < c < hi1:
                         points.add(c)
         return float(mp.quad(f, sorted(points)))
+
+
+def asymptotic_coverage_bivariate(problem, gamma: float) -> float:
+    """Large-sample coverage through the bivariate rectangle identity
+
+      P(|A| <= z, |B| <= d') = int_{-z}^{z} D((gamma + rho h)/s, d'/s) phi(h) dh
+
+    with D(a, b) = Phi(a + b) - Phi(a - b), s = sqrt(1 - rho^2), (A, B)
+    bivariate normal with means (0, gamma) and correlation rho.  scipy
+    ``quad`` integrates it, split where the inner steps of width s/|rho|
+    sit; Phi is ``norm_cdf_oracle`` and z is ``norm_quantile_bisect``.
+    """
+    from scipy import integrate
+
+    alpha, rho, dp = problem.alpha, problem.rho, problem.d_prime
+    s = math.sqrt(1.0 - rho * rho)
+    z = norm_quantile_bisect(alpha)
+
+    def interval(a: float, b: float) -> float:
+        # D is even in a; -|a| keeps both Phi on the lower tail
+        a = -abs(a)
+        return norm_cdf_oracle(a + b) - norm_cdf_oracle(a - b)
+
+    def f(h: float) -> float:
+        return (interval((gamma + rho * h) / s, dp / s)
+                * math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi))
+
+    points = set()
+    if rho != 0.0:
+        for edge in (-dp, dp):
+            for off in (-8, -1, 0, 1, 8):
+                c = (edge - gamma + off * s) / rho
+                if -z < c < z:
+                    points.add(c)
+    val, _ = integrate.quad(f, -z, z, points=sorted(points) or None,
+                            epsabs=1e-13, epsrel=0.0, limit=200)
+    return ((1.0 - alpha) + interval(rho * gamma / s, z)
+            * interval(gamma, dp)) - val

@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
-                                 asymptotic_coverage,
-                                 asymptotic_coverage_bivariate,
-                                 asymptotic_problem)
+                                 asymptotic_coverage, asymptotic_problem)
 from covbound.coverage import (coverage_bound, coverage_probability,
                                perfect_corr_bound)
 from covbound.quadrature import adaptive_quad
@@ -31,7 +29,7 @@ from covbound.special import (Tolerance, norm_cdf, norm_two_sided_quantile,
                               residual_scale_density,
                               residual_scale_interval, t_quantile)
 
-from .oracles import t_quantile_bisect
+from .oracles import asymptotic_coverage_bivariate, t_quantile_bisect
 
 ALPHA = 0.05
 MC_REPS = 2_000_000

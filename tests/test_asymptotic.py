@@ -1,4 +1,5 @@
-"""Large-sample coverage: two integral forms, bound, MC cross-check."""
+"""Large-sample coverage: closed form against an independent quadrature
+oracle, bound, MC cross-check."""
 
 import math
 
@@ -7,14 +8,14 @@ import pytest
 
 from covbound import asymptotic
 from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
-                                 asymptotic_coverage,
-                                 asymptotic_coverage_bivariate,
-                                 asymptotic_problem, asymptotic_tail_slack)
+                                 asymptotic_coverage, asymptotic_problem,
+                                 asymptotic_tail_slack)
 from covbound.optimize import minimize_over_gamma
 from covbound.rules import NOT_APPLICABLE, NotApplicable, SelectionMethod
-from covbound.quadrature import adaptive_quad
-from covbound.special import (norm_cdf, norm_pdf, norm_two_sided_quantile,
-                              symmetric_interval_prob)
+from covbound.special import (BVN_RECTANGLE_ERR, norm_cdf,
+                              norm_two_sided_quantile)
+
+from .oracles import asymptotic_coverage_bivariate
 
 CP = SelectionMethod("cp")
 
@@ -70,6 +71,17 @@ class TestCoverageForms:
                 a = asymptotic_coverage(pr, gamma)
                 b = asymptotic_coverage_bivariate(pr, gamma)
                 assert abs(a - b) <= 1e-8
+
+    @pytest.mark.parametrize("d_prime", [math.sqrt(2.0), 1.0, 1e-3])
+    @pytest.mark.parametrize("alpha", [0.05, 0.999])
+    @pytest.mark.parametrize("rho", [0.0, 0.9, 0.95, 0.9999, -0.7, -0.9999])
+    def test_closed_form_matches_quad_oracle(self, d_prime, alpha, rho):
+        # both sides of Genz's rho = 0.925 branch, both signs of rho, and
+        # gamma past the cutoff on both sides of 0
+        pr = AsymptoticProblem(alpha, rho, d_prime)
+        for gamma in (-3.0, -0.5, 0.0, 0.3, 1.0, 1.4, 2.0, 3.0, 5.0, 8.0):
+            assert abs(asymptotic_coverage(pr, gamma)
+                       - asymptotic_coverage_bivariate(pr, gamma)) <= 1e-12
 
     def test_even_in_gamma(self):
         pr = AsymptoticProblem(0.05, 0.7, 1.0)
@@ -144,30 +156,19 @@ class TestAsymptoticBound:
 
     @pytest.mark.parametrize("rho", [0.3, 0.9])
     def test_quad_err_is_that_at_gamma_star(self, rho):
-        # the 1-D integral of asymptotic_coverage, integrated again at
-        # gamma_star with the same driver and tolerance
+        # the bound is the closed form at gamma_star, reported with the
+        # rectangle's error bound
         pr = asymptotic_problem(CP, 0.05, rho)
         res = asymptotic_bound(pr)
-        s = math.sqrt(1.0 - rho * rho)
-        z = norm_two_sided_quantile(0.05)
-        g = res.gamma_star
-
-        def integrand(h):
-            return (symmetric_interval_prob(rho * (h - g) / s, z / s)
-                    * norm_pdf(h - g))
-
-        quad = adaptive_quad(integrand, -pr.d_prime, pr.d_prime, abs_err=1e-10)
-        assert res.bound == (0.95 + symmetric_interval_prob(rho * g / s, z)
-                             * symmetric_interval_prob(g, pr.d_prime)) - quad.value
-        assert res.quad_err == quad.err
-        assert res.quad_err != 1e-10
+        assert math.isfinite(res.gamma_star)
+        assert res.bound == asymptotic_coverage(pr, res.gamma_star)
+        assert res.quad_err == BVN_RECTANGLE_ERR
 
     def test_quad_err_zero_when_tail_wins(self, monkeypatch):
         # a curve above the nominal level everywhere: the tail value wins
         # at gamma_star = inf, where the coverage is exact
-        monkeypatch.setattr(asymptotic, "_coverage_with_err",
-                            lambda problem, gamma, abs_err:
-                            (0.95 + 1e-3 / (1.0 + gamma), 1e-9))
+        monkeypatch.setattr(asymptotic, "asymptotic_coverage",
+                            lambda problem, gamma: 0.95 + 1e-3 / (1.0 + gamma))
         res = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.6))
         assert (res.bound, res.gamma_star, res.quad_err) == (0.95, math.inf, 0.0)
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -219,6 +220,12 @@ class TestCurve:
         assert code == 2 and "--p" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_rejects_nonpositive_jobs(self, capsys, jobs):
+        code, out, err = run(["curve", "--method", "cp", "--m", "5",
+                              "--rho", "0.5", "--jobs", jobs], capsys)
+        assert code == 2 and "--jobs" in err and out == ""
+
     def test_parallel_matches_serial(self, capsys):
         args = ["curve", "--method", "adjr2", "--m", "5",
                 "--rho-grid", "0:0.45:0.9"]
@@ -319,6 +326,15 @@ class TestVerify:
         assert code == (3 if failures else 0)
         assert err.count("FAIL ") == failures
 
+    @pytest.mark.parametrize("size", ["1.5", "0"])
+    def test_default_grid_checks_test_size(self, capsys, size):
+        # --method all builds its t test from --test-size: out of (0, 1)
+        # is an input error, never a traceback or a silent 0.05
+        args = ["verify", "--m", "5", "--rho", "0.5", "--gamma", "1",
+                "--reps", "10000", "--test-size", size]
+        code, out, err = run(args, capsys)
+        assert code == 2 and "test_size" in err and out == ""
+
     def test_input_validation(self, capsys):
         assert run(["verify", "--format", "csv"], capsys)[0] == 2
         assert run(["verify", "--reps", "100"], capsys)[0] == 2
@@ -391,6 +407,21 @@ class TestSimulate:
         code, _, err = run(["simulate", "--design", str(path)], capsys)
         assert code == 2
         assert "invalid design" in err
+
+    @pytest.mark.parametrize("beta,sigma", [((1.0, math.nan, 2.0), 2.0),
+                                            ((1.0, 1.0, 2.0), math.inf)])
+    def test_nonfinite_design_rejected(self, capsys, tmp_path, beta, sigma):
+        X = np.vstack([np.eye(3), np.zeros((12, 3))])
+        path = write_design(tmp_path / "bad.txt", X, a=[0.6, 0.0, 0.8],
+                            beta=beta, sigma=sigma)
+        code, out, err = run(["simulate", "--design", str(path)], capsys)
+        assert code == 2 and "invalid design" in err and out == ""
+
+    @pytest.mark.parametrize("lasts", ["nan,inf", "0,inf", "1,-inf"])
+    def test_nonfinite_beta_last_rejected(self, capsys, design_file, lasts):
+        code, out, err = run(["simulate", "--design", str(design_file),
+                              "--reps", "100", "--beta-last", lasts], capsys)
+        assert code == 2 and "--beta-last" in err and out == ""
 
     def test_design_flag_required(self, capsys, design_file):
         code, _, _ = run(["simulate"], capsys)

@@ -117,6 +117,14 @@ class TestMcCoverage:
         with pytest.raises(ValueError):
             mc_coverage(pr, CP, 1.0, 0, seed=1)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_gamma(self, gamma):
+        pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            mc_coverage(pr, CP, gamma, 100, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            mc_coverage([pr, pr], [CP, CP], [1.0, gamma], 100, seed=1)
+
 
 class TestMcCoverageBatched:
     # mixed cutoffs: a selection method, a raw zero cutoff and a t-test
@@ -202,6 +210,22 @@ class TestSimDesign:
                     beta=np.array([1.0, 1.0, 2.0]), sigma=2.0)
         base.update(mutate)
         with pytest.raises(ValueError):
+            SimDesign(**base)
+
+    @pytest.mark.parametrize("field,value", [
+        ("X", np.vstack([np.eye(3), np.full((12, 3), math.nan)])),
+        ("a", np.array([0.6, math.inf, 0.8])),
+        ("beta", np.array([1.0, math.nan, 2.0])),
+        ("beta", np.array([1.0, 1.0, -math.inf])),
+        ("sigma", math.inf),
+        ("sigma", math.nan),
+    ])
+    def test_rejects_nonfinite(self, field, value):
+        base = dict(X=np.vstack([np.eye(3), np.zeros((12, 3))]),
+                    a=np.array([0.6, 0.0, 0.8]), q=1,
+                    beta=np.array([1.0, 1.0, 2.0]), sigma=2.0)
+        base[field] = value
+        with pytest.raises(ValueError, match="finite"):
             SimDesign(**base)
 
     def test_rejects_rank_deficient(self):
@@ -404,6 +428,14 @@ class TestEmpiricalMinCoverage:
         d = orthonormal_design()
         with pytest.raises(ValueError, match="length p"):
             empirical_min_coverage(d, CP, 0.05, [(1.0, 2.0)], 100, seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_beta_rejected(self, bad):
+        # a NaN or infinite mean would score every interval as a miss
+        d = orthonormal_design()
+        with pytest.raises(ValueError, match="finite"):
+            empirical_min_coverage(d, CP, 0.05, [d.beta, (1.0, 1.0, bad)],
+                                   100, seed=1)
 
     def test_deterministic(self):
         d = orthonormal_design()

@@ -203,6 +203,18 @@ class TestErfcAndNormCdf:
         got = np.array([erfc(float(v)) for v in x])
         assert np.array_equal(got, erfc(x))
 
+    @pytest.mark.parametrize("shape", [(0,), (1,), (6,), (2, 8), (17,)])
+    def test_few_element_arrays_match_array_route(self, shape):
+        # at most _ERFC_FEW elements take the scalar route; both routes
+        # give the bits of a long array, non-finite values included
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-30.0, 30.0, shape)
+        x.flat[:3] = [np.nan, np.inf, -np.inf][:x.size]
+        long = np.concatenate([x.ravel(), np.linspace(-30.0, 30.0, 64)])
+        got = erfc(x)
+        assert got.shape == shape and got.dtype == float
+        assert np.array_equal(got.ravel(), erfc(long)[:x.size], equal_nan=True)
+
     def test_nonfinite_arrays(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
