@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -497,8 +498,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse takes a token that starts with '-' for an option unless it is a
+# plain number, so `--gamma -1,2` would leave --gamma without its value;
+# such a value is attached to its list flag as `--gamma=-1,2`
+_LIST_FLAGS = ("--gamma", "--beta-last")
+_NEGATIVE_LIST = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_LIST.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = build_parser().parse_args(_attach_list_values(argv))
     try:
         return ns.func(ns)
     except CliError as exc:

@@ -116,9 +116,13 @@ def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
     give one cell each and return a list of estimates in input order.  All
     problems must share alpha and m.  One (seed, m) stream of n_draws
     (z1, z2, chi2_m) draws serves every cell (common random numbers):
-    per chunk, w and the full-model hit are computed once, h and the
-    submodel hit once per (rho, gamma), and only the choice between the
-    two hits runs per cutoff.  A cell's estimate depends only on (seed,
+    per chunk, w, the full-model hits and their count are computed once,
+    and h and the submodel hits once per (rho, gamma).  A cutoff d changes
+    the count only on the discordant draws, where exactly one model
+    covers, so |h|/w is computed on those draws alone and a cell's count
+    is the full-model count, plus the discordant draws with |h|/w < d that
+    only the submodel covers, minus those with |h|/w < d that only the
+    full model covers.  A cell's estimate depends only on (seed,
     chunk_size), not on which cells share the call, so the scalar call
     (the one-cell case) returns exactly the same estimate.
     """
@@ -156,14 +160,20 @@ def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
         z1, z2, w = _standard_draws(m, size, rng)
         mww = m * w * w
         full = np.abs(z1) <= t1 * w
+        base = int(np.count_nonzero(full))
         for (rho, g), cells in groups.items():
             h = _coefficient(g, rho, z1, z2)
             half = _submodel_half_width(t2, mww, h, m, math.sqrt(1.0 - rho * rho))
             sub = np.abs(z1 - rho * h) <= half
-            ratio = np.abs(h) / w
+            # d moves the count only where exactly one model covers
+            idx = np.flatnonzero(sub != full)
+            ratio = np.abs(h[idx]) / w[idx]
+            only_sub = sub[idx]
+            gain, loss = ratio[only_sub], ratio[~only_sub]
             for k in cells:
-                covered[k] += int(np.where(ratio < ds[k], sub, full).sum())
-            del h, half, sub, ratio  # hold one (rho, gamma)'s arrays at a time
+                covered[k] += (base + int(np.count_nonzero(gain < ds[k]))
+                               - int(np.count_nonzero(loss < ds[k])))
+            del h, half, sub, idx, ratio, only_sub, gain, loss  # one group at a time
     out = [_proportion(c, n_draws) for c in covered]
     return out[0] if scalar else out
 

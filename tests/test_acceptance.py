@@ -5,8 +5,9 @@ seeds so each assertion is deterministic.  The quadrature-versus-
 simulation grid covers all five selection methods over correlations,
 signal sizes, and degrees of freedom; the remaining suites pin symmetry,
 the nominal-level ceiling, curve shape, the perfect-correlation and
-large-sample limits, the two asymptotic integral forms, the regression
-simulator, and the special-function floor.
+large-sample limits, the closed-form large-sample coverage against an
+independent scipy integral, the regression simulator, and the
+special-function floor.
 """
 
 import math
@@ -185,8 +186,9 @@ class TestLargeSampleConvergence:
 
 
 class TestAsymptoticFormsAgree:
-    """The single-integral form and the bivariate-rectangle form of the
-    large-sample coverage are the same function."""
+    """The closed-form large-sample coverage (one bivariate-normal
+    rectangle) equals the oracle in ``tests/oracles.py``, which integrates
+    the rectangle identity with scipy ``quad``."""
 
     RHOS = (0.0, 0.2, 0.45, 0.7, 0.9)
     GAMMAS = (0.0, 0.5, 1.0, 2.0, 4.0)

@@ -352,6 +352,25 @@ class TestVerify:
         assert code in (0, 3)
         assert [p["gamma"] for p in json.loads(out)["points"]] == [1.0, 2.0]
 
+    @pytest.mark.parametrize("text, gammas", [("-1,2", [-1.0, 2.0]),
+                                              ("-.5", [-0.5]),
+                                              ("-1e-1,-2", [-0.1, -2.0])])
+    def test_gamma_list_may_start_negative(self, capsys, text, gammas):
+        # `--gamma -1,2` is read as the flag's value, the same report as
+        # the `--gamma=-1,2` spelling
+        at = self.ARGS.index("--gamma")
+        rest = self.ARGS[at + 2:]
+        code, out, err = run(self.ARGS[:at] + ["--gamma", text] + rest, capsys)
+        assert code in (0, 3), err
+        assert [p["gamma"] for p in json.loads(out)["points"]] == gammas
+        assert run(self.ARGS[:at] + [f"--gamma={text}"] + rest, capsys)[1] == out
+
+    def test_negative_gamma_list_still_validated(self, capsys):
+        at = self.ARGS.index("--gamma") + 1
+        code, out, err = run(self.ARGS[:at] + ["-inf,1"] + self.ARGS[at + 1:],
+                             capsys)
+        assert code == 2 and "--gamma" in err and "finite" in err and out == ""
+
 
 class TestSimulate:
     def test_csv_schema_and_determinism(self, capsys, design_file):
@@ -422,6 +441,15 @@ class TestSimulate:
         code, out, err = run(["simulate", "--design", str(design_file),
                               "--reps", "100", "--beta-last", lasts], capsys)
         assert code == 2 and "--beta-last" in err and out == ""
+
+    def test_beta_last_may_start_negative(self, capsys, design_file):
+        base = ["simulate", "--design", str(design_file), "--method", "cp",
+                "--reps", "500", "--seed", "5"]
+        code, out, err = run(base + ["--beta-last", "-1,2"], capsys)
+        assert code == 0, err
+        assert [float(r.split(",")[8]) for r in out.strip().split("\n")[1:]] \
+            == [-1.0, -1.0, 2.0, 2.0]
+        assert run(base + ["--beta-last=-1,2"], capsys)[1] == out
 
     def test_design_flag_required(self, capsys, design_file):
         code, _, _ = run(["simulate"], capsys)

@@ -57,6 +57,34 @@ def reference_select(d, y, method, candidates=None):
     return min(cands, key=lambda K: (criterion(K), len(K), K))
 
 
+def canonical_chunks(gamma, rho, m, n_draws, seed, chunk_size):
+    """The (g, h, w) chunks mc_coverage draws, by the seeding it documents:
+    one Philox child of SeedSequence(seed) per chunk."""
+    n_chunks = -(-n_draws // chunk_size)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        rng = np.random.Generator(np.random.Philox(child))
+        yield draw_canonical(gamma, rho, m, min(chunk_size, n_draws - chunk_size * i), rng)
+
+
+def model_hits(pr, g, h, w):
+    """Per-draw (submodel covers, full model covers), written out."""
+    m, rho = pr.m, pr.rho
+    t1, t2 = t_quantile(m, pr.alpha), t_quantile(m + 1, pr.alpha)
+    half = t2 * np.sqrt((m * w * w + h * h) / (m + 1.0)) * math.sqrt(1.0 - rho * rho)
+    return np.abs(g - rho * h) <= half, np.abs(g) <= t1 * w
+
+
+def direct_estimate(pr, cut, gamma, n_draws, seed, chunk_size):
+    """Coverage by the per-draw formula: the submodel's hit where
+    |h|/w < d, the full model's hit elsewhere."""
+    d = cut if isinstance(cut, float) else selection_threshold(cut, pr.n, pr.p)
+    covered = 0
+    for g, h, w in canonical_chunks(gamma, pr.rho, pr.m, n_draws, seed, chunk_size):
+        sub, full = model_hits(pr, g, h, w)
+        covered += int(np.where(np.abs(h) / w < d, sub, full).sum())
+    return covered / n_draws
+
+
 class TestDrawCanonical:
     def test_moments(self):
         rng = np.random.default_rng(11)
@@ -155,21 +183,8 @@ class TestMcCoverageBatched:
         cells = self.grid(m=3, alpha=0.1)
         probs, cuts, gammas = (list(col) for col in zip(*cells))
         batched = mc_coverage(probs, cuts, gammas, 1000, seed=9, chunk_size=300)
-        t1, t2 = t_quantile(3, 0.1), t_quantile(4, 0.1)
         for (pr, cut, gamma), est in zip(cells, batched):
-            d = cut if isinstance(cut, float) else \
-                selection_threshold(cut, pr.n, pr.p)
-            rho, covered = pr.rho, 0
-            children = np.random.SeedSequence(9).spawn(4)
-            for i, child in enumerate(children):
-                rng = np.random.Generator(np.random.Philox(child))
-                g, h, w = draw_canonical(gamma, rho, 3, min(300, 1000 - 300 * i), rng)
-                half = (t2 * np.sqrt((3 * w * w + h * h) / 4.0)
-                        * math.sqrt(1.0 - rho * rho))
-                covered += int(np.where(np.abs(h) / w < d,
-                                        np.abs(g - rho * h) <= half,
-                                        np.abs(g) <= t1 * w).sum())
-            assert est.estimate == covered / 1000
+            assert est.estimate == direct_estimate(pr, cut, gamma, 1000, 9, 300)
 
     def test_empty_batch(self):
         assert mc_coverage([], [], [], 100, seed=1) == []
@@ -187,6 +202,75 @@ class TestMcCoverageBatched:
             mc_coverage([a], [CP], [1.0, 2.0], 100, seed=1)
         with pytest.raises(ValueError):
             mc_coverage([a, a], [CP, -0.5], [1.0, 1.0], 100, seed=1)
+
+
+class TestDiscordantCounting:
+    """mc_coverage counts each cutoff on the draws where exactly one model
+    covers; every count must equal the per-draw formula's.  All calls use
+    1000 draws in chunks of 300, so each ends on a partial chunk."""
+
+    N, SEED, CHUNK = 1000, 11, 300
+
+    def check(self, cells):
+        probs, cuts, gammas = (list(col) for col in zip(*cells))
+        got = mc_coverage(probs, cuts, gammas, self.N, self.SEED, self.CHUNK)
+        want = [direct_estimate(pr, c, g, self.N, self.SEED, self.CHUNK)
+                for pr, c, g in cells]
+        assert [e.estimate for e in got] == want
+        return want
+
+    def discordant_share(self, pr, gamma):
+        hits = [model_hits(pr, *draws) for draws in canonical_chunks(
+            gamma, pr.rho, pr.m, self.N, self.SEED, self.CHUNK)]
+        return sum(int(np.count_nonzero(s != f)) for s, f in hits) / self.N
+
+    def test_zero_and_infinite_cutoffs(self):
+        # d = 0 always keeps the full model, d = inf always the submodel
+        pr = BoundProblem.from_m(0.05, 3, 5, 0.6)
+        zero, inf = self.check([(pr, 0.0, 1.0), (pr, math.inf, 1.0)])
+        full = sub = 0
+        for draws in canonical_chunks(1.0, 0.6, 5, self.N, self.SEED, self.CHUNK):
+            s, f = model_hits(pr, *draws)
+            sub, full = sub + int(s.sum()), full + int(f.sum())
+        assert (zero, inf) == (full / self.N, sub / self.N)
+        assert zero != inf
+
+    @pytest.mark.parametrize("sub_covers", [True, False])
+    def test_cutoff_at_a_draws_ratio_is_strict(self, sub_covers):
+        # d equal to the |h|/w of a draw only one model covers: that draw
+        # keeps the full model at d and switches to the submodel above d
+        pr = BoundProblem.from_m(0.05, 3, 5, 0.6)
+        g, h, w = next(canonical_chunks(1.0, 0.6, 5, self.N, self.SEED, self.CHUNK))
+        sub, full = model_hits(pr, g, h, w)
+        ratio = np.abs(h) / w
+        j = int(np.flatnonzero((sub != full) & (sub == sub_covers))[0])
+        d = float(ratio[j])
+        assert np.count_nonzero(ratio == d) == 1
+        at, above = self.check([(pr, d, 1.0), (pr, math.nextafter(d, math.inf), 1.0)])
+        assert round((above - at) * self.N) == (1 if sub_covers else -1)
+
+    def test_cells_sharing_a_cutoff_in_one_group(self):
+        pr = BoundProblem.from_m(0.05, 3, 5, 0.6)
+        a, b, c = self.check([(pr, CP, 1.0), (pr, 0.5, 1.0), (pr, CP, 1.0)])
+        assert a == c != b
+
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_perfect_correlation(self, rho):
+        # sd = 0: the submodel interval is the single point rho h
+        pr = BoundProblem.from_m(0.05, 3, 5, rho)
+        self.check([(pr, c, g) for c in (CP, 0.0, math.inf) for g in (0.0, 1.0, 3.0)])
+
+    def test_groups_with_no_and_nearly_all_draws_discordant(self):
+        # at alpha = 0.01 both models cover every draw at rho = 0, gamma = 0,
+        # while at rho = 1, gamma = 3 the submodel misses nearly every draw
+        # the full model covers
+        none, few, most = (BoundProblem.from_m(0.01, 3, 20, rho)
+                           for rho in (0.0, 0.5, 1.0))
+        assert self.discordant_share(none, 0.0) == 0.0
+        assert 0.0 < self.discordant_share(few, 0.0) < 0.1
+        assert self.discordant_share(most, 3.0) > 0.9
+        self.check([(pr, c, g) for pr, g in ((none, 0.0), (few, 0.0), (most, 3.0))
+                    for c in (CP, 0.5, math.inf)])
 
 
 class TestSimDesign:
