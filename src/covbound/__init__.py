@@ -20,23 +20,19 @@ the last coefficient, and the method's selection cutoff d.
 
 from .asymptotic import (AsymptoticProblem, asymptotic_bound,
                          asymptotic_coverage, asymptotic_problem)
-from .coverage import (CoverageResult, cover_given_full, cover_given_submodel,
-                       coverage_bound, coverage_probability,
-                       full_interval_endpoints, perfect_corr_bound,
-                       submodel_interval_endpoints)
+from .coverage import (CoverageResult, coverage_bound, coverage_probability,
+                       perfect_corr_bound)
 from .optimize import (DEFAULT_SEARCH, BoundResult, SearchConfig,
                        minimize_over_gamma)
 from .quadrature import (QuadratureError, QuadResult, adaptive_quad,
                          adaptive_quad_2d)
 from .rules import (METHOD_NAMES, NOT_APPLICABLE, BoundProblem, NotApplicable,
                     SelectionMethod, asymptotic_threshold, selection_threshold)
-from .simulate import (CanonicalSample, EmpiricalCoverage, MCEstimate,
-                       SimDesign, SubsetState, all_deletion_subsets,
-                       draw_canonical, empirical_min_coverage, mc_coverage,
-                       naive_interval, rss_subset, select_model)
-from .special import (DEFAULT_TOL, Tolerance, bvn_rectangle, erfc,
-                      gauss_interval_prob, norm_cdf, norm_pdf,
-                      norm_two_sided_quantile, reg_inc_beta, reg_lower_gamma,
+from .simulate import (EmpiricalCoverage, MCEstimate, SimDesign,
+                       all_deletion_subsets, empirical_min_coverage,
+                       mc_coverage)
+from .special import (DEFAULT_TOL, Tolerance, bvn_rectangle, erfc, norm_cdf,
+                      norm_pdf, norm_two_sided_quantile,
                       residual_scale_density, residual_scale_interval,
                       symmetric_interval_prob, t_quantile, t_two_sided_tail)
 
@@ -46,7 +42,6 @@ __all__ = [
     "AsymptoticProblem",
     "BoundProblem",
     "BoundResult",
-    "CanonicalSample",
     "CoverageResult",
     "DEFAULT_SEARCH",
     "DEFAULT_TOL",
@@ -60,7 +55,6 @@ __all__ = [
     "SearchConfig",
     "SelectionMethod",
     "SimDesign",
-    "SubsetState",
     "Tolerance",
     "adaptive_quad",
     "adaptive_quad_2d",
@@ -70,30 +64,19 @@ __all__ = [
     "asymptotic_problem",
     "asymptotic_threshold",
     "bvn_rectangle",
-    "cover_given_full",
-    "cover_given_submodel",
     "coverage_bound",
     "coverage_probability",
-    "draw_canonical",
     "empirical_min_coverage",
     "erfc",
-    "full_interval_endpoints",
-    "gauss_interval_prob",
     "mc_coverage",
     "minimize_over_gamma",
-    "naive_interval",
     "norm_cdf",
     "norm_pdf",
     "norm_two_sided_quantile",
     "perfect_corr_bound",
-    "reg_inc_beta",
-    "reg_lower_gamma",
     "residual_scale_density",
     "residual_scale_interval",
-    "rss_subset",
-    "select_model",
     "selection_threshold",
-    "submodel_interval_endpoints",
     "symmetric_interval_prob",
     "t_quantile",
     "t_two_sided_tail",

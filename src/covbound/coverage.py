@@ -11,13 +11,18 @@ error g of the target (unit variance), the scaled last-coefficient
 estimate h (mean gamma, unit variance, correlation rho with g), and the
 scaled residual standard deviation w with density
 ``residual_scale_density``.  The selection rule keeps the submodel iff
-|h|/w < d with d from ``selection_threshold``.  Conditioning on (h, w),
-the coverage indicator averages to a normal interval probability:
+|h|/w < d with d from ``selection_threshold``.  Given (h, w), g is
+normal with mean rho (h - gamma) and variance s^2 = 1 - rho^2.  The
+full-model interval is [-t_m w, t_m w]; the submodel interval is centered
+at rho h with half-width s q, q = t_{m+1} sqrt((m w^2 + h^2)/(m+1)), as
+it pools h^2 into the variance estimate and has one more degree of
+freedom.  So each model's coverage indicator averages to a normal
+interval probability:
 
-  cover_given_full(h, w)      -- full-model interval, endpoints -t_m w, t_m w
-  cover_given_submodel(h, w)  -- submodel interval, endpoints
-                                 rho h -+ t_{m+1} sqrt((m w^2 + h^2)/(m+1)) sqrt(1-rho^2)
+  k_full(h, w) = P(|g| <= t_m w | h),
+  k_sub(h, w)  = P(|g - rho h| <= s q | h) = D(rho gamma / s, q),
 
+with D(c, q) = Phi(c + q) - Phi(c - q) (``symmetric_interval_prob``),
 and the unconditional coverage equals
 
   (1 - alpha) + int_0^inf int_{-d}^{d} [k_sub(wx) - k_full(wx)] phi(wx - gamma)
@@ -33,9 +38,7 @@ of the mass of w:
   full-model term  int f_W(w) P(|G| <= t_m w, |H| <= d w) dw,
 
 and the coverage is (1 - alpha) + submodel term - full-model term.  Here
-D(c, q) = Phi(c + q) - Phi(c - q) = k_sub with s = sqrt(1 - rho^2) and
-q = t_{m+1} sqrt((m w^2 + h^2)/(m+1)), the submodel half-width in units of
-s; (G, H) is bivariate normal with G ~ N(0, 1), H ~ N(gamma, 1) and
+(G, H) is bivariate normal with G ~ N(0, 1), H ~ N(gamma, 1) and
 correlation rho.  The full-model term is the k_full part integrated over
 x in closed form: a bivariate-normal rectangle (``bvn_rectangle``) under a
 1-D adaptive Gauss-Kronrod integral in w.  The submodel term is a 2-D
@@ -62,16 +65,12 @@ from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
 from .quadrature import adaptive_quad, adaptive_quad_2d, start_nodes
 from .rules import BoundProblem, SelectionMethod, selection_threshold
 from .special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
-                      bvn_rectangle, gauss_interval_prob, norm_cdf, norm_pdf,
+                      bvn_rectangle, norm_cdf, norm_pdf,
                       residual_scale_density, residual_scale_interval,
-                      t_quantile)
+                      symmetric_interval_prob, t_quantile)
 
 __all__ = [
     "CoverageResult",
-    "full_interval_endpoints",
-    "submodel_interval_endpoints",
-    "cover_given_full",
-    "cover_given_submodel",
     "coverage_probability",
     "coverage_tail_slack",
     "coverage_bound",
@@ -98,53 +97,10 @@ class CoverageResult:
     panels: int
 
 
-def full_interval_endpoints(w, m: int, alpha: float):
-    """Endpoints (-t_m w, t_m w) of the standardized full-model interval."""
-    t1 = t_quantile(m, alpha)
-    w = np.asarray(w, dtype=float)
-    lo, hi = -t1 * w, t1 * w
-    if lo.ndim == 0:
-        return float(lo), float(hi)
-    return lo, hi
-
-
 def _submodel_half_width(t2: float, mww, h, m: int, sd: float):
     """Submodel half-width t_{m+1} sqrt((m w^2 + h^2)/(m+1)) sqrt(1 - rho^2),
     from t2 = t_{m+1}, mww = m w^2 and sd = sqrt(1 - rho^2)."""
     return t2 * np.sqrt((mww + h * h) / (m + 1.0)) * sd
-
-
-def submodel_interval_endpoints(h, w, rho: float, m: int, alpha: float):
-    """Endpoints of the standardized submodel interval given (h, w).
-
-    Centered at rho h with halfwidth
-    t_{m+1} sqrt((m w^2 + h^2)/(m+1)) sqrt(1 - rho^2): the submodel pools
-    h^2 into the variance estimate and has one more degree of freedom.
-    """
-    t2 = t_quantile(m + 1, alpha)
-    h = np.asarray(h, dtype=float)
-    w = np.asarray(w, dtype=float)
-    half = _submodel_half_width(t2, m * w * w, h, m, math.sqrt(1.0 - rho * rho))
-    lo, hi = rho * h - half, rho * h + half
-    if np.ndim(lo) == 0:
-        return float(lo), float(hi)
-    return lo, hi
-
-
-def cover_given_full(h, w, gamma: float, rho: float, m: int, alpha: float):
-    """P(full-model interval covers | h): normal with mean rho(h - gamma),
-    variance 1 - rho^2, over the full-model endpoints."""
-    lo, hi = full_interval_endpoints(w, m, alpha)
-    h = np.asarray(h, dtype=float)
-    return gauss_interval_prob(lo, hi, rho * (h - gamma), 1.0 - rho * rho)
-
-
-def cover_given_submodel(h, w, gamma: float, rho: float, m: int, alpha: float):
-    """P(submodel interval covers | h, w): same conditional law as
-    ``cover_given_full`` over the submodel endpoints."""
-    lo, hi = submodel_interval_endpoints(h, w, rho, m, alpha)
-    h = np.asarray(h, dtype=float)
-    return gauss_interval_prob(lo, hi, rho * (h - gamma), 1.0 - rho * rho)
 
 
 def _check_rho(rho: float) -> float:
@@ -195,13 +151,11 @@ class _CoveragePlan:
     def evaluate(self, gamma: float) -> CoverageResult:
         if not math.isfinite(gamma):
             raise ValueError("gamma must be finite")
-        # D(c, q) = Phi(c + q) - Phi(c - q) is even in c; c <= 0 keeps both
-        # Phi on the lower tail
+        # D(c, q) is even in c; c <= 0 keeps both Phi on the lower tail
         c = -abs(self.rho * gamma) / self.sd
 
         def sub_values(h, q, w, f_w):
-            k_sub = norm_cdf(c + q) - norm_cdf(c - q)
-            return k_sub * norm_pdf(h - gamma) * w * f_w
+            return symmetric_interval_prob(c, q) * norm_pdf(h - gamma) * w * f_w
 
         def full_values(f_w, lo1, hi1, lo2, hi2):
             return f_w * bvn_rectangle(lo1, hi1, lo2 - gamma, hi2 - gamma, self.rho)

@@ -107,6 +107,8 @@ class BoundProblem:
 
     @classmethod
     def from_m(cls, alpha: float, p: int, m: int, rho: float) -> "BoundProblem":
+        if not all(math.isfinite(v) and v == int(v) for v in (p, m)):
+            raise ValueError("p and m must be integers")
         return cls(alpha=alpha, p=int(p), n=int(p) + int(m), rho=rho)
 
 

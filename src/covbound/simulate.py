@@ -1,4 +1,4 @@
-"""Monte Carlo checks: canonical-form draws and a brute-force regression
+"""Monte Carlo checks: canonical-form coverage and a brute-force regression
 simulator.
 
 ``mc_coverage`` estimates the coverage probability from the canonical
@@ -6,14 +6,15 @@ triple (g, h, w) directly -- the same reduction the quadrature engine
 integrates, sampled instead of integrated -- so quadrature and simulation
 form two independent routes to one number.
 
-The rest of the module simulates the full regression pipeline: draw y,
-enumerate candidate subsets, apply the selection rule, and check whether
-the naive t interval of the selected model covers the target.  Subsets K
-list the 0-based column indices whose coefficients are set to zero; the
-first q columns are protected and never deleted.  One engine fits each
-chunk of responses once and derives every candidate's estimate, RSS and
-selection from that fit; the pair family {(), (p-1,)} is two rows of the
-full family, so both families are scored on the same fit.
+``empirical_min_coverage`` simulates the full regression pipeline: draw
+y, enumerate candidate subsets, apply the selection rule, and check
+whether the naive t interval of the selected model covers the target.
+Subsets K list the 0-based column indices whose coefficients are set to
+zero; the first q columns are protected and never deleted.  One engine
+fits each chunk of responses once and derives every candidate's
+estimate, RSS and selection from that fit; the pair family {(), (p-1,)}
+is two rows of the full family, so both families are scored on the same
+fit.
 
 Randomness: streams are derived via SeedSequence(seed).spawn(...), one
 child per fixed-size chunk, each driving a counter-based Philox generator.
@@ -35,30 +36,16 @@ from .rules import BoundProblem, SelectionMethod, selection_threshold
 from .special import t_quantile
 
 __all__ = [
-    "CanonicalSample",
     "MCEstimate",
     "SimDesign",
-    "SubsetState",
     "EmpiricalCoverage",
-    "draw_canonical",
     "mc_coverage",
     "all_deletion_subsets",
-    "rss_subset",
-    "select_model",
-    "naive_interval",
     "empirical_min_coverage",
 ]
 
 _MAX_FREE = 12  # enumeration cap on p - q (2^(p-q) candidate subsets)
 _DEFAULT_CHUNK = 1 << 18
-
-
-class CanonicalSample(NamedTuple):
-    """Standardized draws: target error g, coefficient estimate h, scale w."""
-
-    g: np.ndarray
-    h: np.ndarray
-    w: np.ndarray
 
 
 class MCEstimate(NamedTuple):
@@ -79,14 +66,6 @@ def _coefficient(gamma: float, rho: float, z1: np.ndarray,
                  z2: np.ndarray) -> np.ndarray:
     # h: mean gamma, unit variance, correlation rho with g = z1
     return gamma + rho * z1 + math.sqrt(1.0 - rho * rho) * z2
-
-
-def draw_canonical(gamma: float, rho: float, m: int, n_draws: int,
-                   rng: np.random.Generator) -> CanonicalSample:
-    """Sample (g, h, w): g, h unit-variance normals with correlation rho,
-    means 0 and gamma, independent of w = sqrt(chi2_m / m)."""
-    z1, z2, w = _standard_draws(m, n_draws, rng)
-    return CanonicalSample(z1, _coefficient(gamma, rho, z1, z2), w)
 
 
 def _cutoff_value(problem: BoundProblem, cutoff: SelectionMethod | float) -> float:
@@ -137,6 +116,8 @@ def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
     ds = [_cutoff_value(p, c) for p, c in zip(problems, cutoffs)]
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     if not all(map(math.isfinite, gammas)):
         raise ValueError("gamma must be finite")
     if not problems:
@@ -179,7 +160,7 @@ def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
 
 
 # ----------------------------------------------------------------------
-# regression designs and subset refits
+# regression designs and candidate subsets
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -230,18 +211,6 @@ class SimDesign:
     @property
     def theta(self) -> float:
         return float(self.a @ self.beta)
-
-
-class SubsetState(NamedTuple):
-    """Refit of the submodel that zeroes the columns in ``subset``."""
-
-    subset: tuple[int, ...]
-    rss: float
-    beta_hat: np.ndarray
-    s2: float
-    var_scale: float      # Var(a' beta_hat_K) / sigma^2
-    identity_gap: float   # relative gap between refit RSS and the
-                          # full-fit quadratic-form identity for it
 
 
 def all_deletion_subsets(q: int, p: int) -> list[tuple[int, ...]]:
@@ -346,84 +315,6 @@ class _Engine:
         return idx[np.argmin(crit, axis=0)]  # first minimum = (|K|, lex) order
 
 
-def rss_subset(design: SimDesign, y: np.ndarray, K: Sequence[int]) -> SubsetState:
-    """Refit with the coefficients in K constrained to zero.
-
-    The residual sum of squares is computed twice: by direct refit on the
-    reduced design, and by the fit-and-select engine through the full-fit
-    identity RSS_K = RSS + b_K' (C_KK)^{-1} b_K with b = beta_hat and
-    C = (X'X)^{-1}; the relative gap between the two is recorded (0 for
-    K = (), where the identity is trivial).
-    """
-    K = tuple(sorted(int(j) for j in K))
-    X, a = design.X, design.a
-    n, p = X.shape
-    if any(j < design.q or j >= p for j in K) or len(set(K)) != len(K):
-        raise ValueError("K must be distinct free-column indices")
-    keep = [j for j in range(p) if j not in K]
-
-    Z = X[:, keep]
-    coef, _, _, _ = np.linalg.lstsq(Z, y, rcond=None)
-    beta_hat = np.zeros(p)
-    beta_hat[keep] = coef
-    rss = float(np.sum((y - Z @ coef) ** 2))
-
-    y_col = np.asarray(y, dtype=float).reshape(-1, 1)
-    rss_ident = float(_Engine(design, [K]).fit(y_col).rss[0, 0]) if K else rss
-    gap = abs(rss - rss_ident) / max(rss, 1e-300)
-
-    df = (n - p) + len(K)
-    s2 = rss / df
-    ak = a[keep]
-    var_scale = float(ak @ np.linalg.solve(Z.T @ Z, ak))
-    return SubsetState(K, rss, beta_hat, s2, var_scale, gap)
-
-
-def naive_interval(design: SimDesign, y: np.ndarray, K: Sequence[int],
-                   alpha: float) -> tuple[float, float]:
-    """Standard t interval for a'beta computed in the submodel K,
-    as if K had been fixed in advance."""
-    state = rss_subset(design, y, K)
-    df = (design.n - design.p) + len(state.subset)
-    center = float(design.a @ state.beta_hat)
-    half = t_quantile(df, alpha) * math.sqrt(state.s2 * state.var_scale)
-    return center - half, center + half
-
-
-# ----------------------------------------------------------------------
-# selection rules on data
-# ----------------------------------------------------------------------
-
-def select_model(design: SimDesign, y: np.ndarray, method: SelectionMethod,
-                 candidates: Sequence[Sequence[int]] | None = None) -> tuple[int, ...]:
-    """Selected deletion set K for one response vector.
-
-    Candidates default to every subset of the free columns.  Criterion
-    ties resolve toward the larger model (smaller |K|), then
-    lexicographically.  For t-test selection K collects exactly the free
-    coefficients whose full-model |t| statistic stays below the critical
-    value; the result must be one of the candidates.
-    """
-    cands = _normalize_candidates(design, candidates)
-    engine = _Engine(design, cands)
-    fit = engine.fit(np.asarray(y, dtype=float).reshape(-1, 1))
-    return cands[engine.pick(method, fit)[0]]
-
-
-def _normalize_candidates(design: SimDesign,
-                          candidates: Sequence[Sequence[int]] | None):
-    if candidates is None:
-        return all_deletion_subsets(design.q, design.p)
-    cands = [tuple(sorted(int(j) for j in K)) for K in candidates]
-    if len(set(cands)) < len(cands):
-        raise ValueError("duplicate candidate subset")
-    if any(j < design.q or j >= design.p for K in cands for j in K):
-        raise ValueError("candidate subsets must use free columns only")
-    if not cands:
-        raise ValueError("need at least one candidate subset")
-    return sorted(cands, key=lambda K: (len(K), K))
-
-
 # ----------------------------------------------------------------------
 # empirical coverage over a grid of true coefficient vectors
 # ----------------------------------------------------------------------
@@ -450,6 +341,8 @@ def empirical_min_coverage(design: SimDesign, method: SelectionMethod,
     both the full deletion family and the pair family {} / {p-1}."""
     if reps < 0:
         raise ValueError("reps must be nonnegative")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     if reps == 0:
         return []
     full = all_deletion_subsets(design.q, design.p)

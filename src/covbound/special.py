@@ -6,8 +6,8 @@ primitives (no scipy).  The pieces are
 * ``erfc`` / ``norm_pdf`` / ``norm_cdf`` -- Cody-style rational
   approximations for the complementary error function, accurate to a few
   ulps over the whole real line,
-* ``gauss_interval_prob`` / ``symmetric_interval_prob`` -- probabilities of
-  intervals under a (possibly degenerate) normal law,
+* ``symmetric_interval_prob`` -- D(c, q) = Phi(c + q) - Phi(c - q), the
+  normal probability of an interval of half-width q about c,
 * ``bvn_rectangle`` -- rectangle probabilities of the standard bivariate
   normal (Drezner & Wesolowsky 1990; Genz 2004),
 * ``t_quantile`` -- two-sided Student-t quantile by safeguarded
@@ -35,7 +35,6 @@ __all__ = [
     "norm_pdf",
     "norm_cdf",
     "norm_two_sided_quantile",
-    "gauss_interval_prob",
     "symmetric_interval_prob",
     "BVN_RECTANGLE_ERR",
     "bvn_rectangle",
@@ -43,8 +42,6 @@ __all__ = [
     "t_two_sided_tail",
     "residual_scale_density",
     "residual_scale_interval",
-    "reg_inc_beta",
-    "reg_lower_gamma",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -58,18 +55,14 @@ _ITMAX = 20000
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Error budget: ``rel_err`` relative, ``abs_err`` absolute.
+    """Absolute error budget ``abs_err`` of the quadratures; strictly
+    positive."""
 
-    Both must be strictly positive.  ``abs_err`` governs quadrature
-    acceptance; ``rel_err`` governs root-finding / inversion loops.
-    """
-
-    rel_err: float = 1e-12
     abs_err: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.rel_err > 0.0 and self.abs_err > 0.0):
-            raise ValueError("tolerances must be strictly positive")
+        if not self.abs_err > 0.0:
+            raise ValueError("abs_err must be strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -247,29 +240,6 @@ def norm_two_sided_quantile(alpha: float) -> float:
 # ----------------------------------------------------------------------
 # normal interval probabilities
 # ----------------------------------------------------------------------
-
-def gauss_interval_prob(lo, hi, mean, var):
-    """P(lo <= Z <= hi) for Z ~ N(mean, var), var >= 0.
-
-    var = 0 is the point mass at ``mean``: the result is the indicator of
-    lo <= mean <= hi.  Rejects lo > hi and var < 0.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    var = np.asarray(var, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("interval endpoints must satisfy lo <= hi")
-    if np.any(var < 0.0):
-        raise ValueError("variance must be nonnegative")
-    scalar = max(lo.ndim, hi.ndim, mean.ndim, var.ndim) == 0
-    safe = np.where(var > 0.0, var, 1.0)
-    s = np.sqrt(safe)
-    smooth = norm_cdf((hi - mean) / s) - norm_cdf((lo - mean) / s)
-    point = ((lo <= mean) & (mean <= hi)).astype(float)
-    val = np.where(var > 0.0, smooth, point)
-    return float(val) if scalar else val
-
 
 def symmetric_interval_prob(center, halfwidth):
     """Phi(center + halfwidth) - Phi(center - halfwidth).
@@ -476,19 +446,6 @@ def _lbeta(a: float, b: float) -> float:
     return math.lgamma(b) - ratio
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for scalar 0 <= x <= 1."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_bt = (-_lbeta(a, b) + a * math.log(x) + b * math.log1p(-x))
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
 def t_two_sided_tail(t: float, df: int) -> float:
     """P(|T| > t) for T Student-t with df degrees of freedom, t >= 0.
 
@@ -614,11 +571,6 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
             break
     q = math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
     return 1.0 - q, q
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    return _gamma_pq(a, x)[0]
 
 
 def residual_scale_density(w, df: int):

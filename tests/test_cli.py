@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covbound
 import covbound.cli as cli
 from covbound.asymptotic import asymptotic_bound, asymptotic_problem
 from covbound.cli import main
@@ -532,6 +533,16 @@ class TestEntryPoint:
         usage = proc.stdout.splitlines()[0]
         listed = set(usage[usage.index("{") + 1:usage.index("}")].split(","))
         assert listed >= {"bound", "limit", "curve", "verify", "simulate"}
+
+    def test_public_surface(self):
+        # the per-(h, w) and per-replicate forms live in tests/reference.py
+        removed = {"full_interval_endpoints", "submodel_interval_endpoints",
+                   "cover_given_full", "cover_given_submodel",
+                   "gauss_interval_prob", "reg_inc_beta", "reg_lower_gamma",
+                   "CanonicalSample", "draw_canonical", "SubsetState",
+                   "rss_subset", "naive_interval", "select_model"}
+        assert not removed & set(covbound.__all__)
+        assert all(hasattr(covbound, name) for name in covbound.__all__)
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "covbound.cli",

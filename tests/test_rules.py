@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from covbound.rules import (METHOD_NAMES, NOT_APPLICABLE, BoundProblem,
@@ -101,6 +102,17 @@ class TestBoundProblem:
         prob = BoundProblem.from_m(0.05, 10, 20, 0.5)
         assert prob.n == 30
         assert prob.m == 20
+
+    def test_from_m_accepts_integral_values(self):
+        want = BoundProblem.from_m(0.05, 2, 20, 0.5)
+        for p, m in [(2.0, 20.0), (np.int64(2), np.int64(20))]:
+            assert BoundProblem.from_m(0.05, p, m, 0.5) == want
+
+    @pytest.mark.parametrize("p, m", [(2, 2.5), (2.7, 20), (2, math.inf)])
+    def test_from_m_rejects_non_integral(self, p, m):
+        # int() would truncate the finite ones to another problem
+        with pytest.raises(ValueError, match="integers"):
+            BoundProblem.from_m(0.05, p, m, 0.5)
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0, "p": 10, "n": 30, "rho": 0.5},

@@ -10,10 +10,11 @@ from scipy import stats
 from covbound.coverage import coverage_probability
 from covbound.rules import BoundProblem, SelectionMethod, selection_threshold
 from covbound.simulate import (EmpiricalCoverage, MCEstimate, SimDesign,
-                               all_deletion_subsets, draw_canonical,
-                               empirical_min_coverage, mc_coverage,
-                               naive_interval, rss_subset, select_model)
+                               all_deletion_subsets, empirical_min_coverage,
+                               mc_coverage)
 from covbound.special import t_quantile
+
+from .reference import draw_canonical, naive_interval, rss_subset, select_model
 
 CP = SelectionMethod("cp")
 
@@ -144,6 +145,12 @@ class TestMcCoverage:
             mc_coverage(pr, -0.5, 1.0, 100, seed=1)
         with pytest.raises(ValueError):
             mc_coverage(pr, CP, 1.0, 0, seed=1)
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_rejects_nonpositive_chunk_size(self, chunk_size):
+        pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
+        with pytest.raises(ValueError, match="chunk_size"):
+            mc_coverage(pr, CP, 1.0, 100, seed=1, chunk_size=chunk_size)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_gamma(self, gamma):
@@ -507,6 +514,13 @@ class TestEmpiricalMinCoverage:
         d = orthonormal_design()
         with pytest.raises(ValueError):
             empirical_min_coverage(d, CP, 0.05, [d.beta], -1, seed=1)
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_rejects_nonpositive_chunk_size(self, chunk_size):
+        d = orthonormal_design()
+        with pytest.raises(ValueError, match="chunk_size"):
+            empirical_min_coverage(d, CP, 0.05, [d.beta], 100, seed=1,
+                                   chunk_size=chunk_size)
 
     def test_beta_length_checked(self):
         d = orthonormal_design()

@@ -8,10 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covbound.special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
-                              bvn_rectangle, erfc, gauss_interval_prob,
-                              norm_cdf, norm_pdf,
-                              norm_two_sided_quantile, reg_inc_beta,
-                              reg_lower_gamma, residual_scale_density,
+                              bvn_rectangle, erfc, norm_cdf, norm_pdf,
+                              norm_two_sided_quantile, residual_scale_density,
                               residual_scale_interval, symmetric_interval_prob,
                               t_quantile, t_two_sided_tail)
 from covbound import special
@@ -19,6 +17,7 @@ from covbound.quadrature import adaptive_quad
 
 from .oracles import (bvn_rectangle_mpmath, norm_cdf_oracle, t_central_prob,
                       t_quantile_bisect)
+from .reference import gauss_interval_prob, reg_inc_beta, reg_lower_gamma
 
 # Two-sided t critical values, precomputed with mpmath at 40 digits
 # (regularized incomplete beta inverted by root finding).
@@ -103,16 +102,19 @@ T_REFERENCE = {
 
 class TestTolerance:
     def test_defaults(self):
-        assert DEFAULT_TOL.rel_err == 1e-12
         assert DEFAULT_TOL.abs_err == 1e-8
 
     @pytest.mark.parametrize("kwargs", [
-        {"rel_err": 0.0, "abs_err": 1e-8},
-        {"rel_err": 1e-12, "abs_err": -1.0},
+        {"abs_err": 0.0},
+        {"abs_err": -1.0},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             Tolerance(**kwargs)
+
+    def test_has_no_relative_budget(self):
+        with pytest.raises(TypeError):
+            Tolerance(rel_err=1e-12)
 
 
 def _erfc_masked_reference(x):
