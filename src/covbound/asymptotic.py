@@ -83,7 +83,9 @@ def asymptotic_tail_slack(problem: AsymptoticProblem):
     inf up to gamma = d' and exactly 0 once the computed value must equal
     1 - alpha (see ``additive_tail_slack``).
 
-    With x = gamma' - d' > 0, P(|B| <= d') = D(gamma', d') <= 2 d' phi(x).
+    With x = gamma' - d' > 0, P(|B| <= d') = D(gamma', d') is at most
+    2 d' phi(x), and at most Phi(-x) <= phi(x)/x (Mills' ratio), so
+    D(gamma', d') <= min(2 d', 1/x) phi(x), nonincreasing in gamma'.
     ``bvn_rectangle`` clips the rectangle to its computed tail-side
     Phi(d' - gamma') - Phi(-d' - gamma'), which is that probability, and
     the product term is at most D(gamma', d') too.  Both D(gamma', d')
@@ -101,7 +103,7 @@ def asymptotic_tail_slack(problem: AsymptoticProblem):
             return math.inf
         q = norm_pdf(x)
         cancellation = 0.0 if 2.0 * q / x <= 2.0 ** -54 else 2.0 ** -52
-        return 2.0 * (4.0 * dp * q) + cancellation
+        return 2.0 * (2.0 * min(2.0 * dp, 1.0 / x) * q) + cancellation
     return additive_tail_slack(1.0 - problem.alpha, correction_bound)
 
 

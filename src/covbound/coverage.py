@@ -43,8 +43,9 @@ correlation rho.  The full-model term is the k_full part integrated over
 x in closed form: a bivariate-normal rectangle (``bvn_rectangle``) under a
 1-D adaptive Gauss-Kronrod integral in w.  The submodel term is a 2-D
 adaptive Gauss-Kronrod integral over [w_lo, w_hi] x [-d, d], two Phi per
-node.  Past gamma = d w_hi both terms are pinned below a Gaussian tail in
-gamma - d w_hi; ``coverage_bound`` uses that to stop its gamma scan early.
+node.  On each start cell of the two quadratures both terms are pinned
+below a Gaussian tail in gamma minus the largest h on the cell;
+``coverage_bound`` uses that to stop its gamma scan early.
 
 At |rho| = 1 this representation degenerates; ``perfect_corr_bound``
 computes the minimum coverage there in closed integral form: it is
@@ -62,7 +63,8 @@ import numpy as np
 
 from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
                        minimize_over_gamma)
-from .quadrature import adaptive_quad, adaptive_quad_2d, start_nodes
+from .quadrature import (adaptive_quad, adaptive_quad_2d, start_mesh,
+                         start_nodes)
 from .rules import BoundProblem, SelectionMethod, selection_threshold
 from .special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
                       bvn_rectangle, norm_cdf, norm_pdf,
@@ -190,38 +192,55 @@ def coverage_probability(problem: BoundProblem, method: SelectionMethod,
 def coverage_tail_slack(problem: BoundProblem, method: SelectionMethod):
     """Certified ``tail_slack(gamma)`` for the gamma search: a bound on
     |coverage_probability(gamma').value - (1 - alpha)| for every
-    gamma' >= gamma, inf up to gamma = d w_hi and exactly 0 once the
-    computed value must equal 1 - alpha (see ``additive_tail_slack``).
+    gamma' >= gamma, finite and nonincreasing from gamma = 0 on and exactly
+    0 once the computed value must equal 1 - alpha (see
+    ``additive_tail_slack``).
 
     The value is (1 - alpha) plus the submodel term minus the full-model
-    term.  With x = gamma - d w_hi > 0:
+    term, and it is bounded cell by cell over the start meshes of the two
+    quadratures (``start_mesh``).  Refinement only halves panels, so the
+    positive Kronrod weights of the nodes inside one start cell sum to the
+    cell's area however far it refines.  On a cell with top corner
+    (w_top, x_top):
 
-    * submodel term: every node has |x'| <= d and w <= w_hi, so
-      |h - gamma'| >= x; with |k_sub| <= 1 the integrand is at most
-      w_hi max f_W phi(x), and the positive Kronrod weights sum to the
-      domain area 2 d (w_hi - w_lo) whatever the refinement;
+    * submodel term: |k_sub| <= 1, w <= w_top, f_W is at most its largest
+      value on the cell's w panel, and h = w x <= u = w_top max(x_top, 0),
+      so the integrand is at most w_top max f_W phi(gamma' - u) when
+      gamma' > u and w_top max f_W / sqrt(2 pi) otherwise;
     * full-model term: ``bvn_rectangle`` never exceeds its computed
-      Phi(d w - gamma') - Phi(-d w - gamma') <= Phi(-x) <= phi(x)/x, and
-      the 1-D weights sum to w_hi - w_lo.
+      Phi(d w - gamma') - Phi(-d w - gamma') <= min(Phi(-x), 1) with
+      x = gamma' - d w_top, and Phi(-x) <= phi(x)/x for x > 0.
 
-    The factor 2 absorbs the few-ulp relative rounding of every factor
-    and of the sums.
+    Each cell's bound is nonincreasing in gamma', so its value at gamma
+    covers every gamma' >= gamma.  The factor 2 absorbs the few-ulp
+    relative rounding of every factor and of the sums.
     """
     m = problem.m
     d = selection_threshold(method, problem.n, problem.p)
     w_lo, w_hi = residual_scale_interval(m, _W_MASS_EPS)
     # f_W is unimodal with its mode at sqrt((m - 1)/m) (decreasing for m = 1)
-    f_max = residual_scale_density(
-        min(max(math.sqrt((m - 1.0) / m), w_lo), w_hi), m)
-    sub_scale = 2.0 * d * (w_hi - w_lo) * w_hi * f_max
-    full_scale = (w_hi - w_lo) * f_max
-    edge = d * w_hi
+    mode = math.sqrt((m - 1.0) / m)
+
+    def cells(*limits, initial):
+        # every start cell's top corner, its area times the largest f_W on
+        # its w panel
+        c, h = start_mesh(*limits, initial=initial)
+        top = c + h
+        f_max = residual_scale_density(np.clip(mode, c[0] - h[0], top[0]), m)
+        return top, np.prod(2.0 * h, axis=0) * f_max
+
+    (w_sub, x_sub), sub_mass = cells(w_lo, w_hi, -d, d, initial=_SUB_MESH)
+    sub_scale, sub_edge = sub_mass * w_sub, w_sub * np.maximum(x_sub, 0.0)
+    (w_full,), full_scale = cells(w_lo, w_hi, initial=_FULL_MESH)
+    full_edge = d * w_full
 
     def correction_bound(gamma: float) -> float:
-        if not gamma > edge:
-            return math.inf
-        x = gamma - edge
-        return 2.0 * (sub_scale + full_scale / x) * norm_pdf(x)
+        sub = norm_pdf(np.maximum(gamma - sub_edge, 0.0))
+        # min(phi(x)/x, 1) for x > 0, and 1 for x <= 0
+        x = np.maximum(gamma - full_edge, 0.0)
+        q = norm_pdf(x)
+        full = q / np.maximum(x, q)
+        return 2.0 * float(np.sum(sub_scale * sub) + np.sum(full_scale * full))
     return additive_tail_slack(1.0 - problem.alpha, correction_bound)
 
 

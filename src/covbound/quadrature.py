@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = ["QuadratureError", "QuadResult", "adaptive_quad", "adaptive_quad_2d",
-           "start_nodes"]
+           "start_mesh", "start_nodes"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (ascending order).
 _XK_HALF = (
@@ -84,10 +84,12 @@ def _grid(*axes):
     return np.stack([z.ravel() for z in np.meshgrid(*axes, indexing="ij")])
 
 
-def _start_mesh(limits, initial):
-    # (c, h): centres and half-widths, one row per axis, of the equal start
-    # panels over the box; cached and read-only, as every gamma of a
-    # coverage bound starts on one mesh
+def start_mesh(*limits: float, initial):
+    """(c, h): the centres and half-widths, one row per axis, of the equal
+    start panels of ``adaptive_quad(f, a, b)`` or
+    ``adaptive_quad_2d(f, ua, ub, va, vb)``.  Refinement only halves
+    panels, so every node it ever uses lies in one of them.  Cached and
+    read-only, as every gamma of a coverage bound starts on one mesh."""
     return _cached_mesh(tuple(map(float, limits)),
                         tuple(map(int, np.atleast_1d(initial))))
 
@@ -116,7 +118,7 @@ def _nodes(c, h):
 def start_nodes(*limits: float, initial):
     """The nodes, one flat array per axis, where ``adaptive_quad(f, a, b)``
     or ``adaptive_quad_2d(f, ua, ub, va, vb)`` first calls ``f``."""
-    return tuple(_nodes(*_start_mesh(limits, initial)))
+    return tuple(_nodes(*start_mesh(*limits, initial=initial)))
 
 
 def _rule(fv, h):
@@ -139,7 +141,7 @@ def _rule(fv, h):
 def _refine(f, limits, abs_err, max_panels, initial, start_values):
     # the refinement loop of both drivers over the box limits = (lo, hi)
     # per axis; c, h and dev hold one row per axis, one column per panel
-    c, h = _start_mesh(limits, initial)
+    c, h = start_mesh(*limits, initial=initial)
     floor = 1e-15 * max(*map(abs, limits), 1.0)
     val, err, dev = _rule(f(*_nodes(c, h)) if start_values is None
                           else start_values, h)

@@ -213,3 +213,15 @@ def test_slack_carries_cancellation_at_small_cutoff():
     for x in np.arange(7.5, 9.0, 0.01):
         g = pr.d_prime + x
         assert abs(asymptotic_coverage(pr, g) - 0.95) <= slack(g)
+
+
+def test_default_search_evaluation_ceiling():
+    # the full scan's result, bit for bit, at a ceiling on evaluations (a
+    # regression guard on the envelope's sharpness)
+    pr = asymptotic_problem(CP, 0.05, 0.6)
+    res = asymptotic_bound(pr)
+    full = minimize_over_gamma(lambda g: asymptotic_coverage(pr, g),
+                               tail_value=0.95)
+    assert (res.bound, res.gamma_star, res.bracket) \
+        == (full.bound, full.gamma_star, full.bracket)
+    assert res.evaluations <= 66

@@ -344,15 +344,61 @@ class TestTailCertificate:
             assert res.evaluations < full.evaluations
 
     def test_slack_bounds_computed_coverage(self, case):
+        # from gamma = 0 through the old edge d w_hi and past it, the
+        # envelope is nonincreasing and bounds the computed correction
         method, alpha, m, rho = case
         pr = BoundProblem.from_m(alpha, 10, m, rho)
         slack = coverage_tail_slack(pr, method)
         edge = _edge(pr, method)
-        assert slack(edge) == math.inf
-        for x in (0.05, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
+        previous = math.inf
+        for x in (-edge, -0.75 * edge, -0.5 * edge, -0.25 * edge, 0.0,
+                  0.05, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
             value = coverage_probability(pr, method, edge + x).value
             s = slack(edge + x)
+            assert s <= previous
             assert abs(value - (1.0 - alpha)) <= s
             if s == 0.0:
                 assert value == 1.0 - alpha
+            previous = s
         assert slack(edge + 12.0) == 0.0
+
+
+# refined evaluations: every node stays in its start cell, so the
+# envelope built on the start meshes bounds them too
+_REFINED_CASES = [(SelectionMethod("aic"), 10, 5, 0.95),
+                  (CP, 2, 20, 0.6),
+                  (SelectionMethod("aic"), 10, 1, 0.9),
+                  (SelectionMethod("bic"), 10, 2, 0.0)]
+
+
+@pytest.mark.parametrize("case", _REFINED_CASES,
+                         ids=lambda c: f"{c[0].kind}-m{c[2]}-rho{c[3]}")
+def test_slack_bounds_refined_coverage(case):
+    method, p, m, rho = case
+    pr = BoundProblem.from_m(0.05, p, m, rho)
+    slack = coverage_tail_slack(pr, method)
+    tol = Tolerance(abs_err=1e-13)
+    panels = 0
+    for gamma in 0.25 * np.arange(60):
+        res = coverage_probability(pr, method, float(gamma), tol)
+        panels = max(panels, res.panels)
+        assert abs(res.value - 0.95) <= slack(float(gamma))
+    assert panels > 40  # past the 32 + 8 start panels
+
+
+# the default search: the result is the full scan's, bit for bit, at a
+# ceiling on evaluations (a regression guard on the envelope's sharpness)
+@pytest.mark.parametrize("case, ceiling",
+                         [((CP, 2, 20, 0.6), 80),
+                          ((SelectionMethod("aic"), 10, 5, 0.95), 75)],
+                         ids=["cp-m20-rho0.6", "aic-m5-rho0.95"])
+def test_default_search_identical_to_full_scan(case, ceiling):
+    method, p, m, rho = case
+    pr = BoundProblem.from_m(0.05, p, m, rho)
+    res = coverage_bound(pr, method)
+    full = minimize_over_gamma(
+        lambda g: coverage_probability(pr, method, g).value,
+        tail_value=1.0 - pr.alpha)
+    assert (res.bound, res.gamma_star, res.bracket) \
+        == (full.bound, full.gamma_star, full.bracket)
+    assert res.evaluations <= ceiling
