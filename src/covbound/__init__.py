@@ -26,8 +26,8 @@ from .optimize import (DEFAULT_SEARCH, BoundResult, SearchConfig,
                        minimize_over_gamma)
 from .quadrature import (QuadratureError, QuadResult, adaptive_quad,
                          adaptive_quad_2d)
-from .rules import (METHOD_NAMES, NOT_APPLICABLE, BoundProblem, NotApplicable,
-                    SelectionMethod, asymptotic_threshold, selection_threshold)
+from .rules import (METHOD_NAMES, BoundProblem, SelectionMethod,
+                    asymptotic_threshold, selection_threshold)
 from .simulate import (EmpiricalCoverage, MCEstimate, SimDesign,
                        all_deletion_subsets, empirical_min_coverage,
                        mc_coverage)
@@ -48,8 +48,6 @@ __all__ = [
     "EmpiricalCoverage",
     "MCEstimate",
     "METHOD_NAMES",
-    "NOT_APPLICABLE",
-    "NotApplicable",
     "QuadResult",
     "QuadratureError",
     "SearchConfig",

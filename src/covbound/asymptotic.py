@@ -4,8 +4,8 @@ With the residual scale known (w == 1 in the finite-sample picture), the
 coverage probability of the naive post-selection interval is a closed
 form.  Writing D(a, b) = Phi(a + b) - Phi(a - b), z for the two-sided
 normal critical value, s = sqrt(1 - rho^2), and d' for the limiting
-selection cutoff (``asymptotic_threshold``; only AIC, Cp, adjusted R^2
-have one):
+selection cutoff (``asymptotic_threshold``, defined for AIC, Cp and
+adjusted R^2 only):
 
   coverage(gamma) = 1 - alpha + D(rho gamma / s, z) D(gamma, d')
                     - P(|A| <= z, |B| <= d'),
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
                        minimize_over_gamma)
-from .rules import NOT_APPLICABLE, NotApplicable, SelectionMethod, asymptotic_threshold
+from .rules import SelectionMethod, asymptotic_threshold
 from .special import (BVN_RECTANGLE_ERR, bvn_rectangle, norm_pdf,
                       norm_two_sided_quantile, symmetric_interval_prob)
 
@@ -56,12 +56,9 @@ class AsymptoticProblem:
 
 
 def asymptotic_problem(method: SelectionMethod, alpha: float,
-                       rho: float) -> AsymptoticProblem | NotApplicable:
-    """Build the large-sample problem, or NOT_APPLICABLE for BIC/t-tests."""
-    d_prime = asymptotic_threshold(method)
-    if isinstance(d_prime, NotApplicable):
-        return NOT_APPLICABLE
-    return AsymptoticProblem(alpha=alpha, rho=rho, d_prime=d_prime)
+                       rho: float) -> AsymptoticProblem:
+    """Build the large-sample problem; ValueError for BIC and t-tests."""
+    return AsymptoticProblem(alpha, rho, asymptotic_threshold(method))
 
 
 def asymptotic_coverage(problem: AsymptoticProblem, gamma: float) -> float:

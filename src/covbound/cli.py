@@ -29,8 +29,8 @@ import numpy as np
 
 from .asymptotic import asymptotic_bound, asymptotic_problem
 from .coverage import coverage_bound, coverage_probability, perfect_corr_bound
-from .rules import (METHOD_NAMES, NOT_APPLICABLE, BoundProblem,
-                    SelectionMethod, asymptotic_threshold)
+from .rules import (METHOD_NAMES, BoundProblem, SelectionMethod,
+                    asymptotic_threshold)
 from .simulate import SimDesign, empirical_min_coverage, mc_coverage
 from .special import norm_cdf, norm_two_sided_quantile
 
@@ -38,10 +38,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
-
-_INF_MESSAGE = ("method '{0}' has no large-sample cutoff: its threshold "
-                "grows without bound with the sample size, so the m = inf "
-                "bound does not apply")
 
 
 class CliError(Exception):
@@ -162,19 +158,27 @@ def _write_text(path: str | None, text: str) -> None:
 # bound / limit
 # ----------------------------------------------------------------------
 
+def _large_sample_cutoff(method: SelectionMethod) -> float:
+    """``asymptotic_threshold``, its ValueError raised as a CliError."""
+    try:
+        return asymptotic_threshold(method)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _single_bound(method: SelectionMethod, alpha: float, p: int,
                   m: int | str, rho: float) -> dict:
     """One bound record; m is an integer or the string 'inf'."""
-    if m == "inf" and asymptotic_threshold(method) is NOT_APPLICABLE:
-        raise CliError(_INF_MESSAGE.format(method.kind))
+    if m == "inf":
+        d_prime = _large_sample_cutoff(method)
     gamma_star, quad_err = math.nan, 0.0
     if rho == 1.0 and m == "inf":
         # the limit of the perfect-correlation bound as m -> inf
         z = norm_two_sided_quantile(alpha)
-        d = asymptotic_threshold(method)
-        bound = 0.0 if d >= z else 2.0 * (norm_cdf(z) - norm_cdf(d))
+        bound = 0.0 if d_prime >= z else 2.0 * (norm_cdf(z) - norm_cdf(d_prime))
     elif rho == 1.0:
-        bound = perfect_corr_bound(BoundProblem.from_m(alpha, p, m, rho), method)
+        res = perfect_corr_bound(BoundProblem.from_m(alpha, p, m, rho), method)
+        bound, quad_err = res.value, res.quad_err
     else:
         res = (asymptotic_bound(asymptotic_problem(method, alpha, rho)) if m == "inf"
                else coverage_bound(BoundProblem.from_m(alpha, p, m, rho), method))
@@ -226,11 +230,6 @@ def cmd_limit(ns) -> int:
 # curve
 # ----------------------------------------------------------------------
 
-def _curve_point(args) -> dict:
-    method, alpha, p, m, rho = args
-    return _single_bound(method, alpha, p, m, rho)
-
-
 def cmd_curve(ns) -> int:
     method = _parse_method(ns)
     _check_alpha(ns.alpha)
@@ -243,17 +242,16 @@ def cmd_curve(ns) -> int:
         rhos = _parse_rho_grid("0:0.01:0.99")
     _check_rho_values(rhos)
     ms = _parse_m_list(ns.m)
-    for m in ms:
-        if m == "inf" and asymptotic_threshold(method) is NOT_APPLICABLE:
-            raise CliError(_INF_MESSAGE.format(method.kind))
+    if "inf" in ms:
+        _large_sample_cutoff(method)  # fail before computing any point
     if ns.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {ns.jobs!r}")
     points = [(method, ns.alpha, ns.p, m, rho) for m in ms for rho in rhos]
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            records = list(pool.map(_curve_point, points, chunksize=4))
+            records = list(pool.map(_single_bound, *zip(*points), chunksize=4))
     else:
-        records = [_curve_point(pt) for pt in points]
+        records = [_single_bound(*pt) for pt in points]
     if ns.format == "json":
         text = json.dumps(records, indent=2) + "\n"
     else:

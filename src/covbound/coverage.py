@@ -274,23 +274,25 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
 
 
 def perfect_corr_bound(problem: BoundProblem, method: SelectionMethod,
-                       tol: Tolerance | None = None) -> float:
+                       tol: Tolerance | None = None) -> CoverageResult:
     """Minimum coverage over gamma when |rho| = 1.
 
-    Exactly 0 when the cutoff d reaches the full-model critical value t_m;
-    otherwise 2 int (Phi(t_m w) - Phi(d w)) f_W(w) dw, attained in the
-    limit of a large true coefficient.
+    Exactly 0 when the cutoff d reaches the full-model critical value t_m
+    (``quad_err`` 0.0, no panels); otherwise 2 int (Phi(t_m w) - Phi(d w))
+    f_W(w) dw, attained in the limit of a large true coefficient, with
+    ``quad_err`` the quadrature's error estimate plus the 1e-12 truncation
+    allowance of the w integration window.
     """
     tol = tol or DEFAULT_TOL
     m = problem.m
     d = selection_threshold(method, problem.n, problem.p)
     t1 = t_quantile(m, problem.alpha)
     if d >= t1:
-        return 0.0
+        return CoverageResult(0.0, 0.0, 0)
     w_lo, w_hi = residual_scale_interval(m, _W_MASS_EPS)
 
     def integrand(w):
         return 2.0 * (norm_cdf(t1 * w) - norm_cdf(d * w)) * residual_scale_density(w, m)
 
     res = adaptive_quad(integrand, w_lo, w_hi, abs_err=tol.abs_err)
-    return res.value
+    return CoverageResult(res.value, res.err + _W_MASS_EPS, res.panels)

@@ -8,10 +8,12 @@ single-coefficient submodel, to the rule
 
 where T is the t statistic of the last coefficient and d a method-specific
 cutoff.  ``selection_threshold`` returns d for finite samples;
-``asymptotic_threshold`` returns the large-n limit d' where one exists
-(AIC and Cp give sqrt(2), adjusted R^2 gives 1; BIC's cutoff grows without
-bound and t-tests pin d to the test size, so neither has a limit and both
-map to ``NOT_APPLICABLE``).
+``asymptotic_threshold`` returns the large-n limit d' for the methods
+with an m = inf bound (AIC and Cp give sqrt(2), adjusted R^2 gives 1).  It
+raises ``ValueError`` for the other two: BIC's cutoff grows without bound,
+and the t-test's cutoff tends to the normal critical value of the test
+size, but the m = inf bound is defined here only for AIC, Cp and adjusted
+R^2.
 """
 
 from __future__ import annotations
@@ -24,34 +26,12 @@ from .special import t_quantile
 __all__ = [
     "SelectionMethod",
     "BoundProblem",
-    "NotApplicable",
-    "NOT_APPLICABLE",
     "METHOD_NAMES",
     "selection_threshold",
     "asymptotic_threshold",
 ]
 
 METHOD_NAMES = ("aic", "bic", "cp", "adjr2", "ttest")
-
-
-class NotApplicable:
-    """Typed marker for requests with no defined answer (never a number)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NotApplicable"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NOT_APPLICABLE = NotApplicable()
 
 
 @dataclass(frozen=True)
@@ -127,10 +107,17 @@ def selection_threshold(method: SelectionMethod, n: int, p: int) -> float:
     return t_quantile(m, method.test_size)
 
 
-def asymptotic_threshold(method: SelectionMethod):
-    """Large-n cutoff d', or NOT_APPLICABLE for BIC and t-tests."""
+def asymptotic_threshold(method: SelectionMethod) -> float:
+    """Large-n cutoff d'; ValueError for BIC and t-tests, which have no
+    m = inf bound."""
     if method.kind in ("aic", "cp"):
         return math.sqrt(2.0)
     if method.kind == "adjr2":
         return 1.0
-    return NOT_APPLICABLE
+    if method.kind == "bic":
+        raise ValueError("method 'bic' has no large-sample cutoff: its "
+                         "threshold grows without bound with the sample "
+                         "size, so the m = inf bound does not apply")
+    raise ValueError(f"method {method.kind!r} has no large-sample bound: "
+                     "the m = inf bound is defined only for aic, cp and "
+                     "adjr2")

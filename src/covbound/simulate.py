@@ -77,6 +77,16 @@ def _cutoff_value(problem: BoundProblem, cutoff: SelectionMethod | float) -> flo
     return d
 
 
+def _chunk_streams(seq: np.random.SeedSequence, total: int, chunk_size: int):
+    """(size, generator) per chunk of ``total`` draws: one child of ``seq``
+    per chunk of ``chunk_size`` (the last one shorter), each driving a
+    Philox generator."""
+    n_chunks = (total + chunk_size - 1) // chunk_size
+    for i, child in enumerate(seq.spawn(n_chunks)):
+        yield (min(chunk_size, total - i * chunk_size),
+               np.random.Generator(np.random.Philox(child)))
+
+
 def _proportion(hits: int, n: int) -> MCEstimate:
     est = hits / n
     return MCEstimate(est, math.sqrt(est * (1.0 - est) / n))
@@ -133,11 +143,8 @@ def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
         groups.setdefault((p.rho, g), []).append(k)
 
     covered = [0] * len(problems)
-    n_chunks = (n_draws + chunk_size - 1) // chunk_size
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for i, child in enumerate(children):
-        size = min(chunk_size, n_draws - i * chunk_size)
-        rng = np.random.Generator(np.random.Philox(child))
+    for size, rng in _chunk_streams(np.random.SeedSequence(seed), n_draws,
+                                    chunk_size):
         z1, z2, w = _standard_draws(m, size, rng)
         mww = m * w * w
         full = np.abs(z1) <= t1 * w
@@ -364,11 +371,8 @@ def empirical_min_coverage(design: SimDesign, method: SelectionMethod,
         # one subtree per grid point, split further into chunks
         point_seq = np.random.SeedSequence(entropy=root.entropy,
                                            spawn_key=(bi,))
-        n_chunks = (reps + chunk_size - 1) // chunk_size
         covered = [0, 0]
-        for ci, cseq in enumerate(point_seq.spawn(n_chunks)):
-            size = min(chunk_size, reps - ci * chunk_size)
-            rng = np.random.Generator(np.random.Philox(cseq))
+        for size, rng in _chunk_streams(point_seq, reps, chunk_size):
             fit = engine.fit(mean[:, None]
                              + design.sigma * rng.standard_normal((design.n, size)))
             cols = np.arange(size)

@@ -149,12 +149,12 @@ class TestPerfectCorrelationLimit:
         near = coverage_bound(BoundProblem.from_m(ALPHA, 2, m, 0.9995),
                               method)
         exact = perfect_corr_bound(BoundProblem.from_m(ALPHA, 2, m, 1.0),
-                                   method)
+                                   method).value
         assert abs(near.bound - exact) <= 0.01
 
     def test_large_m_limit(self):
         got = perfect_corr_bound(BoundProblem.from_m(ALPHA, 2, 100_000, 1.0),
-                                 SelectionMethod("cp"))
+                                 SelectionMethod("cp")).value
         z = norm_two_sided_quantile(ALPHA)
         want = 2.0 * (norm_cdf(z) - norm_cdf(math.sqrt(2.0)))
         assert abs(got - want) <= 1e-3
@@ -168,7 +168,7 @@ class TestPerfectCorrelationLimit:
         prob = BoundProblem.from_m(alpha, 2, m, 1.0)
         assert selection_threshold(method, prob.n, prob.p) \
             >= t_quantile(m, alpha)
-        assert perfect_corr_bound(prob, method) == 0.0
+        assert perfect_corr_bound(prob, method).value == 0.0
 
 
 class TestLargeSampleConvergence:

@@ -11,7 +11,7 @@ from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
                                  asymptotic_coverage, asymptotic_problem,
                                  asymptotic_tail_slack)
 from covbound.optimize import minimize_over_gamma
-from covbound.rules import NOT_APPLICABLE, NotApplicable, SelectionMethod
+from covbound.rules import SelectionMethod, asymptotic_threshold
 from covbound.special import (BVN_RECTANGLE_ERR, norm_cdf,
                               norm_two_sided_quantile)
 
@@ -33,10 +33,10 @@ class TestProblemConstruction:
     @pytest.mark.parametrize("method", [SelectionMethod("bic"),
                                         SelectionMethod("ttest", 0.05)])
     def test_no_limit_for_consistent_or_fixed_size_rules(self, method):
-        out = asymptotic_problem(method, 0.05, 0.5)
-        assert isinstance(out, NotApplicable)
-        assert out is NOT_APPLICABLE
-        assert not out
+        with pytest.raises(ValueError, match="large-sample"):
+            asymptotic_threshold(method)
+        with pytest.raises(ValueError, match="large-sample"):
+            asymptotic_problem(method, 0.05, 0.5)
 
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=0.0, rho=0.5, d_prime=1.0),

@@ -15,7 +15,7 @@ import covbound
 import covbound.cli as cli
 from covbound.asymptotic import asymptotic_bound, asymptotic_problem
 from covbound.cli import main
-from covbound.coverage import coverage_probability
+from covbound.coverage import coverage_probability, perfect_corr_bound
 from covbound.rules import BoundProblem, SelectionMethod
 from covbound.simulate import MCEstimate, mc_coverage
 
@@ -75,6 +75,17 @@ class TestBound:
                             "--rho", "0"], capsys)
         assert code == 0
         assert json.loads(out)["bound"] <= 0.95 + 1e-6
+
+    def test_perfect_correlation_quad_err(self, capsys):
+        code, out, _ = run(["bound", "--method", "cp", "--m", "5",
+                            "--rho", "1"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        want = perfect_corr_bound(BoundProblem.from_m(0.05, 2, 5, 1.0),
+                                  SelectionMethod("cp"))
+        assert rec["bound"] == want.value
+        assert rec["bound"] == pytest.approx(0.1664372292696845, abs=1e-10)
+        assert 0.0 < rec["quad_err"] <= 1e-8
 
     def test_csv_format_has_quad_err(self, capsys):
         code, out, _ = run(["bound", "--method", "adjr2", "--m", "5",
@@ -156,9 +167,21 @@ class TestLimit:
         code, _, err = run(["limit", "--method", "ttest", "--test-size",
                             "0.05", "--rho", "0.5"], capsys)
         assert code == 2
+        assert "large-sample" in err
+        assert "only for aic, cp and adjr2" in err
 
 
 class TestCurve:
+    def test_no_limit_fails_before_any_point(self, capsys, monkeypatch):
+        def no_bound(*args, **kwargs):
+            raise AssertionError("a point was computed")
+        monkeypatch.setattr(cli, "coverage_bound", no_bound)
+        code, out, err = run(["curve", "--method", "bic", "--m", "5,inf",
+                              "--rho", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "large-sample" in err
+
     def test_header_and_shape(self, capsys):
         code, out, _ = run(["curve", "--method", "cp", "--m", "5,inf",
                             "--rho", "0.6"], capsys)
@@ -540,7 +563,8 @@ class TestEntryPoint:
                    "cover_given_full", "cover_given_submodel",
                    "gauss_interval_prob", "reg_inc_beta", "reg_lower_gamma",
                    "CanonicalSample", "draw_canonical", "SubsetState",
-                   "rss_subset", "naive_interval", "select_model"}
+                   "rss_subset", "naive_interval", "select_model",
+                   "NotApplicable", "NOT_APPLICABLE"}
         assert not removed & set(covbound.__all__)
         assert all(hasattr(covbound, name) for name in covbound.__all__)
 

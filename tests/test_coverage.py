@@ -230,7 +230,8 @@ class TestPerfectCorrBound:
         # m = 60, alpha = 0.17: t critical 1.387 < sqrt(2), so the
         # selection event swallows the whole interval
         assert t_quantile(60, 0.17) < math.sqrt(2.0)
-        assert perfect_corr_bound(prob(60, 1.0, alpha=0.17), CP) == 0.0
+        assert perfect_corr_bound(prob(60, 1.0, alpha=0.17), CP) \
+            == CoverageResult(0.0, 0.0, 0)
 
     def test_monte_carlo_expectation(self):
         # 2 E[Phi(t_m W) - Phi(d W)] by direct sampling of W
@@ -241,17 +242,17 @@ class TestPerfectCorrBound:
         draws = 2.0 * (norm_cdf(t1 * w) - norm_cdf(math.sqrt(2.0) * w))
         est = float(draws.mean())
         se = float(draws.std(ddof=1)) / math.sqrt(len(draws))
-        got = perfect_corr_bound(prob(5, 1.0), CP)
+        got = perfect_corr_bound(prob(5, 1.0), CP).value
         assert abs(got - est) <= 3.0 * se
 
     def test_frozen_value(self):
-        got = perfect_corr_bound(prob(5, 1.0), CP)
+        got = perfect_corr_bound(prob(5, 1.0), CP).value
         assert got == pytest.approx(0.1664372292696845, abs=1e-10)
 
     def test_degenerate_scale_limit(self):
         z = norm_two_sided_quantile(0.05)
         want = 2.0 * (norm_cdf(z) - norm_cdf(math.sqrt(2.0)))
-        got = perfect_corr_bound(prob(100_000, 1.0), CP)
+        got = perfect_corr_bound(prob(100_000, 1.0), CP).value
         assert abs(got - want) <= 1e-3
 
 

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from covbound.rules import (METHOD_NAMES, NOT_APPLICABLE, BoundProblem,
-                            NotApplicable, SelectionMethod,
+from covbound.rules import (METHOD_NAMES, BoundProblem, SelectionMethod,
                             asymptotic_threshold, selection_threshold)
 from covbound.special import t_quantile
 
@@ -87,10 +86,8 @@ class TestThresholds:
 
     def test_asymptotic_not_applicable(self):
         for method in (SelectionMethod("bic"), SelectionMethod("ttest", 0.05)):
-            res = asymptotic_threshold(method)
-            assert res is NOT_APPLICABLE
-            assert isinstance(res, NotApplicable)
-            assert not res  # falsy by design
+            with pytest.raises(ValueError, match="large-sample"):
+                asymptotic_threshold(method)
 
 
 class TestBoundProblem:
