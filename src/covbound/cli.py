@@ -112,6 +112,8 @@ def _parse_rho_grid(spec: str) -> list[float]:
         lo, step, hi = (float(s) for s in parts)
     except ValueError as exc:
         raise CliError(f"bad --rho-grid {spec!r}") from exc
+    if not all(map(math.isfinite, (lo, step, hi))):
+        raise CliError(f"bad --rho-grid {spec!r}: lo, step and hi must be finite")
     if step <= 0 or hi < lo:
         raise CliError("--rho-grid needs step > 0 and hi >= lo")
     n = int(round((hi - lo) / step))

@@ -43,9 +43,11 @@ correlation rho.  The full-model term is the k_full part integrated over
 x in closed form: a bivariate-normal rectangle (``bvn_rectangle``) under a
 1-D adaptive Gauss-Kronrod integral in w.  The submodel term is a 2-D
 adaptive Gauss-Kronrod integral over [w_lo, w_hi] x [-d, d], two Phi per
-node.  On each start cell of the two quadratures both terms are pinned
-below a Gaussian tail in gamma minus the largest h on the cell;
-``coverage_bound`` uses that to stop its gamma scan early.
+node, except that on the start mesh D runs once per distinct half-width:
+q is even in x and that mesh is symmetric about x = 0, so its nodes carry
+about half as many distinct q.  On each start cell of the two quadratures
+both terms are pinned below a Gaussian tail in gamma minus the largest h
+on the cell; ``coverage_bound`` uses that to stop its gamma scan early.
 
 At |rho| = 1 this representation degenerates; ``perfect_corr_bound``
 computes the minimum coverage there in closed integral form: it is
@@ -120,7 +122,10 @@ def _check_rho(rho: float) -> float:
 class _CoveragePlan:
     """``coverage_probability`` for one (problem, method, tol): the scalars
     and, read-only on both start meshes, the gamma-independent integrand
-    factors.  Refined panels compute them by the same arithmetic, so each
+    factors.  On the 2-D start mesh these include the distinct half-widths
+    ``q_distinct`` and the index ``q_index`` that maps them back to the
+    nodes, so D(c, q) runs once per distinct q; refined panels compute D
+    and the factors node by node, by the same arithmetic, so each
     ``evaluate`` gives the bits of a fresh evaluation."""
 
     def __init__(self, problem: BoundProblem, method: SelectionMethod,
@@ -136,7 +141,10 @@ class _CoveragePlan:
             self.w_lo, self.w_hi, -self.d, self.d, initial=_SUB_MESH))
         self.full_start = self._full_factors(*start_nodes(
             self.w_lo, self.w_hi, initial=_FULL_MESH))
-        for z in self.sub_start + self.full_start:
+        self.q_distinct, self.q_index = np.unique(self.sub_start[1],
+                                                  return_inverse=True)
+        for z in (*self.sub_start, *self.full_start, self.q_distinct,
+                  self.q_index):
             z.flags.writeable = False
 
     def _sub_factors(self, w, x):
@@ -156,16 +164,23 @@ class _CoveragePlan:
         # D(c, q) is even in c; c <= 0 keeps both Phi on the lower tail
         c = -abs(self.rho * gamma) / self.sd
 
-        def sub_values(h, q, w, f_w):
-            return symmetric_interval_prob(c, q) * norm_pdf(h - gamma) * w * f_w
+        def sub_values(d_cq, h, w, f_w):
+            # the submodel integrand from D(c, q) at the same nodes
+            return d_cq * norm_pdf(h - gamma) * w * f_w
+
+        def sub_refined(w, x):
+            h, q, w, f_w = self._sub_factors(w, x)
+            return sub_values(symmetric_interval_prob(c, q), h, w, f_w)
 
         def full_values(f_w, lo1, hi1, lo2, hi2):
             return f_w * bvn_rectangle(lo1, hi1, lo2 - gamma, hi2 - gamma, self.rho)
 
+        h, _, w, f_w = self.sub_start
+        d_start = symmetric_interval_prob(c, self.q_distinct)[self.q_index]
         sub = adaptive_quad_2d(
-            lambda w, x: sub_values(*self._sub_factors(w, x)), self.w_lo,
-            self.w_hi, -self.d, self.d, abs_err=_SUB_SHARE * self.tol.abs_err,
-            initial=_SUB_MESH, start_values=sub_values(*self.sub_start))
+            sub_refined, self.w_lo, self.w_hi, -self.d, self.d,
+            abs_err=_SUB_SHARE * self.tol.abs_err, initial=_SUB_MESH,
+            start_values=sub_values(d_start, h, w, f_w))
         full = adaptive_quad(
             lambda w: full_values(*self._full_factors(w)), self.w_lo, self.w_hi,
             abs_err=_FULL_SHARE * self.tol.abs_err, initial=_FULL_MESH,

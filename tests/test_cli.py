@@ -244,6 +244,13 @@ class TestCurve:
         assert code == 2 and "--p" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("grid", ["0:nan:1", "nan:0.5:1", "0:0.5:inf"])
+    def test_rejects_nonfinite_grid(self, capsys, grid):
+        # an input error (exit 2), not a traceback from the grid arithmetic
+        code, out, err = run(["curve", "--method", "cp", "--m", "5",
+                              "--rho-grid", grid], capsys)
+        assert code == 2 and "finite" in err and out == ""
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_rejects_nonpositive_jobs(self, capsys, jobs):
         code, out, err = run(["curve", "--method", "cp", "--m", "5",

@@ -6,16 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from covbound import coverage
+from covbound import coverage, special
 from covbound.coverage import (CoverageResult, coverage_bound,
                                coverage_probability, coverage_tail_slack,
                                perfect_corr_bound)
 from covbound.optimize import SearchConfig, minimize_over_gamma
 from covbound.rules import BoundProblem, SelectionMethod, selection_threshold
 from covbound.simulate import mc_coverage
-from covbound.special import (Tolerance, norm_cdf, norm_two_sided_quantile,
-                              residual_scale_interval, symmetric_interval_prob,
-                              t_quantile)
+from covbound.special import (Tolerance, norm_cdf, norm_pdf,
+                              norm_two_sided_quantile, residual_scale_interval,
+                              symmetric_interval_prob, t_quantile)
 
 from .oracles import coverage_dblquad
 from .reference import (cover_given_full, cover_given_submodel,
@@ -223,6 +223,76 @@ def test_plan_reused_across_gammas_matches_fresh_evaluations(case):
     shuffled = np.random.default_rng(3).permutation([0.0, 5.0] * 3)
     for g in [0.0, 5.0] + [float(g) for g in shuffled]:
         assert plan.evaluate(g) == fresh[g]
+
+
+# the plan corners, and the golden row cp p 2 m 5 rho 0.6, whose 7,200
+# start nodes carry 3,739 distinct half-widths, the most of the 340 finite-m
+# golden rows
+_GOLDEN_START = (CP, 2, 5, 0.6)
+_START_CASES = ([(method, 10, m, rho) for method, m, rho in _PLAN_CORNERS]
+                + [_GOLDEN_START])
+_START_GAMMAS = (0.0, 0.7, 2.5, 5.0)
+
+
+def _start_plan(case):
+    method, p, m, rho = case
+    return coverage._CoveragePlan(BoundProblem.from_m(0.05, p, m, rho), method)
+
+
+def _start_id(case):
+    method, p, m, rho = case
+    return f"{method.kind}-p{p}-m{m}-rho{rho}"
+
+
+@pytest.mark.parametrize("case", _START_CASES, ids=_start_id)
+def test_start_values_are_the_integrand_on_the_start_mesh(case, monkeypatch):
+    # D computed once per distinct half-width and mapped back gives the
+    # bits of D computed node by node
+    plan = _start_plan(case)
+    seen = []
+    quad_2d = coverage.adaptive_quad_2d
+
+    def capture(*args, start_values, **kwargs):
+        seen.append(start_values)
+        return quad_2d(*args, start_values=start_values, **kwargs)
+
+    monkeypatch.setattr(coverage, "adaptive_quad_2d", capture)
+    h, q, w, f_w = plan.sub_start
+    for g in _START_GAMMAS:
+        plan.evaluate(g)
+        c = -abs(plan.rho * g) / plan.sd
+        assert np.array_equal(
+            seen[-1], symmetric_interval_prob(c, q) * norm_pdf(h - g) * w * f_w)
+
+
+@pytest.mark.parametrize("case", _START_CASES, ids=_start_id)
+def test_start_mesh_d_sees_each_half_width_once(case, monkeypatch):
+    # the two Phi of D on the start mesh see at most 0.55 x its nodes
+    plan = _start_plan(case)
+    d_calls = []  # per D call, the sizes of its erfc calls
+    erfc = special.erfc
+
+    def counted_erfc(x):
+        d_calls[-1].append(np.size(x))
+        return erfc(x)
+
+    def counted_d(c, q):
+        d_calls.append([])
+        with monkeypatch.context() as patch:
+            patch.setattr(special, "erfc", counted_erfc)
+            return symmetric_interval_prob(c, q)
+
+    monkeypatch.setattr(coverage, "symmetric_interval_prob", counted_d)
+    q = plan.sub_start[1]
+    n = np.unique(q).size
+    assert q.size == 7200 and n <= 0.55 * q.size
+    if case == _GOLDEN_START:
+        assert n > 3600
+    for g in _START_GAMMAS:
+        d_calls.clear()
+        plan.evaluate(g)
+        # the start mesh's D call comes first, refined panels' after it
+        assert d_calls[0] == [n, n]
 
 
 class TestPerfectCorrBound:
