@@ -65,43 +65,43 @@ def _parse_method(ns) -> SelectionMethod:
         raise CliError(str(exc)) from exc
 
 
-def _parse_m_list(text: str) -> list[int | str]:
-    out: list[int | str] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok.lower() == "inf":
-            out.append("inf")
-            continue
+def _m_entry(tok: str) -> int | str:
+    if tok.lower() == "inf":
+        return "inf"
+    m = int(tok)
+    if m < 1:
+        raise ValueError(tok)
+    return m
+
+
+def _finite_entry(tok: str) -> float:
+    val = float(tok)
+    if not math.isfinite(val):
+        raise ValueError(tok)
+    return val
+
+
+# each comma-list flag: how one entry is read (ValueError when it is bad)
+# and what a good entry is
+_LIST_ENTRIES = {"--m": (_m_entry, "an integer >= 1 or 'inf'"),
+                 "--gamma": (_finite_entry, "a finite number"),
+                 "--beta-last": (_finite_entry, "a finite number")}
+
+
+def _parse_list(flag: str, text: str) -> list:
+    entry, expected = _LIST_ENTRIES[flag]
+    out = []
+    for tok in filter(None, map(str.strip, text.split(","))):  # skip empties
         try:
-            m = int(tok)
+            out.append(entry(tok))
         except ValueError as exc:
-            raise CliError(f"bad --m entry {tok!r}: expected integer or 'inf'") from exc
-        if m < 1:
-            raise CliError(f"bad --m entry {tok!r}: m must be >= 1")
-        out.append(m)
+            raise CliError(f"bad {flag} entry {tok!r}: expected {expected}") from exc
     if not out:
-        raise CliError("--m list is empty")
+        raise CliError(f"{flag} list is empty")
     return out
 
 
-def _parse_gamma_list(text: str) -> list[float]:
-    out: list[float] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            gamma = float(tok)
-        except ValueError as exc:
-            raise CliError(f"bad --gamma entry {tok!r}: expected a number") from exc
-        if not math.isfinite(gamma):
-            raise CliError(f"bad --gamma entry {tok!r}: gamma must be finite")
-        out.append(gamma)
-    if not out:
-        raise CliError("--gamma list is empty")
-    return out
+_MAX_RHO_POINTS = 10**6
 
 
 def _parse_rho_grid(spec: str) -> list[float]:
@@ -116,7 +116,10 @@ def _parse_rho_grid(spec: str) -> list[float]:
         raise CliError(f"bad --rho-grid {spec!r}: lo, step and hi must be finite")
     if step <= 0 or hi < lo:
         raise CliError("--rho-grid needs step > 0 and hi >= lo")
-    n = int(round((hi - lo) / step))
+    n = (hi - lo) / step
+    if not math.isfinite(n) or round(n) >= _MAX_RHO_POINTS:
+        raise CliError(f"--rho-grid {spec!r} has more than {_MAX_RHO_POINTS} points")
+    n = round(n)
     grid = [round(lo + i * step, 12) for i in range(n + 1)]
     return [g for g in grid if g <= hi + 1e-12]
 
@@ -211,7 +214,7 @@ def cmd_bound(ns) -> int:
     if ns.rho is None:
         raise CliError("--rho is required")
     _check_rho_values([ns.rho])
-    ms = _parse_m_list(ns.m)
+    ms = _parse_list("--m", ns.m)
     if len(ms) != 1:
         raise CliError("bound takes a single --m value")
     rec = _single_bound(method, ns.alpha, ns.p, ms[0], ns.rho)
@@ -243,7 +246,7 @@ def cmd_curve(ns) -> int:
     else:
         rhos = _parse_rho_grid("0:0.01:0.99")
     _check_rho_values(rhos)
-    ms = _parse_m_list(ns.m)
+    ms = _parse_list("--m", ns.m)
     if "inf" in ms:
         _large_sample_cutoff(method)  # fail before computing any point
     if ns.jobs < 1:
@@ -293,8 +296,8 @@ def cmd_verify(ns) -> int:
     _check_rho_values(rhos)
     if any(r == 1.0 for r in rhos):
         raise CliError("verify requires rho < 1")
-    gammas = _parse_gamma_list(ns.gamma) if ns.gamma else [0.0, 1.0, 3.0]
-    ms = _parse_m_list(ns.m)
+    gammas = _parse_list("--gamma", ns.gamma) if ns.gamma else [0.0, 1.0, 3.0]
+    ms = _parse_list("--m", ns.m)
     if "inf" in ms:
         raise CliError("verify runs at finite m only")
 
@@ -378,14 +381,8 @@ def cmd_simulate(ns) -> int:
     _check_seed(ns.seed)
     design = _read_design(ns.design)
     if ns.beta_last:
-        try:
-            lasts = [float(t) for t in ns.beta_last.split(",")]
-        except ValueError as exc:
-            raise CliError(f"bad --beta-last list {ns.beta_last!r}") from exc
-        if not all(map(math.isfinite, lasts)):
-            raise CliError(f"bad --beta-last list {ns.beta_last!r}: values must be finite")
         grid = []
-        for b in lasts:
+        for b in _parse_list("--beta-last", ns.beta_last):
             row = np.array(design.beta, copy=True)
             row[-1] = b
             grid.append(row)

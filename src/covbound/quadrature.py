@@ -20,6 +20,7 @@ and the achieved error so callers can decide what to do.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -141,6 +142,13 @@ def _rule(fv, h):
 def _refine(f, limits, abs_err, max_panels, initial, start_values):
     # the refinement loop of both drivers over the box limits = (lo, hi)
     # per axis; c, h and dev hold one row per axis, one column per panel
+    los, his = limits[::2], limits[1::2]
+    if not all(map(math.isfinite, limits)):
+        raise ValueError("integration limits must be finite")
+    if any(map(operator.eq, los, his)):
+        return QuadResult(0.0, 0.0, 0)
+    if any(map(operator.gt, los, his)):
+        raise ValueError("require hi >= lo on every axis")
     c, h = start_mesh(*limits, initial=initial)
     floor = 1e-15 * max(*map(abs, limits), 1.0)
     val, err, dev = _rule(f(*_nodes(c, h)) if start_values is None
@@ -184,12 +192,6 @@ def adaptive_quad(f: Callable, a: float, b: float, abs_err: float = 1e-10,
                   start_values=None) -> QuadResult:
     """Integrate vectorized ``f`` over [a, b] to the requested tolerance;
     ``start_values`` are ``f`` at ``start_nodes(a, b, initial=initial)``."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
-    if not b > a:
-        raise ValueError("require b >= a")
     return _refine(f, (a, b), abs_err, max_panels, initial, start_values)
 
 
@@ -204,11 +206,5 @@ def adaptive_quad_2d(f: Callable, ua: float, ub: float, va: float, vb: float,
     split halves the axis whose Gauss deficit is larger.  ``start_values``
     are ``f`` at ``start_nodes(ua, ub, va, vb, initial=initial)``.
     """
-    if not all(map(math.isfinite, (ua, ub, va, vb))):
-        raise ValueError("integration limits must be finite")
-    if ua == ub or va == vb:
-        return QuadResult(0.0, 0.0, 0)
-    if not (ub > ua and vb > va):
-        raise ValueError("require ub >= ua and vb >= va")
     return _refine(f, (ua, ub, va, vb), abs_err, max_panels, initial,
                    start_values)

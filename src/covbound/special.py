@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,7 +50,9 @@ INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 _EPS = 1e-16
 _FPMIN = 1e-300
-_ITMAX = 20000
+# term cap of the series and continued fractions: near x = a the incomplete
+# gamma needs about 9 sqrt(a) terms, so this serves df up to about 10^10
+_ITMAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -212,29 +214,41 @@ def norm_cdf(x):
     return val
 
 
+def _solve(f, slope, x: float, hi: float) -> float:
+    # root of f, increasing on x > 0, with derivative slope: hi doubles
+    # until f(hi) >= 0, then Newton runs from x inside the bracket and
+    # bisects whenever a step leaves it.  f > 0 moves hi and anything else
+    # moves lo (no early exit at f == 0): that tie rule is what pins the
+    # golden quantiles to their bits.
+    lo = 0.0
+    while f(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e300:
+            raise RuntimeError("root bracket expansion failed")
+    x = min(max(x, lo), hi)
+    for _ in range(200):
+        fx = f(x)
+        if fx > 0.0:
+            hi = x
+        else:
+            lo = x
+        d = slope(x)
+        x_new = x - fx / d if d > _FPMIN else 0.5 * (lo + hi)
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
+            return x_new
+        x = x_new
+    return x
+
+
 @lru_cache(maxsize=None)
 def norm_two_sided_quantile(alpha: float) -> float:
     """z > 0 with P(-z <= Z <= z) = 1 - alpha for standard normal Z."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     target = 1.0 - 0.5 * alpha
-    lo, hi = 0.0, 50.0
-    z = 1.0
-    for _ in range(200):
-        f = norm_cdf(z) - target
-        if f > 0.0:
-            hi = z
-        else:
-            lo = z
-        step = f / max(norm_pdf(z), _FPMIN)
-        z_new = z - step
-        if not lo < z_new < hi:
-            z_new = 0.5 * (lo + hi)
-        if abs(z_new - z) <= 1e-16 * max(1.0, abs(z)):
-            z = z_new
-            break
-        z = z_new
-    return z
+    return _solve(lambda z: norm_cdf(z) - target, norm_pdf, 1.0, 50.0)
 
 
 # ----------------------------------------------------------------------
@@ -389,33 +403,20 @@ def _genz_correction(h, k, bs, b, cdf_ba, rho, x, w):
 # regularized incomplete beta, Student-t quantiles
 # ----------------------------------------------------------------------
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # Lentz's continued fraction for the incomplete beta, NR-style.
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
+def _lentz(c: float, d: float, terms) -> float:
+    # modified Lentz evaluation (Numerical Recipes 5.2) of a continued
+    # fraction, resumed from the state C = c, D = 1/d, value 1/d over its
+    # remaining terms (a_j, b_j): each multiplies the value by C_j D_j,
+    # C_j = b_j + a_j/C_{j-1} and D_j = 1/(b_j + a_j D_{j-1}).  Done once
+    # a factor is within _EPS of 1; running out of terms raises.
     if abs(d) < _FPMIN:
         d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _ITMAX + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
+    h = d = 1.0 / d
+    for a, b in terms:
+        d = b + a * d
         if abs(d) < _FPMIN:
             d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
+        c = b + a / c
         if abs(c) < _FPMIN:
             c = _FPMIN
         d = 1.0 / d
@@ -423,7 +424,22 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= de
         if abs(de - 1.0) < _EPS:
             return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
+    raise RuntimeError("continued fraction did not converge")
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    # Lentz's continued fraction for the incomplete beta, NR-style
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+
+    def terms():
+        for m in range(1, _ITMAX + 1):
+            m2 = 2 * m
+            yield m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0
+            yield -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0
+
+    return _lentz(1.0, 1.0 - qab * x / qap, terms())
 
 
 def _stirling_tail(z: float) -> float:
@@ -503,28 +519,8 @@ def t_quantile(df: int, alpha: float) -> float:
                   - 1920.0 * z2 - 945.0) / 92160.0
         nu = float(df)
         return z + g1 / nu + g2 / nu ** 2 + g3 / nu ** 3 + g4 / nu ** 4
-    lo = 0.0
-    hi = 2.0
-    while t_two_sided_tail(hi, df) > alpha:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e300:
-            raise RuntimeError("t quantile bracket expansion failed")
-    t = min(max(z, lo), hi)
-    for _ in range(200):
-        f = t_two_sided_tail(t, df) - alpha
-        if f > 0.0:
-            lo = t
-        else:
-            hi = t
-        dens = 2.0 * _t_pdf(t, df)
-        t_new = t + f / dens if dens > _FPMIN else 0.5 * (lo + hi)
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 1e-16 * max(1.0, abs(t)):
-            t = t_new
-            break
-        t = t_new
-    return t
+    return _solve(lambda t: alpha - t_two_sided_tail(t, df),
+                  lambda t: 2.0 * _t_pdf(t, df), z, 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -539,6 +535,7 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
         raise ValueError("require x >= 0 and a > 0")
     if x == 0.0:
         return 0.0, 1.0
+    scale = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
         ap = a
         total = 1.0 / a
@@ -548,28 +545,17 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
             term *= x / ap
             total += term
             if abs(term) < abs(total) * _EPS:
-                break
-        p = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-        return p, 1.0 - p
+                p = total * scale
+                return p, 1.0 - p
+        raise RuntimeError("incomplete gamma series did not converge")
+
+    def terms(b):
+        for i in range(1, _ITMAX + 1):
+            b += 2.0
+            yield -i * (i - a), b
+
     b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        de = d * c
-        h *= de
-        if abs(de - 1.0) < _EPS:
-            break
-    q = math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+    q = scale * _lentz(1.0 / _FPMIN, b, terms(b))
     return 1.0 - q, q
 
 
@@ -595,40 +581,20 @@ def residual_scale_density(w, df: int):
     return float(out[0]) if scalar else out
 
 
-def _scale_cdf_tails(w: float, df: int) -> tuple[float, float]:
-    # (P(W <= w), P(W > w))
-    if w <= 0.0:
-        return 0.0, 1.0
-    return _gamma_pq(0.5 * df, 0.5 * df * w * w)
-
-
 @lru_cache(maxsize=None)
 def residual_scale_interval(df: int, eps: float = 1e-12) -> tuple[float, float]:
-    """(w_lo, w_hi) leaving probability mass <= eps outside, eps/2 per tail."""
+    """(w_lo, w_hi) leaving probability mass eps outside, eps/2 per tail."""
     if df < 1 or df != int(df):
         raise ValueError("degrees of freedom must be a positive integer")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     df = int(df)
     tail = 0.5 * eps
-
-    def bisect(fn, target):
-        # fn monotone increasing in w; solve fn(w) = target
-        lo, hi = 0.0, 2.0
-        while fn(hi) < target:
-            hi *= 2.0
-            if hi > 1e12:
-                break
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if fn(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
-
-    w_lo = bisect(lambda w: _scale_cdf_tails(w, df)[0], tail)
-    w_hi = bisect(lambda w: 1.0 - _scale_cdf_tails(w, df)[1], 1.0 - tail)
+    half = 0.5 * df
+    density = partial(residual_scale_density, df=df)
+    # P(W <= w) = P(half, half w^2), each tail solved on its own side
+    w_lo = _solve(lambda w: _gamma_pq(half, half * w * w)[0] - tail,
+                  density, 1.0, 2.0)
+    w_hi = _solve(lambda w: tail - _gamma_pq(half, half * w * w)[1],
+                  density, 1.0, 2.0)
     return w_lo, w_hi

@@ -251,6 +251,21 @@ class TestCurve:
                               "--rho-grid", grid], capsys)
         assert code == 2 and "finite" in err and out == ""
 
+    def test_rejects_grid_of_too_many_points(self, capsys):
+        # a step that underflows the point count is an input error, not an
+        # OverflowError traceback
+        code, out, err = run(["curve", "--method", "cp", "--m", "5",
+                              "--rho-grid", "0:5e-324:1"], capsys)
+        assert code == 2 and "--rho-grid" in err and out == ""
+
+    def test_grid_point_cap(self):
+        # the count is checked before the grid is built, so a step of 1e-9
+        # is refused without allocating 10^9 points
+        for spec in ("0:1e-9:1", "0:1:1000000"):
+            with pytest.raises(cli.CliError, match="--rho-grid"):
+                cli._parse_rho_grid(spec)
+        assert len(cli._parse_rho_grid("0:1:999999")) == 10**6
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_rejects_nonpositive_jobs(self, capsys, jobs):
         code, out, err = run(["curve", "--method", "cp", "--m", "5",
@@ -481,6 +496,16 @@ class TestSimulate:
         assert [float(r.split(",")[8]) for r in out.strip().split("\n")[1:]] \
             == [-1.0, -1.0, 2.0, 2.0]
         assert run(base + ["--beta-last=-1,2"], capsys)[1] == out
+
+    def test_beta_last_skips_empty_entries(self, capsys, design_file):
+        # as in --m and --gamma
+        base = ["simulate", "--design", str(design_file), "--method", "cp",
+                "--reps", "500", "--seed", "5", "--beta-last"]
+        code, out, err = run(base + ["1,,2"], capsys)
+        assert code == 0, err
+        assert run(base + ["1,2"], capsys)[1] == out
+        code, out, err = run(base + [","], capsys)
+        assert code == 2 and "--beta-last" in err and out == ""
 
     def test_design_flag_required(self, capsys, design_file):
         code, _, _ = run(["simulate"], capsys)

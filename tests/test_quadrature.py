@@ -255,6 +255,28 @@ def test_non_finite_limits_are_rejected(driver, limits):
         driver(lambda *x: np.ones_like(x[0]), *limits)
 
 
+@pytest.mark.parametrize("driver, limits, outcome", [
+    (adaptive_quad, (2.0, 2.0), "empty"),
+    (adaptive_quad, (1.0, 0.0), "reversed"),
+    (adaptive_quad_2d, (0.0, 1.0, 3.0, 3.0), "empty"),
+    (adaptive_quad_2d, (3.0, 3.0, 0.0, 1.0), "empty"),
+    (adaptive_quad_2d, (1.0, 0.0, 3.0, 3.0), "empty"),
+    (adaptive_quad_2d, (0.0, 1.0, 1.0, 0.0), "reversed"),
+    (adaptive_quad_2d, (1.0, 0.0, 0.0, 1.0), "reversed"),
+], ids=["1d-empty", "1d-reversed", "2d-empty-v", "2d-empty-u",
+        "2d-empty-v-reversed-u", "2d-reversed-v", "2d-reversed-u"])
+def test_empty_and_reversed_axes(driver, limits, outcome):
+    # a zero-width axis gives an empty integral before any axis is checked
+    # for order; the integrand is never called
+    def f(*x):
+        raise AssertionError("integrand called")
+    if outcome == "empty":
+        assert driver(f, *limits) == QuadResult(0.0, 0.0, 0)
+    else:
+        with pytest.raises(ValueError, match="hi >= lo"):
+            driver(f, *limits)
+
+
 @pytest.mark.parametrize("driver, f, limits", [
     (adaptive_quad, lambda x: np.full_like(x, np.nan), (0.0, 1.0)),
     (adaptive_quad, lambda x: np.where(x == x.max(), np.inf, 1.0), (0.0, 1.0)),

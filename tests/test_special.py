@@ -326,8 +326,9 @@ class TestNormQuantile:
             assert abs((norm_cdf(z) - norm_cdf(-z)) - (1 - alpha)) < 1e-14
 
     def test_frozen_value(self):
-        # mpmath: sqrt(2) * erfinv(0.95)
-        assert abs(norm_two_sided_quantile(0.05) - 1.9599639845400542) < 1e-13
+        # mpmath: sqrt(2) * erfinv(0.95) = 1.9599639845400542...; these bits
+        # are what every m = inf golden row was computed with
+        assert norm_two_sided_quantile(0.05) == 1.959963984540055
 
     def test_validation(self):
         for bad in [0.0, 1.0, -0.1, 1.5]:
@@ -450,6 +451,24 @@ class TestResidualScaleDensity:
         with pytest.raises(ValueError):
             residual_scale_density(1.0, 0)
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 20, 1000, 10000])
+    def test_each_tail_holds_half_of_eps(self, m):
+        # W^2 m is chi2 with m degrees of freedom; each tail is solved on
+        # its own side, never as a complement near 1
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        lo, hi = residual_scale_interval(m, 1e-12)
+        assert chi2.cdf(m * lo * lo, m) == pytest.approx(5e-13, rel=1e-9, abs=0.0)
+        assert chi2.sf(m * hi * hi, m) == pytest.approx(5e-13, rel=1e-9, abs=0.0)
+
+    def test_huge_df_window(self):
+        # about 9 sqrt(df / 2) incomplete-gamma terms at w = 1; W is close
+        # to 1 + N(0, 1)/sqrt(2 df) here
+        m = 10**8
+        lo, hi = residual_scale_interval(m, 1e-12)
+        z = norm_two_sided_quantile(1e-12)
+        assert (1.0 - lo) * math.sqrt(2 * m) == pytest.approx(z, rel=1e-2)
+        assert (hi - 1.0) * math.sqrt(2 * m) == pytest.approx(z, rel=1e-2)
+
 
 class TestIncompleteFunctions:
     def test_reg_inc_beta_against_scipy(self):
@@ -472,6 +491,17 @@ class TestIncompleteFunctions:
             got = reg_lower_gamma(a, x)
             want = sp.gammainc(a, x)
             assert abs(got - want) <= 1e-12 * max(want, 1e-15) + 1e-15
+
+    @pytest.mark.parametrize("call", [
+        lambda: t_two_sided_tail(2.0, 5),
+        lambda: special._gamma_pq(5.0, 2.0),   # series, x < a + 1
+        lambda: special._gamma_pq(5.0, 20.0),  # continued fraction
+    ], ids=["beta-fraction", "gamma-series", "gamma-fraction"])
+    def test_unconverged_expansion_raises(self, monkeypatch, call):
+        # two terms converge for none of these: a typed error, not a value
+        monkeypatch.setattr(special, "_ITMAX", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            call()
 
     def test_edge_values(self):
         assert reg_inc_beta(2.0, 3.0, 0.0) == 0.0
