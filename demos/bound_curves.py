@@ -11,18 +11,18 @@ This is the slowest demo (a few hundred minimizations); expect a few
 minutes on one core.
 """
 
+import math
 import pathlib
 
-from covbound import (BoundProblem, SelectionMethod, asymptotic_bound,
-                      asymptotic_problem, coverage_bound)
+from covbound import SelectionMethod, minimum_coverage
 
 ALPHA = 0.05
 RHOS = [round(0.05 * i, 2) for i in range(20)]  # 0.00 ... 0.95
 
 FAMILIES = [
-    ("cp", 2, [5, 20, 50, 1000, "inf"]),
-    ("adjr2", 2, [5, 20, 50, 1000, "inf"]),
-    ("aic", 10, [5, 20, 50, 1000, "inf"]),
+    ("cp", 2, [5, 20, 50, 1000, math.inf]),
+    ("adjr2", 2, [5, 20, 50, 1000, math.inf]),
+    ("aic", 10, [5, 20, 50, 1000, math.inf]),
     ("bic", 10, [5, 20, 50, 1000, 10000]),
 ]
 
@@ -34,11 +34,7 @@ for name, p, ms in FAMILIES:
     lines = ["method,alpha,p,m,rho,bound,gamma_star"]
     for m in ms:
         for rho in RHOS:
-            if m == "inf":
-                res = asymptotic_bound(asymptotic_problem(method, ALPHA, rho))
-            else:
-                res = coverage_bound(BoundProblem.from_m(ALPHA, p, m, rho),
-                                     method)
+            res = minimum_coverage(method, ALPHA, p, m, rho)
             lines.append(f"{name},{ALPHA!r},{p},{m},{rho!r},"
                          f"{res.bound!r},{res.gamma_star!r}")
         tail = [float(l.split(",")[5]) for l in lines[-len(RHOS):]]

@@ -19,9 +19,9 @@ the last coefficient, and the method's selection cutoff d.
 """
 
 from .asymptotic import (AsymptoticProblem, asymptotic_bound,
-                         asymptotic_coverage, asymptotic_problem)
+                         asymptotic_coverage)
 from .coverage import (CoverageResult, coverage_bound, coverage_probability,
-                       perfect_corr_bound)
+                       minimum_coverage)
 from .optimize import (DEFAULT_SEARCH, BoundResult, SearchConfig,
                        minimize_over_gamma)
 from .quadrature import (QuadratureError, QuadResult, adaptive_quad,
@@ -59,7 +59,6 @@ __all__ = [
     "all_deletion_subsets",
     "asymptotic_bound",
     "asymptotic_coverage",
-    "asymptotic_problem",
     "asymptotic_threshold",
     "bvn_rectangle",
     "coverage_bound",
@@ -68,10 +67,10 @@ __all__ = [
     "erfc",
     "mc_coverage",
     "minimize_over_gamma",
+    "minimum_coverage",
     "norm_cdf",
     "norm_pdf",
     "norm_two_sided_quantile",
-    "perfect_corr_bound",
     "residual_scale_density",
     "residual_scale_interval",
     "selection_threshold",

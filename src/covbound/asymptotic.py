@@ -25,13 +25,11 @@ from dataclasses import dataclass, replace
 
 from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
                        minimize_over_gamma)
-from .rules import SelectionMethod, asymptotic_threshold
 from .special import (BVN_RECTANGLE_ERR, bvn_rectangle, norm_pdf,
                       norm_two_sided_quantile, symmetric_interval_prob)
 
 __all__ = [
     "AsymptoticProblem",
-    "asymptotic_problem",
     "asymptotic_coverage",
     "asymptotic_tail_slack",
     "asymptotic_bound",
@@ -53,12 +51,6 @@ class AsymptoticProblem:
             raise ValueError("require |rho| < 1 in the large-sample form")
         if not self.d_prime > 0.0:
             raise ValueError("d_prime must be positive")
-
-
-def asymptotic_problem(method: SelectionMethod, alpha: float,
-                       rho: float) -> AsymptoticProblem:
-    """Build the large-sample problem; ValueError for BIC and t-tests."""
-    return AsymptoticProblem(alpha, rho, asymptotic_threshold(method))
 
 
 def asymptotic_coverage(problem: AsymptoticProblem, gamma: float) -> float:

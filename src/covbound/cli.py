@@ -21,18 +21,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .asymptotic import asymptotic_bound, asymptotic_problem
-from .coverage import coverage_bound, coverage_probability, perfect_corr_bound
+from .coverage import coverage_probability, minimum_coverage
 from .rules import (METHOD_NAMES, BoundProblem, SelectionMethod,
                     asymptotic_threshold)
 from .simulate import SimDesign, empirical_min_coverage, mc_coverage
-from .special import norm_cdf, norm_two_sided_quantile
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -163,33 +162,20 @@ def _write_text(path: str | None, text: str) -> None:
 # bound / limit
 # ----------------------------------------------------------------------
 
-def _large_sample_cutoff(method: SelectionMethod) -> float:
-    """``asymptotic_threshold``, its ValueError raised as a CliError."""
-    try:
-        return asymptotic_threshold(method)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _check_large_sample(method: SelectionMethod, ms: list) -> None:
+    if "inf" in ms:  # bic and ttest have no large-sample cutoff
+        try:
+            asymptotic_threshold(method)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
 
 
 def _single_bound(method: SelectionMethod, alpha: float, p: int,
                   m: int | str, rho: float) -> dict:
     """One bound record; m is an integer or the string 'inf'."""
-    if m == "inf":
-        d_prime = _large_sample_cutoff(method)
-    gamma_star, quad_err = math.nan, 0.0
-    if rho == 1.0 and m == "inf":
-        # the limit of the perfect-correlation bound as m -> inf
-        z = norm_two_sided_quantile(alpha)
-        bound = 0.0 if d_prime >= z else 2.0 * (norm_cdf(z) - norm_cdf(d_prime))
-    elif rho == 1.0:
-        res = perfect_corr_bound(BoundProblem.from_m(alpha, p, m, rho), method)
-        bound, quad_err = res.value, res.quad_err
-    else:
-        res = (asymptotic_bound(asymptotic_problem(method, alpha, rho)) if m == "inf"
-               else coverage_bound(BoundProblem.from_m(alpha, p, m, rho), method))
-        bound, gamma_star, quad_err = res.bound, res.gamma_star, res.quad_err
+    res = minimum_coverage(method, alpha, p, math.inf if m == "inf" else m, rho)
     return {"method": method.kind, "alpha": alpha, "p": p, "m": m, "rho": rho,
-            "bound": bound, "gamma_star": gamma_star, "quad_err": quad_err}
+            "bound": res.bound, "gamma_star": res.gamma_star, "quad_err": res.quad_err}
 
 
 _BOUND_FIELDS = ("method", "alpha", "p", "m", "rho", "bound", "gamma_star")
@@ -217,6 +203,7 @@ def cmd_bound(ns) -> int:
     ms = _parse_list("--m", ns.m)
     if len(ms) != 1:
         raise CliError("bound takes a single --m value")
+    _check_large_sample(method, ms)
     rec = _single_bound(method, ns.alpha, ns.p, ms[0], ns.rho)
     if ns.format == "csv":
         text = _record_csv([rec], _BOUND_FIELDS + ("quad_err",))
@@ -247,13 +234,14 @@ def cmd_curve(ns) -> int:
         rhos = _parse_rho_grid("0:0.01:0.99")
     _check_rho_values(rhos)
     ms = _parse_list("--m", ns.m)
-    if "inf" in ms:
-        _large_sample_cutoff(method)  # fail before computing any point
+    _check_large_sample(method, ms)  # fail before computing any point
     if ns.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {ns.jobs!r}")
     points = [(method, ns.alpha, ns.p, m, rho) for m in ms for rho in rhos]
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+    # no more processes than points or cores: the pool starts them all at once
+    workers = min(ns.jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_single_bound, *zip(*points), chunksize=4))
     else:
         records = [_single_bound(*pt) for pt in points]

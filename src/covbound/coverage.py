@@ -49,10 +49,9 @@ about half as many distinct q.  On each start cell of the two quadratures
 both terms are pinned below a Gaussian tail in gamma minus the largest h
 on the cell; ``coverage_bound`` uses that to stop its gamma scan early.
 
-At |rho| = 1 this representation degenerates; ``perfect_corr_bound``
-computes the minimum coverage there in closed integral form: it is
-2 int (Phi(t_m w) - Phi(d w)) f_W(w) dw when d < t_m and exactly 0 when
-d >= t_m.
+At |rho| = 1 this representation degenerates, and the minimum coverage
+is 2 int (Phi(t_m w) - Phi(d w)) f_W(w) dw when d < t_m and exactly 0
+when d >= t_m.  ``minimum_coverage`` gives the bound at any (m, rho).
 """
 
 from __future__ import annotations
@@ -63,22 +62,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .asymptotic import AsymptoticProblem, asymptotic_bound
 from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
                        minimize_over_gamma)
 from .quadrature import (adaptive_quad, adaptive_quad_2d, start_mesh,
                          start_nodes)
-from .rules import BoundProblem, SelectionMethod, selection_threshold
+from .rules import (BoundProblem, SelectionMethod, asymptotic_threshold,
+                    selection_threshold)
 from .special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
                       bvn_rectangle, norm_cdf, norm_pdf,
-                      residual_scale_density, residual_scale_interval,
-                      symmetric_interval_prob, t_quantile)
+                      norm_two_sided_quantile, residual_scale_density,
+                      residual_scale_interval, symmetric_interval_prob,
+                      t_quantile)
 
 __all__ = [
     "CoverageResult",
     "coverage_probability",
     "coverage_tail_slack",
     "coverage_bound",
-    "perfect_corr_bound",
+    "minimum_coverage",
 ]
 
 _W_MASS_EPS = 1e-12
@@ -110,7 +112,7 @@ def _submodel_half_width(t2: float, mww, h, m: int, sd: float):
 def _check_rho(rho: float) -> float:
     if abs(rho) == 1.0:
         raise ValueError("|rho| = 1 is degenerate here; use "
-                         "perfect_corr_bound for the minimum coverage")
+                         "minimum_coverage for the minimum coverage")
     if abs(rho) > 1.0 - _RHO_CLAMP:
         clamped = math.copysign(1.0 - _RHO_CLAMP, rho)
         warnings.warn(f"rho={rho!r} is within {_RHO_CLAMP} of a perfect "
@@ -288,26 +290,44 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     return replace(res, quad_err=err)
 
 
-def perfect_corr_bound(problem: BoundProblem, method: SelectionMethod,
-                       tol: Tolerance | None = None) -> CoverageResult:
-    """Minimum coverage over gamma when |rho| = 1.
-
-    Exactly 0 when the cutoff d reaches the full-model critical value t_m
-    (``quad_err`` 0.0, no panels); otherwise 2 int (Phi(t_m w) - Phi(d w))
-    f_W(w) dw, attained in the limit of a large true coefficient, with
-    ``quad_err`` the quadrature's error estimate plus the 1e-12 truncation
-    allowance of the w integration window.
-    """
-    tol = tol or DEFAULT_TOL
-    m = problem.m
-    d = selection_threshold(method, problem.n, problem.p)
-    t1 = t_quantile(m, problem.alpha)
-    if d >= t1:
-        return CoverageResult(0.0, 0.0, 0)
+def _perfect_corr_bound(t: float, d: float, m: int | float,
+                        tol: Tolerance | None) -> tuple[float, float]:
+    """Minimum coverage over gamma at |rho| = 1 and its error, from the
+    critical value t and the cutoff d: 0 when d >= t, else 2 int (Phi(t w)
+    - Phi(d w)) f_W(w) dw (w = 1 at m = inf), attained as gamma -> inf; the
+    error adds the w window's 1e-12 allowance to the quadrature's."""
+    if d >= t:
+        return 0.0, 0.0
+    if m == math.inf:
+        return 2.0 * (norm_cdf(t) - norm_cdf(d)), 0.0
     w_lo, w_hi = residual_scale_interval(m, _W_MASS_EPS)
 
     def integrand(w):
-        return 2.0 * (norm_cdf(t1 * w) - norm_cdf(d * w)) * residual_scale_density(w, m)
+        return 2.0 * (norm_cdf(t * w) - norm_cdf(d * w)) * residual_scale_density(w, m)
 
-    res = adaptive_quad(integrand, w_lo, w_hi, abs_err=tol.abs_err)
-    return CoverageResult(res.value, res.err + _W_MASS_EPS, res.panels)
+    res = adaptive_quad(integrand, w_lo, w_hi, abs_err=(tol or DEFAULT_TOL).abs_err)
+    return res.value, res.err + _W_MASS_EPS
+
+
+def minimum_coverage(method: SelectionMethod, alpha: float, p: int,
+                     m: int | float, rho: float, tol: Tolerance | None = None,
+                     search: SearchConfig | None = None) -> BoundResult:
+    """Upper bound on the minimum coverage probability at level 1 - alpha,
+    p regressors, m error degrees of freedom (an integer >= 1 or
+    ``math.inf``) and correlation rho, even in rho.  For |rho| < 1 it is
+    ``coverage_bound``, or at m = inf ``asymptotic_bound``, which takes no
+    ``tol``; at |rho| = 1 a closed form with no search (``gamma_star`` nan,
+    ``evaluations`` 0).  bic and ttest raise ``ValueError`` at m = inf."""
+    if m == math.inf:
+        d = asymptotic_threshold(method)
+        if abs(rho) != 1.0:
+            return asymptotic_bound(AsymptoticProblem(alpha, rho, d), search)
+        t = norm_two_sided_quantile(alpha)
+    else:
+        problem = BoundProblem.from_m(alpha, p, m, rho)
+        if abs(rho) != 1.0:
+            return coverage_bound(problem, method, tol, search)
+        m = problem.m
+        d, t = selection_threshold(method, problem.n, problem.p), t_quantile(m, alpha)
+    bound, err = _perfect_corr_bound(t, d, m, tol)
+    return BoundResult(bound, math.nan, 0, (math.nan, math.nan), quad_err=err)

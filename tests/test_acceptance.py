@@ -16,10 +16,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
-                                 asymptotic_coverage, asymptotic_problem)
+from covbound.asymptotic import AsymptoticProblem, asymptotic_coverage
 from covbound.coverage import (coverage_bound, coverage_probability,
-                               perfect_corr_bound)
+                               minimum_coverage)
 from covbound.quadrature import adaptive_quad
 from covbound.rules import (BoundProblem, SelectionMethod,
                             selection_threshold)
@@ -107,9 +106,9 @@ class TestBoundCeiling:
 
 
 FIGURE_CONFIGS = [
-    ("cp", 2, (5, 20, 50, 1000, "inf")),
-    ("adjr2", 2, (5, 20, 50, 1000, "inf")),
-    ("aic", 10, (5, 20, 50, 1000, "inf")),
+    ("cp", 2, (5, 20, 50, 1000, math.inf)),
+    ("adjr2", 2, (5, 20, 50, 1000, math.inf)),
+    ("aic", 10, (5, 20, 50, 1000, math.inf)),
     ("bic", 10, (5, 20, 50, 1000, 10000)),
 ]
 
@@ -126,14 +125,8 @@ class TestBoundCurveShape:
     def test_curves(self, name, p, ms):
         method = SelectionMethod.from_name(name)
         for m in ms:
-            if m == "inf":
-                bounds = [asymptotic_bound(
-                    asymptotic_problem(method, ALPHA, rho)).bound
-                    for rho in self.RHOS]
-            else:
-                bounds = [coverage_bound(
-                    BoundProblem.from_m(ALPHA, p, m, rho), method).bound
-                    for rho in self.RHOS]
+            bounds = [minimum_coverage(method, ALPHA, p, m, rho).bound
+                      for rho in self.RHOS]
             drops = np.diff(bounds)
             assert np.all(drops <= 1e-6), (m, bounds)
             assert bounds[-1] <= 0.9 * (1.0 - ALPHA), (m, bounds[-1])
@@ -148,13 +141,12 @@ class TestPerfectCorrelationLimit:
         method = SelectionMethod("cp")
         near = coverage_bound(BoundProblem.from_m(ALPHA, 2, m, 0.9995),
                               method)
-        exact = perfect_corr_bound(BoundProblem.from_m(ALPHA, 2, m, 1.0),
-                                   method).value
+        exact = minimum_coverage(method, ALPHA, 2, m, 1.0).bound
         assert abs(near.bound - exact) <= 0.01
 
     def test_large_m_limit(self):
-        got = perfect_corr_bound(BoundProblem.from_m(ALPHA, 2, 100_000, 1.0),
-                                 SelectionMethod("cp")).value
+        got = minimum_coverage(SelectionMethod("cp"), ALPHA, 2, 100_000,
+                               1.0).bound
         z = norm_two_sided_quantile(ALPHA)
         want = 2.0 * (norm_cdf(z) - norm_cdf(math.sqrt(2.0)))
         assert abs(got - want) <= 1e-3
@@ -168,7 +160,7 @@ class TestPerfectCorrelationLimit:
         prob = BoundProblem.from_m(alpha, 2, m, 1.0)
         assert selection_threshold(method, prob.n, prob.p) \
             >= t_quantile(m, alpha)
-        assert perfect_corr_bound(prob, method).value == 0.0
+        assert minimum_coverage(method, alpha, 2, m, 1.0).bound == 0.0
 
 
 class TestLargeSampleConvergence:
@@ -181,7 +173,7 @@ class TestLargeSampleConvergence:
         method = SelectionMethod.from_name(name)
         finite = coverage_bound(BoundProblem.from_m(ALPHA, 2, 10_000, rho),
                                 method)
-        asym = asymptotic_bound(asymptotic_problem(method, ALPHA, rho))
+        asym = minimum_coverage(method, ALPHA, 2, math.inf, rho)
         assert abs(finite.bound - asym.bound) <= 0.005
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from covbound import asymptotic
 from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
-                                 asymptotic_coverage, asymptotic_problem,
-                                 asymptotic_tail_slack)
+                                 asymptotic_coverage, asymptotic_tail_slack)
+from covbound.coverage import minimum_coverage
 from covbound.optimize import minimize_over_gamma
 from covbound.rules import SelectionMethod, asymptotic_threshold
 from covbound.special import (BVN_RECTANGLE_ERR, norm_cdf,
@@ -20,15 +20,15 @@ from .oracles import asymptotic_coverage_bivariate
 CP = SelectionMethod("cp")
 
 
+def problem(rho, method=CP, alpha=0.05):
+    return AsymptoticProblem(alpha, rho, asymptotic_threshold(method))
+
+
 class TestProblemConstruction:
     def test_limits_exist_for_scale_free_criteria(self):
-        pr = asymptotic_problem(CP, 0.05, 0.5)
-        assert isinstance(pr, AsymptoticProblem)
-        assert pr.d_prime == math.sqrt(2.0)
-        assert asymptotic_problem(SelectionMethod("aic"), 0.05, 0.5).d_prime \
-            == math.sqrt(2.0)
-        assert asymptotic_problem(SelectionMethod("adjr2"), 0.05, 0.5).d_prime \
-            == 1.0
+        assert asymptotic_threshold(CP) == math.sqrt(2.0)
+        assert asymptotic_threshold(SelectionMethod("aic")) == math.sqrt(2.0)
+        assert asymptotic_threshold(SelectionMethod("adjr2")) == 1.0
 
     @pytest.mark.parametrize("method", [SelectionMethod("bic"),
                                         SelectionMethod("ttest", 0.05)])
@@ -36,7 +36,7 @@ class TestProblemConstruction:
         with pytest.raises(ValueError, match="large-sample"):
             asymptotic_threshold(method)
         with pytest.raises(ValueError, match="large-sample"):
-            asymptotic_problem(method, 0.05, 0.5)
+            minimum_coverage(method, 0.05, 2, math.inf, 0.5)
 
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=0.0, rho=0.5, d_prime=1.0),
@@ -124,11 +124,11 @@ class TestCoverageForms:
 class TestAsymptoticBound:
     def test_never_exceeds_nominal(self):
         for rho in (0.0, 0.4, 0.8, 0.95):
-            res = asymptotic_bound(asymptotic_problem(CP, 0.05, rho))
+            res = asymptotic_bound(problem(rho))
             assert res.bound <= 0.95 + 1e-9
 
     def test_uncorrelated_bound_is_nominal(self):
-        res = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.0))
+        res = asymptotic_bound(problem(0.0))
         assert res.bound == pytest.approx(0.95, abs=1e-9)
 
     @pytest.mark.parametrize("rho,expected", [
@@ -138,18 +138,18 @@ class TestAsymptoticBound:
         (0.95, 0.40182349926976124),
     ])
     def test_regression_pins(self, rho, expected):
-        res = asymptotic_bound(asymptotic_problem(CP, 0.05, rho))
+        res = asymptotic_bound(problem(rho))
         assert res.bound == pytest.approx(expected, abs=1e-9)
 
     def test_small_near_perfect_correlation(self):
-        res = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.999))
+        res = asymptotic_bound(problem(0.999))
         limit = 2.0 * (norm_cdf(norm_two_sided_quantile(0.05))
                        - norm_cdf(math.sqrt(2.0)))
         assert res.bound < 0.2
         assert res.bound > limit  # still above the rho -> 1 limit
 
     def test_nonincreasing_in_rho(self):
-        bounds = [asymptotic_bound(asymptotic_problem(CP, 0.05, r)).bound
+        bounds = [asymptotic_bound(problem(r)).bound
                   for r in np.arange(0.0, 0.96, 0.19)]
         diffs = np.diff(bounds)
         assert np.all(diffs <= 1e-6)
@@ -158,7 +158,7 @@ class TestAsymptoticBound:
     def test_quad_err_is_that_at_gamma_star(self, rho):
         # the bound is the closed form at gamma_star, reported with the
         # rectangle's error bound
-        pr = asymptotic_problem(CP, 0.05, rho)
+        pr = problem(rho)
         res = asymptotic_bound(pr)
         assert math.isfinite(res.gamma_star)
         assert res.bound == asymptotic_coverage(pr, res.gamma_star)
@@ -169,12 +169,12 @@ class TestAsymptoticBound:
         # at gamma_star = inf, where the coverage is exact
         monkeypatch.setattr(asymptotic, "asymptotic_coverage",
                             lambda problem, gamma: 0.95 + 1e-3 / (1.0 + gamma))
-        res = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.6))
+        res = asymptotic_bound(problem(0.6))
         assert (res.bound, res.gamma_star, res.quad_err) == (0.95, math.inf, 0.0)
 
     def test_deterministic(self):
-        a = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.6))
-        b = asymptotic_bound(asymptotic_problem(CP, 0.05, 0.6))
+        a = asymptotic_bound(problem(0.6))
+        b = asymptotic_bound(problem(0.6))
         assert a == b
 
 
@@ -184,7 +184,7 @@ class TestAsymptoticBound:
 @pytest.mark.parametrize("rho", [0.0, 0.9, 0.9999])
 class TestTailCertificate:
     def test_identical_to_full_scan(self, method, alpha, rho):
-        pr = asymptotic_problem(method, alpha, rho)
+        pr = problem(rho, method, alpha)
         res = asymptotic_bound(pr)
         full = minimize_over_gamma(lambda g: asymptotic_coverage(pr, g),
                                    tail_value=1.0 - alpha)
@@ -193,7 +193,7 @@ class TestTailCertificate:
         assert res.evaluations < full.evaluations
 
     def test_slack_bounds_computed_coverage(self, method, alpha, rho):
-        pr = asymptotic_problem(method, alpha, rho)
+        pr = problem(rho, method, alpha)
         slack = asymptotic_tail_slack(pr)
         assert slack(pr.d_prime) == math.inf
         for x in (0.05, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 8.5, 9.0, 12.0):
@@ -218,7 +218,7 @@ def test_slack_carries_cancellation_at_small_cutoff():
 def test_default_search_evaluation_ceiling():
     # the full scan's result, bit for bit, at a ceiling on evaluations (a
     # regression guard on the envelope's sharpness)
-    pr = asymptotic_problem(CP, 0.05, 0.6)
+    pr = problem(0.6)
     res = asymptotic_bound(pr)
     full = minimize_over_gamma(lambda g: asymptotic_coverage(pr, g),
                                tail_value=0.95)

@@ -13,9 +13,9 @@ import pytest
 
 import covbound
 import covbound.cli as cli
-from covbound.asymptotic import asymptotic_bound, asymptotic_problem
 from covbound.cli import main
-from covbound.coverage import coverage_probability, perfect_corr_bound
+from covbound.coverage import coverage_probability, minimum_coverage
+from covbound.optimize import BoundResult
 from covbound.rules import BoundProblem, SelectionMethod
 from covbound.simulate import MCEstimate, mc_coverage
 
@@ -81,9 +81,8 @@ class TestBound:
                             "--rho", "1"], capsys)
         assert code == 0
         rec = json.loads(out)
-        want = perfect_corr_bound(BoundProblem.from_m(0.05, 2, 5, 1.0),
-                                  SelectionMethod("cp"))
-        assert rec["bound"] == want.value
+        want = minimum_coverage(SelectionMethod("cp"), 0.05, 2, 5, 1.0)
+        assert rec["bound"] == want.bound
         assert rec["bound"] == pytest.approx(0.1664372292696845, abs=1e-10)
         assert 0.0 < rec["quad_err"] <= 1e-8
 
@@ -146,7 +145,7 @@ class TestLimit:
         code, out, _ = run(["limit", "--method", "cp", "--rho", "0.6"], capsys)
         assert code == 0
         rec = json.loads(out)
-        res = asymptotic_bound(asymptotic_problem(SelectionMethod("cp"), 0.05, 0.6))
+        res = minimum_coverage(SelectionMethod("cp"), 0.05, 2, math.inf, 0.6)
         assert rec["gamma_star"] == res.gamma_star
         assert rec["quad_err"] == res.quad_err
         assert rec["quad_err"] != 1e-10
@@ -175,7 +174,7 @@ class TestCurve:
     def test_no_limit_fails_before_any_point(self, capsys, monkeypatch):
         def no_bound(*args, **kwargs):
             raise AssertionError("a point was computed")
-        monkeypatch.setattr(cli, "coverage_bound", no_bound)
+        monkeypatch.setattr(cli, "minimum_coverage", no_bound)
         code, out, err = run(["curve", "--method", "bic", "--m", "5,inf",
                               "--rho", "0.5"], capsys)
         assert code == 2
@@ -271,6 +270,42 @@ class TestCurve:
         code, out, err = run(["curve", "--method", "cp", "--m", "5",
                               "--rho", "0.5", "--jobs", jobs], capsys)
         assert code == 2 and "--jobs" in err and out == ""
+
+    @pytest.mark.parametrize("jobs,grid,cores,workers", [
+        (10_000, "0.5:0.1:0.5", 2, None),  # one point: in process
+        (10_000, "0:0.1:0.9", 4, 4),
+        (3, "0:0.1:0.9", 8, 3),
+        (8, "0:0.5:0.5", 8, 2),
+        (8, "0:0.1:0.9", None, None),  # unknown core count: in process
+    ])
+    def test_workers_bounded_by_points_and_cores(self, capsys, monkeypatch,
+                                                 jobs, grid, cores, workers):
+        # the pool forks all its workers at the first submit, so --jobs
+        # alone must not decide how many processes start
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(cli, "minimum_coverage",
+                            lambda *args: BoundResult(0.9, 1.0, 1, (0.9, 1.1)))
+        code, out, _ = run(["curve", "--method", "cp", "--m", "5",
+                            "--rho-grid", grid, "--jobs", str(jobs)], capsys)
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + len(cli._parse_rho_grid(grid))
+        assert started == ([] if workers is None else [workers])
 
     def test_parallel_matches_serial(self, capsys):
         args = ["curve", "--method", "adjr2", "--m", "5",
@@ -596,7 +631,8 @@ class TestEntryPoint:
                    "gauss_interval_prob", "reg_inc_beta", "reg_lower_gamma",
                    "CanonicalSample", "draw_canonical", "SubsetState",
                    "rss_subset", "naive_interval", "select_model",
-                   "NotApplicable", "NOT_APPLICABLE"}
+                   "NotApplicable", "NOT_APPLICABLE",
+                   "perfect_corr_bound", "asymptotic_problem"}
         assert not removed & set(covbound.__all__)
         assert all(hasattr(covbound, name) for name in covbound.__all__)
 

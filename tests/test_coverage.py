@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from covbound import coverage, special
+from covbound.asymptotic import AsymptoticProblem, asymptotic_bound
 from covbound.coverage import (CoverageResult, coverage_bound,
                                coverage_probability, coverage_tail_slack,
-                               perfect_corr_bound)
+                               minimum_coverage)
 from covbound.optimize import SearchConfig, minimize_over_gamma
-from covbound.rules import BoundProblem, SelectionMethod, selection_threshold
+from covbound.rules import (BoundProblem, SelectionMethod,
+                            asymptotic_threshold, selection_threshold)
 from covbound.simulate import mc_coverage
 from covbound.special import (Tolerance, norm_cdf, norm_pdf,
                               norm_two_sided_quantile, residual_scale_interval,
@@ -141,7 +143,7 @@ class TestCoverageProbability:
         assert res.panels >= 32
 
     def test_rejects_perfect_correlation(self):
-        with pytest.raises(ValueError, match="perfect_corr_bound"):
+        with pytest.raises(ValueError, match="minimum_coverage"):
             coverage_probability(prob(5, 1.0), CP, 0.5)
 
     def test_clamps_near_perfect_correlation(self):
@@ -300,8 +302,8 @@ class TestPerfectCorrBound:
         # m = 60, alpha = 0.17: t critical 1.387 < sqrt(2), so the
         # selection event swallows the whole interval
         assert t_quantile(60, 0.17) < math.sqrt(2.0)
-        assert perfect_corr_bound(prob(60, 1.0, alpha=0.17), CP) \
-            == CoverageResult(0.0, 0.0, 0)
+        res = minimum_coverage(CP, 0.17, 2, 60, 1.0)
+        assert (res.bound, res.quad_err, res.evaluations) == (0.0, 0.0, 0)
 
     def test_monte_carlo_expectation(self):
         # 2 E[Phi(t_m W) - Phi(d W)] by direct sampling of W
@@ -312,17 +314,17 @@ class TestPerfectCorrBound:
         draws = 2.0 * (norm_cdf(t1 * w) - norm_cdf(math.sqrt(2.0) * w))
         est = float(draws.mean())
         se = float(draws.std(ddof=1)) / math.sqrt(len(draws))
-        got = perfect_corr_bound(prob(5, 1.0), CP).value
+        got = minimum_coverage(CP, 0.05, 2, 5, 1.0).bound
         assert abs(got - est) <= 3.0 * se
 
     def test_frozen_value(self):
-        got = perfect_corr_bound(prob(5, 1.0), CP).value
+        got = minimum_coverage(CP, 0.05, 2, 5, 1.0).bound
         assert got == pytest.approx(0.1664372292696845, abs=1e-10)
 
     def test_degenerate_scale_limit(self):
         z = norm_two_sided_quantile(0.05)
         want = 2.0 * (norm_cdf(z) - norm_cdf(math.sqrt(2.0)))
-        got = perfect_corr_bound(prob(100_000, 1.0), CP).value
+        got = minimum_coverage(CP, 0.05, 2, 100_000, 1.0).bound
         assert abs(got - want) <= 1e-3
 
 
@@ -369,8 +371,44 @@ class TestCoverageBound:
         assert res.gamma_star == pytest.approx(1.62595, abs=1e-3)
 
     def test_rejects_perfect_correlation(self):
-        with pytest.raises(ValueError, match="perfect_corr_bound"):
+        with pytest.raises(ValueError, match="minimum_coverage"):
             coverage_bound(prob(5, 1.0), CP)
+
+
+class TestMinimumCoverage:
+    """``minimum_coverage`` gives the bits of the formula it picks in each
+    of its four (m, |rho|) cases, and the same bits at rho = -1 as at
+    rho = 1."""
+
+    # the CLI's values for cp at rho = 1, m = 5 and m = inf
+    PERFECT = {5: 0.16643722926968446, math.inf: 0.1072992070502854}
+
+    @pytest.mark.parametrize("m,rho", [(5, 0.7), (math.inf, 0.7),
+                                       (5, 1.0), (math.inf, 1.0)],
+                             ids=("finite", "limit", "finite-perfect",
+                                  "limit-perfect"))
+    def test_picks_the_formula(self, m, rho):
+        res = minimum_coverage(CP, 0.05, 2, m, rho)
+        if rho < 1.0 and m == math.inf:
+            want = asymptotic_bound(
+                AsymptoticProblem(0.05, rho, asymptotic_threshold(CP)))
+            assert res == want
+        elif rho < 1.0:
+            assert res == coverage_bound(prob(m, rho), CP)
+        else:
+            assert (res.bound, res.evaluations) == (self.PERFECT[m], 0)
+            assert math.isnan(res.gamma_star)
+            neg = minimum_coverage(CP, 0.05, 2, m, -1.0)
+            assert (neg.bound, neg.quad_err, neg.evaluations) \
+                == (res.bound, res.quad_err, 0)
+
+    @pytest.mark.parametrize("method", [SelectionMethod("bic"),
+                                        SelectionMethod("ttest", 0.05)],
+                             ids=lambda m: m.kind)
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_no_limit_for_bic_and_ttest(self, method, rho):
+        with pytest.raises(ValueError, match="large-sample"):
+            minimum_coverage(method, 0.05, 2, math.inf, rho)
 
 
 # corners of the early-exit certificate: m in {1, 2} (w_hi ~ 7 and 5),
