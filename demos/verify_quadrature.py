@@ -23,20 +23,14 @@ cells = [(kind, m, rho, gamma) for kind in KINDS
 problems = {cell: BoundProblem.from_m(ALPHA, 10, cell[1], cell[2]) for cell in cells}
 methods = {kind: SelectionMethod.from_name(kind) for kind in KINDS}
 
-# one Monte Carlo call per m scores all of its cells on one stream of draws;
-# a cell's estimate is the one its own scalar call with this seed would give
-mc = {}
-for m in (5, 20):
-    group = [cell for cell in cells if cell[1] == m]
-    ests = mc_coverage([problems[cell] for cell in group],
-                       [methods[cell[0]] for cell in group],
-                       [cell[3] for cell in group], REPS, seed=SEED)
-    mc.update(zip(group, ests))
+# one Monte Carlo call scores the cells that share m on one stream of draws;
+# a cell's estimate is the one its own one-cell call with this seed would give
+ests = mc_coverage([(problems[cell], methods[cell[0]], cell[3]) for cell in cells],
+                   REPS, seed=SEED)
 
-for cell in cells:
+for cell, est in zip(cells, ests):
     kind, m, rho, gamma = cell
     quad = coverage_probability(problems[cell], methods[kind], gamma)
-    est = mc[cell]
     z = abs(quad.value - est.estimate) / est.std_err
     print(f"{kind:>7} {m:>5} {rho:>5.2f} {gamma:>6.2f} "
           f"{quad.value:>11.6f} {est.estimate:>11.6f} {z:>6.2f}")

@@ -293,22 +293,13 @@ def cmd_verify(ns) -> int:
              for rho in rhos for gamma in gammas]
     probs = {(m, rho): BoundProblem.from_m(ns.alpha, ns.p, m, rho)
              for m in ms for rho in rhos}
-    # one Monte Carlo call per m: its cells share one stream of draws
-    mc = {}
-    for m in dict.fromkeys(ms):
-        group = list(dict.fromkeys(c for c in cells if c[1] == m))
-        ests = mc_coverage([probs[m, rho] for _, _, rho, _ in group],
-                           [method for method, _, _, _ in group],
-                           [gamma for _, _, _, gamma in group],
-                           ns.reps, ns.seed)
-        mc.update(zip(group, ests))
+    ests = mc_coverage([(probs[m, rho], method, gamma)
+                        for method, m, rho, gamma in cells], ns.reps, ns.seed)
 
     points = []
     failures = []
-    for cell in cells:
-        method, m, rho, gamma = cell
+    for (method, m, rho, gamma), est in zip(cells, ests):
         quad = coverage_probability(probs[m, rho], method, gamma)
-        est = mc[cell]
         gap = abs(quad.value - est.estimate)
         ok = bool(gap <= 3.0 * est.std_err)
         rec = {"method": method.kind, "alpha": ns.alpha,
@@ -344,6 +335,8 @@ def _read_design(path: str) -> SimDesign:
     try:
         it = iter(tokens)
         n, p, q = int(next(it)), int(next(it)), int(next(it))
+        if n < 0 or p < 0:
+            raise ValueError("negative size")
         vals = [float(next(it)) for _ in range(n * p + 2 * p + 1)]
     except (StopIteration, ValueError) as exc:
         raise CliError(f"malformed design file {path!r}: expected 'n p q', "
@@ -402,7 +395,9 @@ def cmd_simulate(ns) -> int:
 # ----------------------------------------------------------------------
 
 def _add_common(sp, *, method: str = "cp") -> None:
-    sp.add_argument("--method", default=method,
+    # normalized here, once, as SelectionMethod.from_name reads a name, so
+    # `--method TTEST` takes --test-size and `verify --method ALL` is `all`
+    sp.add_argument("--method", default=method, type=lambda s: s.strip().lower(),
                     help=f"one of {', '.join(METHOD_NAMES)}")
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--test-size", type=float, default=None,

@@ -78,7 +78,6 @@ from .special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
 __all__ = [
     "CoverageResult",
     "coverage_probability",
-    "coverage_tail_slack",
     "coverage_bound",
     "minimum_coverage",
 ]
@@ -160,6 +159,58 @@ class _CoveragePlan:
         return (residual_scale_density(w, self.m), -self.t1 * w, self.t1 * w,
                 -self.d * w, self.d * w)
 
+    def tail_slack(self):
+        """Certified ``tail_slack(gamma)`` for the gamma search: a bound on
+        |evaluate(gamma').value - (1 - alpha)| for every gamma' >= gamma,
+        finite and nonincreasing from gamma = 0 on and exactly 0 once the
+        computed value must equal 1 - alpha (see ``additive_tail_slack``).
+
+        The value is (1 - alpha) plus the submodel term minus the
+        full-model term, and it is bounded cell by cell over the start
+        meshes of the two quadratures (``start_mesh``).  Refinement only
+        halves panels, so the positive Kronrod weights of the nodes inside
+        one start cell sum to the cell's area however far it refines.  On
+        a cell with top corner (w_top, x_top):
+
+        * submodel term: |k_sub| <= 1, w <= w_top, f_W is at most its
+          largest value on the cell's w panel, and h = w x <= u =
+          w_top max(x_top, 0), so the integrand is at most
+          w_top max f_W phi(gamma' - u) when gamma' > u and
+          w_top max f_W / sqrt(2 pi) otherwise;
+        * full-model term: ``bvn_rectangle`` never exceeds its computed
+          Phi(d w - gamma') - Phi(-d w - gamma') <= min(Phi(-x), 1) with
+          x = gamma' - d w_top, and Phi(-x) <= phi(x)/x for x > 0.
+
+        Each cell's bound is nonincreasing in gamma', so its value at
+        gamma covers every gamma' >= gamma.  The factor 2 absorbs the
+        few-ulp relative rounding of every factor and of the sums.
+        """
+        m, d = self.m, self.d
+        # f_W is unimodal with its mode at sqrt((m - 1)/m) (decreasing for m = 1)
+        mode = math.sqrt((m - 1.0) / m)
+
+        def cells(*limits, initial):
+            # every start cell's top corner, its area times the largest f_W
+            # on its w panel
+            c, h = start_mesh(*limits, initial=initial)
+            top = c + h
+            f_max = residual_scale_density(np.clip(mode, c[0] - h[0], top[0]), m)
+            return top, np.prod(2.0 * h, axis=0) * f_max
+
+        (w_sub, x_sub), sub_mass = cells(self.w_lo, self.w_hi, -d, d, initial=_SUB_MESH)
+        sub_scale, sub_edge = sub_mass * w_sub, w_sub * np.maximum(x_sub, 0.0)
+        (w_full,), full_scale = cells(self.w_lo, self.w_hi, initial=_FULL_MESH)
+        full_edge = d * w_full
+
+        def correction_bound(gamma: float) -> float:
+            sub = norm_pdf(np.maximum(gamma - sub_edge, 0.0))
+            # min(phi(x)/x, 1) for x > 0, and 1 for x <= 0
+            x = np.maximum(gamma - full_edge, 0.0)
+            q = norm_pdf(x)
+            full = q / np.maximum(x, q)
+            return 2.0 * float(np.sum(sub_scale * sub) + np.sum(full_scale * full))
+        return additive_tail_slack(1.0 - self.alpha, correction_bound)
+
     def evaluate(self, gamma: float) -> CoverageResult:
         if not math.isfinite(gamma):
             raise ValueError("gamma must be finite")
@@ -206,61 +257,6 @@ def coverage_probability(problem: BoundProblem, method: SelectionMethod,
     return _CoveragePlan(problem, method, tol).evaluate(gamma)
 
 
-def coverage_tail_slack(problem: BoundProblem, method: SelectionMethod):
-    """Certified ``tail_slack(gamma)`` for the gamma search: a bound on
-    |coverage_probability(gamma').value - (1 - alpha)| for every
-    gamma' >= gamma, finite and nonincreasing from gamma = 0 on and exactly
-    0 once the computed value must equal 1 - alpha (see
-    ``additive_tail_slack``).
-
-    The value is (1 - alpha) plus the submodel term minus the full-model
-    term, and it is bounded cell by cell over the start meshes of the two
-    quadratures (``start_mesh``).  Refinement only halves panels, so the
-    positive Kronrod weights of the nodes inside one start cell sum to the
-    cell's area however far it refines.  On a cell with top corner
-    (w_top, x_top):
-
-    * submodel term: |k_sub| <= 1, w <= w_top, f_W is at most its largest
-      value on the cell's w panel, and h = w x <= u = w_top max(x_top, 0),
-      so the integrand is at most w_top max f_W phi(gamma' - u) when
-      gamma' > u and w_top max f_W / sqrt(2 pi) otherwise;
-    * full-model term: ``bvn_rectangle`` never exceeds its computed
-      Phi(d w - gamma') - Phi(-d w - gamma') <= min(Phi(-x), 1) with
-      x = gamma' - d w_top, and Phi(-x) <= phi(x)/x for x > 0.
-
-    Each cell's bound is nonincreasing in gamma', so its value at gamma
-    covers every gamma' >= gamma.  The factor 2 absorbs the few-ulp
-    relative rounding of every factor and of the sums.
-    """
-    m = problem.m
-    d = selection_threshold(method, problem.n, problem.p)
-    w_lo, w_hi = residual_scale_interval(m, _W_MASS_EPS)
-    # f_W is unimodal with its mode at sqrt((m - 1)/m) (decreasing for m = 1)
-    mode = math.sqrt((m - 1.0) / m)
-
-    def cells(*limits, initial):
-        # every start cell's top corner, its area times the largest f_W on
-        # its w panel
-        c, h = start_mesh(*limits, initial=initial)
-        top = c + h
-        f_max = residual_scale_density(np.clip(mode, c[0] - h[0], top[0]), m)
-        return top, np.prod(2.0 * h, axis=0) * f_max
-
-    (w_sub, x_sub), sub_mass = cells(w_lo, w_hi, -d, d, initial=_SUB_MESH)
-    sub_scale, sub_edge = sub_mass * w_sub, w_sub * np.maximum(x_sub, 0.0)
-    (w_full,), full_scale = cells(w_lo, w_hi, initial=_FULL_MESH)
-    full_edge = d * w_full
-
-    def correction_bound(gamma: float) -> float:
-        sub = norm_pdf(np.maximum(gamma - sub_edge, 0.0))
-        # min(phi(x)/x, 1) for x > 0, and 1 for x <= 0
-        x = np.maximum(gamma - full_edge, 0.0)
-        q = norm_pdf(x)
-        full = q / np.maximum(x, q)
-        return 2.0 * float(np.sum(sub_scale * sub) + np.sum(full_scale * full))
-    return additive_tail_slack(1.0 - problem.alpha, correction_bound)
-
-
 def coverage_bound(problem: BoundProblem, method: SelectionMethod,
                    tol: Tolerance | None = None,
                    search: SearchConfig | None = None) -> BoundResult:
@@ -270,7 +266,7 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     The large-gamma limit of the coverage is the nominal level, so
     1 - alpha enters the minimization as the tail value; a bound equal to
     1 - alpha reports gamma_star = inf.  The gamma scan stops as soon as
-    the certified tail envelope ``coverage_tail_slack`` proves that no
+    the certified tail envelope ``_CoveragePlan.tail_slack`` proves that no
     later grid point can win, so the result equals the full scan's.  All
     evaluations share one ``_CoveragePlan``.
     ``quad_err`` on the result is the quadrature error at gamma_star
@@ -285,7 +281,7 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
 
     res = minimize_over_gamma(objective, config=search,
                               tail_value=1.0 - problem.alpha,
-                              tail_slack=coverage_tail_slack(problem, method))
+                              tail_slack=plan.tail_slack())
     err = 0.0 if math.isinf(res.gamma_star) else results[res.gamma_star].quad_err
     return replace(res, quad_err=err)
 

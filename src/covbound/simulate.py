@@ -1,10 +1,11 @@
 """Monte Carlo checks: canonical-form coverage and a brute-force regression
 simulator.
 
-``mc_coverage`` estimates the coverage probability from the canonical
-triple (g, h, w) directly -- the same reduction the quadrature engine
-integrates, sampled instead of integrated -- so quadrature and simulation
-form two independent routes to one number.
+``mc_coverage`` estimates the coverage probability of each
+(problem, cutoff, gamma) cell from the canonical triple (g, h, w)
+directly -- the same reduction the quadrature engine integrates, sampled
+instead of integrated -- so quadrature and simulation form two
+independent routes to one number.
 
 ``empirical_min_coverage`` simulates the full regression pipeline: draw
 y, enumerate candidate subsets, apply the selection rule, and check
@@ -18,8 +19,10 @@ fit.
 
 Randomness: streams are derived via SeedSequence(seed).spawn(...), one
 child per fixed-size chunk, each driving a counter-based Philox generator.
-Results therefore depend only on (seed, chunk layout), not on how chunks
-are scheduled.
+``mc_coverage`` draws one such stream per (alpha, m) among its cells, and
+``empirical_min_coverage`` one per point of its beta grid.  Results
+therefore depend only on (seed, chunk layout), not on how chunks are
+scheduled or which cells share a call.
 """
 
 from __future__ import annotations
@@ -92,78 +95,64 @@ def _proportion(hits: int, n: int) -> MCEstimate:
     return MCEstimate(est, math.sqrt(est * (1.0 - est) / n))
 
 
-def mc_coverage(problem: BoundProblem | Sequence[BoundProblem],
-                cutoff: SelectionMethod | float | Sequence[SelectionMethod | float],
-                gamma: float | Sequence[float], n_draws: int, seed: int,
-                chunk_size: int = _DEFAULT_CHUNK) -> MCEstimate | list[MCEstimate]:
-    """Monte Carlo coverage estimate from the canonical construction.
+def mc_coverage(cells: Sequence[tuple[BoundProblem, SelectionMethod | float, float]],
+                n_draws: int, seed: int,
+                chunk_size: int = _DEFAULT_CHUNK) -> list[MCEstimate]:
+    """Monte Carlo coverage estimates from the canonical construction, one
+    per ``(problem, cutoff, gamma)`` cell, in input order.
 
     ``cutoff`` is a selection method (its threshold is derived from the
     problem dimensions) or a raw cutoff d >= 0.  |rho| = 1 is allowed.
 
-    Batched form: equal-length sequences of problems, cutoffs and gammas
-    give one cell each and return a list of estimates in input order.  All
-    problems must share alpha and m.  One (seed, m) stream of n_draws
-    (z1, z2, chi2_m) draws serves every cell (common random numbers):
-    per chunk, w, the full-model hits and their count are computed once,
-    and h and the submodel hits once per (rho, gamma).  A cutoff d changes
-    the count only on the discordant draws, where exactly one model
-    covers, so |h|/w is computed on those draws alone and a cell's count
-    is the full-model count, plus the discordant draws with |h|/w < d that
-    only the submodel covers, minus those with |h|/w < d that only the
-    full model covers.  A cell's estimate depends only on (seed,
-    chunk_size), not on which cells share the call, so the scalar call
-    (the one-cell case) returns exactly the same estimate.
+    Cells of any alpha and m may share a call.  The cells that share
+    (alpha, m) share one stream of n_draws (z1, z2, chi2_m) draws from
+    ``SeedSequence(seed)`` (common random numbers): per chunk, w, the
+    full-model hits and their count are computed once, and h and the
+    submodel hits once per (rho, gamma).  A cutoff d changes the count
+    only on the discordant draws, where exactly one model covers, so |h|/w
+    is computed on those draws alone and a cell's count is the full-model
+    count, plus the discordant draws with |h|/w < d that only the submodel
+    covers, minus those with |h|/w < d that only the full model covers.  A
+    cell's estimate depends only on (seed, chunk_size), not on which cells
+    share the call, so a one-cell call returns exactly the same estimate.
     """
-    scalar = isinstance(problem, BoundProblem)
-    if scalar:
-        problems, cutoffs, gammas = [problem], [cutoff], [gamma]
-    else:
-        problems, cutoffs, gammas = list(problem), list(cutoff), list(gamma)
-        if not len(problems) == len(cutoffs) == len(gammas):
-            raise ValueError("problem, cutoff and gamma sequences must have "
-                             "equal lengths")
-    ds = [_cutoff_value(p, c) for p, c in zip(problems, cutoffs)]
+    cells = list(cells)
+    ds = [_cutoff_value(p, c) for p, c, _ in cells]
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    if not all(map(math.isfinite, gammas)):
+    if not all(math.isfinite(g) for _, _, g in cells):
         raise ValueError("gamma must be finite")
-    if not problems:
-        return []
-    m, alpha = problems[0].m, problems[0].alpha
-    if any(p.m != m or p.alpha != alpha for p in problems):
-        raise ValueError("batched problems must share alpha and m")
-    t1 = t_quantile(m, alpha)
-    t2 = t_quantile(m + 1, alpha)
-    # cells sharing (rho, gamma) share h and the submodel hit
-    groups: dict[tuple[float, float], list[int]] = {}
-    for k, (p, g) in enumerate(zip(problems, gammas)):
-        groups.setdefault((p.rho, g), []).append(k)
+    # cells sharing (alpha, m) share a stream; within it, cells sharing
+    # (rho, gamma) share h and the submodel hit
+    streams: dict[tuple[float, int], dict[tuple[float, float], list[int]]] = {}
+    for k, (p, _, g) in enumerate(cells):
+        streams.setdefault((p.alpha, p.m), {}).setdefault((p.rho, g), []).append(k)
 
-    covered = [0] * len(problems)
-    for size, rng in _chunk_streams(np.random.SeedSequence(seed), n_draws,
-                                    chunk_size):
-        z1, z2, w = _standard_draws(m, size, rng)
-        mww = m * w * w
-        full = np.abs(z1) <= t1 * w
-        base = int(np.count_nonzero(full))
-        for (rho, g), cells in groups.items():
-            h = _coefficient(g, rho, z1, z2)
-            half = _submodel_half_width(t2, mww, h, m, math.sqrt(1.0 - rho * rho))
-            sub = np.abs(z1 - rho * h) <= half
-            # d moves the count only where exactly one model covers
-            idx = np.flatnonzero(sub != full)
-            ratio = np.abs(h[idx]) / w[idx]
-            only_sub = sub[idx]
-            gain, loss = ratio[only_sub], ratio[~only_sub]
-            for k in cells:
-                covered[k] += (base + int(np.count_nonzero(gain < ds[k]))
-                               - int(np.count_nonzero(loss < ds[k])))
-            del h, half, sub, idx, ratio, only_sub, gain, loss  # one group at a time
-    out = [_proportion(c, n_draws) for c in covered]
-    return out[0] if scalar else out
+    covered = [0] * len(cells)
+    for (alpha, m), groups in streams.items():
+        t1, t2 = t_quantile(m, alpha), t_quantile(m + 1, alpha)
+        for size, rng in _chunk_streams(np.random.SeedSequence(seed), n_draws,
+                                        chunk_size):
+            z1, z2, w = _standard_draws(m, size, rng)
+            mww = m * w * w
+            full = np.abs(z1) <= t1 * w
+            base = int(np.count_nonzero(full))
+            for (rho, g), group in groups.items():
+                h = _coefficient(g, rho, z1, z2)
+                half = _submodel_half_width(t2, mww, h, m, math.sqrt(1.0 - rho * rho))
+                sub = np.abs(z1 - rho * h) <= half
+                # d moves the count only where exactly one model covers
+                idx = np.flatnonzero(sub != full)
+                ratio = np.abs(h[idx]) / w[idx]
+                only_sub = sub[idx]
+                gain, loss = ratio[only_sub], ratio[~only_sub]
+                for k in group:
+                    covered[k] += (base + int(np.count_nonzero(gain < ds[k]))
+                                   - int(np.count_nonzero(loss < ds[k])))
+                del h, half, sub, idx, ratio, only_sub, gain, loss  # one group at a time
+    return [_proportion(c, n_draws) for c in covered]
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,7 @@ class TestQuadratureMatchesSimulation:
         prob = BoundProblem.from_m(ALPHA, 10, m, rho)
         quad = coverage_probability(prob, method, gamma)
         seed = SEED_BASE + MC_GRID.index((method, m, rho, gamma))
-        mc = mc_coverage(prob, method, gamma, MC_REPS, seed=seed)
+        mc = mc_coverage([(prob, method, gamma)], MC_REPS, seed=seed)[0]
         assert abs(quad.value - mc.estimate) <= 3.0 * mc.std_err
 
 

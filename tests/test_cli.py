@@ -13,6 +13,7 @@ import pytest
 
 import covbound
 import covbound.cli as cli
+import covbound.simulate as simulate
 from covbound.cli import main
 from covbound.coverage import coverage_probability, minimum_coverage
 from covbound.optimize import BoundResult
@@ -130,6 +131,15 @@ class TestBound:
                             "0.1", "--m", "5", "--rho", "0.5"], capsys)
         assert code == 0
         assert 0.0 < json.loads(out)["bound"] <= 0.96
+
+    @pytest.mark.parametrize("name", ["TTEST", "TTest", " ttest "])
+    def test_method_name_is_case_insensitive(self, capsys, name):
+        # the name is read as SelectionMethod.from_name reads it, so an
+        # upper-case ttest still takes --test-size
+        args = ["--test-size", "0.1", "--m", "5", "--rho", "0.5"]
+        want = run(["bound", "--method", "ttest"] + args, capsys)
+        assert want[0] == 0
+        assert run(["bound", "--method", name] + args, capsys) == want
 
 
 class TestLimit:
@@ -352,33 +362,42 @@ class TestVerify:
 
     def test_forced_failure_exits_3(self, capsys, monkeypatch):
         # one estimate per requested cell, far from the quadrature
-        monkeypatch.setattr(cli, "mc_coverage", lambda problems, *a, **k:
-                            [MCEstimate(0.5, 1e-9)] * len(problems))
+        monkeypatch.setattr(cli, "mc_coverage", lambda cells, *a, **k:
+                            [MCEstimate(0.5, 1e-9)] * len(cells))
         code, out, err = run(self.ARGS, capsys)
         assert code == 3
         assert json.loads(out)["n_failures"] == 1
         assert "FAIL cp" in err
 
-    @pytest.mark.parametrize("ms, calls", [("5", 1), ("5,20", 2), ("20,5,20", 2)])
-    def test_one_monte_carlo_call_per_m(self, capsys, monkeypatch, ms, calls):
-        seen = []
-        real = cli.mc_coverage
+    @pytest.mark.parametrize("ms, streams", [("5", 1), ("5,20", 2), ("20,5,20", 2)])
+    def test_one_draw_stream_per_m(self, capsys, monkeypatch, ms, streams):
+        # one mc_coverage call, and one stream of draws per distinct m: at
+        # 10,000 reps a stream is a single chunk, one _standard_draws call
+        calls, drawn = [], []
+        real_mc, real_draws = cli.mc_coverage, simulate._standard_draws
 
-        def counting(problems, *args, **kwargs):
-            seen.append({p.m for p in problems})
-            return real(problems, *args, **kwargs)
+        def counting_mc(cells, *args, **kwargs):
+            calls.append(len(cells))
+            return real_mc(cells, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "mc_coverage", counting)
+        def counting_draws(m, n_draws, rng):
+            drawn.append(m)
+            return real_draws(m, n_draws, rng)
+
+        monkeypatch.setattr(cli, "mc_coverage", counting_mc)
+        monkeypatch.setattr(simulate, "_standard_draws", counting_draws)
         args = ["verify", "--method", "all", "--m", ms, "--rho", "0.5",
                 "--gamma", "0,1", "--reps", "10000", "--seed", "4"]
         code, out, _ = run(args, capsys)
         assert code in (0, 3)
-        assert len(seen) == calls and all(len(s) == 1 for s in seen)
-        assert json.loads(out)["n_points"] == 5 * len(ms.split(",")) * 2
+        n_points = 5 * len(ms.split(",")) * 2
+        assert calls == [n_points] and json.loads(out)["n_points"] == n_points
+        assert len(drawn) == streams
+        assert sorted(drawn) == sorted({int(m) for m in ms.split(",")})
 
     def test_report_equals_per_point_route(self, capsys):
-        # the grouped Monte Carlo calls must leave the report byte for byte
-        # as one quadrature and one scalar mc_coverage call per point gives
+        # the one Monte Carlo call must leave the report byte for byte as
+        # one quadrature and one one-cell mc_coverage call per point gives
         code, out, err = run(["verify", "--method", "all", "--m", "5,20",
                               "--reps", "10000", "--seed", "3"], capsys)
         methods = [SelectionMethod("cp"), SelectionMethod("adjr2"),
@@ -391,7 +410,7 @@ class TestVerify:
                     for gamma in (0.0, 1.0, 3.0):
                         prob = BoundProblem.from_m(0.05, 10, m, rho)
                         quad = coverage_probability(prob, method, gamma)
-                        mc = mc_coverage(prob, method, gamma, 10000, 3)
+                        mc = mc_coverage([(prob, method, gamma)], 10000, 3)[0]
                         gap = abs(quad.value - mc.estimate)
                         ok = bool(gap <= 3.0 * mc.std_err)
                         failures += not ok
@@ -415,6 +434,13 @@ class TestVerify:
                 "--reps", "10000", "--test-size", size]
         code, out, err = run(args, capsys)
         assert code == 2 and "test_size" in err and out == ""
+
+    @pytest.mark.parametrize("name", ["ALL", " All "])
+    def test_method_all_is_case_insensitive(self, capsys, name):
+        args = ["--m", "5", "--rho", "0.5", "--gamma", "1", "--reps", "10000"]
+        want = run(["verify", "--method", "all"] + args, capsys)
+        assert json.loads(want[1])["n_points"] == 5
+        assert run(["verify", "--method", name] + args, capsys) == want
 
     def test_input_validation(self, capsys):
         assert run(["verify", "--format", "csv"], capsys)[0] == 2
@@ -487,11 +513,14 @@ class TestSimulate:
         assert "cannot read" in err
 
     def test_malformed_design(self, capsys, tmp_path):
-        short = tmp_path / "short.txt"
-        short.write_text("15 3 1 1.0 2.0\n")
-        code, _, err = run(["simulate", "--design", str(short)], capsys)
-        assert code == 2
-        assert "malformed" in err
+        # too few values, and headers with a negative n or p
+        for k, text in enumerate(("15 3 1 1.0 2.0\n", "-1 2 1\n1 2 3\n",
+                                  "-2 -3 1\n1\n")):
+            bad = tmp_path / f"malformed{k}.txt"
+            bad.write_text(text)
+            code, out, err = run(["simulate", "--design", str(bad)], capsys)
+            assert code == 2 and out == ""
+            assert "malformed" in err and "Traceback" not in err
 
     def test_trailing_values_rejected(self, capsys, design_file, tmp_path):
         bad = tmp_path / "trailing.txt"

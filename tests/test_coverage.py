@@ -9,8 +9,7 @@ import pytest
 from covbound import coverage, special
 from covbound.asymptotic import AsymptoticProblem, asymptotic_bound
 from covbound.coverage import (CoverageResult, coverage_bound,
-                               coverage_probability, coverage_tail_slack,
-                               minimum_coverage)
+                               coverage_probability, minimum_coverage)
 from covbound.optimize import SearchConfig, minimize_over_gamma
 from covbound.rules import (BoundProblem, SelectionMethod,
                             asymptotic_threshold, selection_threshold)
@@ -104,7 +103,7 @@ class TestConditionalCoverage:
 class TestCoverageProbability:
     def test_matches_monte_carlo_reference_point(self):
         res = coverage_probability(prob(20, 0.8), CP, 1.0)
-        mc = mc_coverage(prob(20, 0.8), CP, 1.0, 2_000_000, seed=1207)
+        mc = mc_coverage([(prob(20, 0.8), CP, 1.0)], 2_000_000, seed=1207)[0]
         assert abs(res.value - mc.estimate) <= 3.0 * mc.std_err
 
     def test_in_unit_interval(self):
@@ -457,7 +456,7 @@ class TestTailCertificate:
         # envelope is nonincreasing and bounds the computed correction
         method, alpha, m, rho = case
         pr = BoundProblem.from_m(alpha, 10, m, rho)
-        slack = coverage_tail_slack(pr, method)
+        slack = coverage._CoveragePlan(pr, method).tail_slack()
         edge = _edge(pr, method)
         previous = math.inf
         for x in (-edge, -0.75 * edge, -0.5 * edge, -0.25 * edge, 0.0,
@@ -485,7 +484,7 @@ _REFINED_CASES = [(SelectionMethod("aic"), 10, 5, 0.95),
 def test_slack_bounds_refined_coverage(case):
     method, p, m, rho = case
     pr = BoundProblem.from_m(0.05, p, m, rho)
-    slack = coverage_tail_slack(pr, method)
+    slack = coverage._CoveragePlan(pr, method).tail_slack()
     tol = Tolerance(abs_err=1e-13)
     panels = 0
     for gamma in 0.25 * np.arange(60):

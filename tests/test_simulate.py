@@ -111,54 +111,54 @@ class TestMcCoverage:
         # d = 0 never keeps the submodel, so the naive interval is the
         # honest full-model interval
         pr = BoundProblem.from_m(0.05, 2, 10, 0.8)
-        est = mc_coverage(pr, 0.0, 1.0, 400_000, seed=3)
+        est = mc_coverage([(pr, 0.0, 1.0)], 400_000, seed=3)[0]
         assert abs(est.estimate - 0.95) <= 3.0 * est.std_err
 
     def test_matches_quadrature(self):
         pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
         method = SelectionMethod("adjr2")
-        est = mc_coverage(pr, method, 0.5, 400_000, seed=4)
+        est = mc_coverage([(pr, method, 0.5)], 400_000, seed=4)[0]
         want = coverage_probability(pr, method, 0.5).value
         assert abs(est.estimate - want) <= 3.5 * est.std_err
 
     def test_deterministic_given_seed_and_chunking(self):
         pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
-        a = mc_coverage(pr, CP, 1.0, 300_000, seed=17)
-        b = mc_coverage(pr, CP, 1.0, 300_000, seed=17)
+        a = mc_coverage([(pr, CP, 1.0)], 300_000, seed=17)
+        b = mc_coverage([(pr, CP, 1.0)], 300_000, seed=17)
         assert a == b
 
     def test_chunking_covers_remainder(self):
         pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
-        est = mc_coverage(pr, CP, 1.0, 1000, seed=5, chunk_size=300)
+        est = mc_coverage([(pr, CP, 1.0)], 1000, seed=5, chunk_size=300)[0]
         assert 0.0 < est.estimate < 1.0
 
     def test_method_route_equals_raw_cutoff_route(self):
         pr = BoundProblem.from_m(0.05, 2, 20, 0.6)
         d = math.sqrt(2.0)
-        a = mc_coverage(pr, CP, 1.0, 100_000, seed=6)
-        b = mc_coverage(pr, d, 1.0, 100_000, seed=6)
+        a = mc_coverage([(pr, CP, 1.0)], 100_000, seed=6)
+        b = mc_coverage([(pr, d, 1.0)], 100_000, seed=6)
         assert a == b
 
     def test_rejects_bad_inputs(self):
         pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
         with pytest.raises(ValueError):
-            mc_coverage(pr, -0.5, 1.0, 100, seed=1)
+            mc_coverage([(pr, -0.5, 1.0)], 100, seed=1)
         with pytest.raises(ValueError):
-            mc_coverage(pr, CP, 1.0, 0, seed=1)
+            mc_coverage([(pr, CP, 1.0)], 0, seed=1)
 
     @pytest.mark.parametrize("chunk_size", [0, -5])
     def test_rejects_nonpositive_chunk_size(self, chunk_size):
         pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
         with pytest.raises(ValueError, match="chunk_size"):
-            mc_coverage(pr, CP, 1.0, 100, seed=1, chunk_size=chunk_size)
+            mc_coverage([(pr, CP, 1.0)], 100, seed=1, chunk_size=chunk_size)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_gamma(self, gamma):
         pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
         with pytest.raises(ValueError, match="finite"):
-            mc_coverage(pr, CP, gamma, 100, seed=1)
+            mc_coverage([(pr, CP, gamma)], 100, seed=1)
         with pytest.raises(ValueError, match="finite"):
-            mc_coverage([pr, pr], [CP, CP], [1.0, gamma], 100, seed=1)
+            mc_coverage([(pr, CP, 1.0), (pr, CP, gamma)], 100, seed=1)
 
 
 class TestMcCoverageBatched:
@@ -174,10 +174,9 @@ class TestMcCoverageBatched:
     def test_grid_equals_per_point_calls(self):
         # n_draws = 1000 in chunks of 300 ends on a partial chunk
         cells = self.grid()
-        probs, cuts, gammas = (list(col) for col in zip(*cells))
-        batched = mc_coverage(probs, cuts, gammas, 1000, seed=8, chunk_size=300)
-        single = [mc_coverage(p, c, g, 1000, seed=8, chunk_size=300)
-                  for p, c, g in cells]
+        batched = mc_coverage(cells, 1000, seed=8, chunk_size=300)
+        single = [mc_coverage([cell], 1000, seed=8, chunk_size=300)[0]
+                  for cell in cells]
         assert isinstance(batched, list) and len(batched) == len(cells)
         assert all(isinstance(e, MCEstimate) for e in batched)
         assert batched == single
@@ -188,27 +187,29 @@ class TestMcCoverageBatched:
         # the per-draw coverage written out on draw_canonical samples, one
         # point at a time, with the chunk seeding mc_coverage documents
         cells = self.grid(m=3, alpha=0.1)
-        probs, cuts, gammas = (list(col) for col in zip(*cells))
-        batched = mc_coverage(probs, cuts, gammas, 1000, seed=9, chunk_size=300)
+        batched = mc_coverage(cells, 1000, seed=9, chunk_size=300)
         for (pr, cut, gamma), est in zip(cells, batched):
             assert est.estimate == direct_estimate(pr, cut, gamma, 1000, 9, 300)
 
     def test_empty_batch(self):
-        assert mc_coverage([], [], [], 100, seed=1) == []
+        assert mc_coverage([], 100, seed=1) == []
 
-    def test_rejects_mixed_alpha_m_and_lengths(self):
+    def test_mixed_alpha_m_equals_per_group_calls(self):
+        # cells of several (alpha, m), interleaved: each (alpha, m) draws
+        # its own stream, exactly as a call with that group alone does
+        cells = [cell for m in (2, 5) for alpha in (0.05, 0.1)
+                 for cell in self.grid(m, alpha)[::5]]
+        cells = cells[::2] + cells[1::2]
+        mixed = mc_coverage(cells, 1000, seed=8, chunk_size=300)
+        for key in {(pr.alpha, pr.m) for pr, _, _ in cells}:
+            members = [k for k, (pr, _, _) in enumerate(cells)
+                       if (pr.alpha, pr.m) == key]
+            alone = mc_coverage([cells[k] for k in members], 1000, seed=8,
+                                chunk_size=300)
+            assert [mixed[k] for k in members] == alone
         a = BoundProblem.from_m(0.05, 2, 5, 0.5)
-        other_alpha = BoundProblem.from_m(0.1, 2, 5, 0.5)
-        other_m = BoundProblem.from_m(0.05, 2, 6, 0.5)
-        for bad in (other_alpha, other_m):
-            with pytest.raises(ValueError, match="alpha and m"):
-                mc_coverage([a, bad], [CP, CP], [1.0, 1.0], 100, seed=1)
-        with pytest.raises(ValueError, match="equal lengths"):
-            mc_coverage([a, a], [CP], [1.0, 1.0], 100, seed=1)
-        with pytest.raises(ValueError, match="equal lengths"):
-            mc_coverage([a], [CP], [1.0, 2.0], 100, seed=1)
         with pytest.raises(ValueError):
-            mc_coverage([a, a], [CP, -0.5], [1.0, 1.0], 100, seed=1)
+            mc_coverage([(a, CP, 1.0), (a, -0.5, 1.0)], 100, seed=1)
 
 
 class TestDiscordantCounting:
@@ -219,8 +220,7 @@ class TestDiscordantCounting:
     N, SEED, CHUNK = 1000, 11, 300
 
     def check(self, cells):
-        probs, cuts, gammas = (list(col) for col in zip(*cells))
-        got = mc_coverage(probs, cuts, gammas, self.N, self.SEED, self.CHUNK)
+        got = mc_coverage(cells, self.N, self.SEED, self.CHUNK)
         want = [direct_estimate(pr, c, g, self.N, self.SEED, self.CHUNK)
                 for pr, c, g in cells]
         assert [e.estimate for e in got] == want
