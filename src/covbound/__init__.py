@@ -31,10 +31,10 @@ from .rules import (METHOD_NAMES, BoundProblem, SelectionMethod,
 from .simulate import (EmpiricalCoverage, MCEstimate, SimDesign,
                        all_deletion_subsets, empirical_min_coverage,
                        mc_coverage)
-from .special import (DEFAULT_TOL, Tolerance, bvn_rectangle, erfc, norm_cdf,
-                      norm_pdf, norm_two_sided_quantile,
-                      residual_scale_density, residual_scale_interval,
-                      symmetric_interval_prob, t_quantile, t_two_sided_tail)
+from .special import (bvn_rectangle, erfc, norm_cdf, norm_pdf,
+                      norm_two_sided_quantile, residual_scale_density,
+                      residual_scale_interval, symmetric_interval_prob,
+                      t_quantile, t_two_sided_tail)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "BoundResult",
     "CoverageResult",
     "DEFAULT_SEARCH",
-    "DEFAULT_TOL",
     "EmpiricalCoverage",
     "MCEstimate",
     "METHOD_NAMES",
@@ -53,7 +52,6 @@ __all__ = [
     "SearchConfig",
     "SelectionMethod",
     "SimDesign",
-    "Tolerance",
     "adaptive_quad",
     "adaptive_quad_2d",
     "all_deletion_subsets",

@@ -456,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # bare `verify` reproduces the cross-check grid the test suite pins:
     # all methods x m {5,20} x rho {0,.5,.9} x gamma {0,1,3}, p = 10,
-    # two million draws per point
+    # one stream of --reps (default two million) draws per m, shared by
+    # that m's 45 points
     sp = add("verify")
     _add_common(sp, method="all")
     _add_problem(sp, p=10, m="5,20", rho_grid=True)

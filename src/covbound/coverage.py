@@ -51,13 +51,14 @@ on the cell; ``coverage_bound`` uses that to stop its gamma scan early.
 
 At |rho| = 1 this representation degenerates, and the minimum coverage
 is 2 int (Phi(t_m w) - Phi(d w)) f_W(w) dw when d < t_m and exactly 0
-when d >= t_m.  ``minimum_coverage`` gives the bound at any (m, rho).
+when d >= t_m.  ``minimum_coverage`` gives the bound at any (m, rho).  No
+rho is altered: every |rho| < 1 is computed as given, however close to 1,
+and the bound runs continuously into the |rho| = 1 closed form.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,8 +70,7 @@ from .quadrature import (adaptive_quad, adaptive_quad_2d, start_mesh,
                          start_nodes)
 from .rules import (BoundProblem, SelectionMethod, asymptotic_threshold,
                     selection_threshold)
-from .special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
-                      bvn_rectangle, norm_cdf, norm_pdf,
+from .special import (BVN_RECTANGLE_ERR, bvn_rectangle, norm_cdf, norm_pdf,
                       norm_two_sided_quantile, residual_scale_density,
                       residual_scale_interval, symmetric_interval_prob,
                       t_quantile)
@@ -89,7 +89,6 @@ _SUB_SHARE = 0.8
 _FULL_SHARE = 0.1
 # start meshes of the 2-D (w, x) and 1-D (w) quadratures, in panels
 _SUB_MESH, _FULL_MESH = (8, 4), 8
-_RHO_CLAMP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,20 +107,14 @@ def _submodel_half_width(t2: float, mww, h, m: int, sd: float):
     return t2 * np.sqrt((mww + h * h) / (m + 1.0)) * sd
 
 
-def _check_rho(rho: float) -> float:
-    if abs(rho) == 1.0:
-        raise ValueError("|rho| = 1 is degenerate here; use "
-                         "minimum_coverage for the minimum coverage")
-    if abs(rho) > 1.0 - _RHO_CLAMP:
-        clamped = math.copysign(1.0 - _RHO_CLAMP, rho)
-        warnings.warn(f"rho={rho!r} is within {_RHO_CLAMP} of a perfect "
-                      f"correlation; clamped to {clamped!r}", stacklevel=4)
-        return clamped
-    return rho
+def _check_abs_err(abs_err: float) -> float:
+    if not abs_err > 0.0:
+        raise ValueError("abs_err must be strictly positive")
+    return abs_err
 
 
 class _CoveragePlan:
-    """``coverage_probability`` for one (problem, method, tol): the scalars
+    """``coverage_probability`` for one (problem, method, abs_err): the scalars
     and, read-only on both start meshes, the gamma-independent integrand
     factors.  On the 2-D start mesh these include the distinct half-widths
     ``q_distinct`` and the index ``q_index`` that maps them back to the
@@ -130,10 +123,12 @@ class _CoveragePlan:
     ``evaluate`` gives the bits of a fresh evaluation."""
 
     def __init__(self, problem: BoundProblem, method: SelectionMethod,
-                 tol: Tolerance | None = None) -> None:
-        self.tol = tol or DEFAULT_TOL
-        self.rho = _check_rho(problem.rho)
-        self.m, self.alpha = problem.m, problem.alpha
+                 abs_err: float = 1e-8) -> None:
+        if abs(problem.rho) == 1.0:
+            raise ValueError("|rho| = 1 is degenerate here; use "
+                             "minimum_coverage for the minimum coverage")
+        self.abs_err = _check_abs_err(abs_err)
+        self.rho, self.m, self.alpha = problem.rho, problem.m, problem.alpha
         self.d = selection_threshold(method, problem.n, problem.p)
         self.t1, self.t2 = (t_quantile(df, self.alpha) for df in (self.m, self.m + 1))
         self.w_lo, self.w_hi = residual_scale_interval(self.m, _W_MASS_EPS)
@@ -232,11 +227,11 @@ class _CoveragePlan:
         d_start = symmetric_interval_prob(c, self.q_distinct)[self.q_index]
         sub = adaptive_quad_2d(
             sub_refined, self.w_lo, self.w_hi, -self.d, self.d,
-            abs_err=_SUB_SHARE * self.tol.abs_err, initial=_SUB_MESH,
+            abs_err=_SUB_SHARE * self.abs_err, initial=_SUB_MESH,
             start_values=sub_values(d_start, h, w, f_w))
         full = adaptive_quad(
             lambda w: full_values(*self._full_factors(w)), self.w_lo, self.w_hi,
-            abs_err=_FULL_SHARE * self.tol.abs_err, initial=_FULL_MESH,
+            abs_err=_FULL_SHARE * self.abs_err, initial=_FULL_MESH,
             start_values=full_values(*self.full_start))
         return CoverageResult(
             value=((1.0 - self.alpha) + sub.value) - full.value,
@@ -245,20 +240,21 @@ class _CoveragePlan:
 
 
 def coverage_probability(problem: BoundProblem, method: SelectionMethod,
-                         gamma: float, tol: Tolerance | None = None) -> CoverageResult:
+                         gamma: float, abs_err: float = 1e-8) -> CoverageResult:
     """Coverage probability of the naive post-selection interval.
 
-    Deterministic: identical inputs produce bit-identical results.  The
+    Deterministic: identical inputs produce bit-identical results.
+    ``abs_err`` is the absolute error budget of the two quadratures.  The
     reported ``quad_err`` adds the error estimates of both quadratures,
     the rectangle's own error bound ``BVN_RECTANGLE_ERR`` and the 1e-12
     truncation allowance of the w integration window; ``panels`` counts
     the panels of both.
     """
-    return _CoveragePlan(problem, method, tol).evaluate(gamma)
+    return _CoveragePlan(problem, method, abs_err).evaluate(gamma)
 
 
 def coverage_bound(problem: BoundProblem, method: SelectionMethod,
-                   tol: Tolerance | None = None,
+                   abs_err: float = 1e-8,
                    search: SearchConfig | None = None) -> BoundResult:
     """Upper bound on the minimum coverage probability: the coverage
     minimized over the standardized coefficient gamma >= 0.
@@ -272,7 +268,7 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     ``quad_err`` on the result is the quadrature error at gamma_star
     (0.0 when the tail value wins).
     """
-    plan = _CoveragePlan(problem, method, tol)
+    plan = _CoveragePlan(problem, method, abs_err)
     results: dict[float, CoverageResult] = {}
 
     def objective(g: float) -> float:
@@ -287,7 +283,7 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
 
 
 def _perfect_corr_bound(t: float, d: float, m: int | float,
-                        tol: Tolerance | None) -> tuple[float, float]:
+                        abs_err: float) -> tuple[float, float]:
     """Minimum coverage over gamma at |rho| = 1 and its error, from the
     critical value t and the cutoff d: 0 when d >= t, else 2 int (Phi(t w)
     - Phi(d w)) f_W(w) dw (w = 1 at m = inf), attained as gamma -> inf; the
@@ -301,19 +297,22 @@ def _perfect_corr_bound(t: float, d: float, m: int | float,
     def integrand(w):
         return 2.0 * (norm_cdf(t * w) - norm_cdf(d * w)) * residual_scale_density(w, m)
 
-    res = adaptive_quad(integrand, w_lo, w_hi, abs_err=(tol or DEFAULT_TOL).abs_err)
+    res = adaptive_quad(integrand, w_lo, w_hi, abs_err=abs_err)
     return res.value, res.err + _W_MASS_EPS
 
 
 def minimum_coverage(method: SelectionMethod, alpha: float, p: int,
-                     m: int | float, rho: float, tol: Tolerance | None = None,
+                     m: int | float, rho: float, abs_err: float = 1e-8,
                      search: SearchConfig | None = None) -> BoundResult:
     """Upper bound on the minimum coverage probability at level 1 - alpha,
     p regressors, m error degrees of freedom (an integer >= 1 or
     ``math.inf``) and correlation rho, even in rho.  For |rho| < 1 it is
-    ``coverage_bound``, or at m = inf ``asymptotic_bound``, which takes no
-    ``tol``; at |rho| = 1 a closed form with no search (``gamma_star`` nan,
-    ``evaluations`` 0).  bic and ttest raise ``ValueError`` at m = inf."""
+    ``coverage_bound``, or at m = inf ``asymptotic_bound``, which needs no
+    ``abs_err``; at |rho| = 1 a closed form with no search (``gamma_star``
+    nan, ``evaluations`` 0).  No rho is altered, and as |rho| -> 1 the
+    bound runs continuously into the closed form.  bic and ttest raise
+    ``ValueError`` at m = inf."""
+    _check_abs_err(abs_err)
     if m == math.inf:
         d = asymptotic_threshold(method)
         if abs(rho) != 1.0:
@@ -322,8 +321,8 @@ def minimum_coverage(method: SelectionMethod, alpha: float, p: int,
     else:
         problem = BoundProblem.from_m(alpha, p, m, rho)
         if abs(rho) != 1.0:
-            return coverage_bound(problem, method, tol, search)
+            return coverage_bound(problem, method, abs_err, search)
         m = problem.m
         d, t = selection_threshold(method, problem.n, problem.p), t_quantile(m, alpha)
-    bound, err = _perfect_corr_bound(t, d, m, tol)
+    bound, err = _perfect_corr_bound(t, d, m, abs_err)
     return BoundResult(bound, math.nan, 0, (math.nan, math.nan), quad_err=err)

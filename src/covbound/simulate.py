@@ -204,10 +204,6 @@ class SimDesign:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def theta(self) -> float:
-        return float(self.a @ self.beta)
-
 
 def all_deletion_subsets(q: int, p: int) -> list[tuple[int, ...]]:
     """All K within the free columns {q..p-1}, ordered by (|K|, lex)."""

@@ -23,14 +23,11 @@ vectorized evaluation; scalar input yields a Python float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "erfc",
     "norm_pdf",
     "norm_cdf",
@@ -53,21 +50,6 @@ _FPMIN = 1e-300
 # term cap of the series and continued fractions: near x = a the incomplete
 # gamma needs about 9 sqrt(a) terms, so this serves df up to about 10^10
 _ITMAX = 10**6
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute error budget ``abs_err`` of the quadratures; strictly
-    positive."""
-
-    abs_err: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not self.abs_err > 0.0:
-            raise ValueError("abs_err must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 # ----------------------------------------------------------------------

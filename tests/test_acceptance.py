@@ -24,7 +24,7 @@ from covbound.rules import (BoundProblem, SelectionMethod,
                             selection_threshold)
 from covbound.simulate import (SimDesign, all_deletion_subsets,
                                empirical_min_coverage, mc_coverage)
-from covbound.special import (Tolerance, norm_cdf, norm_two_sided_quantile,
+from covbound.special import (norm_cdf, norm_two_sided_quantile,
                               residual_scale_density,
                               residual_scale_interval, t_quantile)
 
@@ -76,7 +76,7 @@ class TestCoverageEvenness:
 
     GAMMAS = (0.5, 1.0, 2.0, 3.0)
     RHOS = (0.2, 0.5, 0.7, 0.9)
-    TIGHT = Tolerance(abs_err=1e-10)
+    TIGHT = 1e-10
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("rho", RHOS)

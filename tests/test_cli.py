@@ -87,6 +87,16 @@ class TestBound:
         assert rec["bound"] == pytest.approx(0.1664372292696845, abs=1e-10)
         assert 0.0 < rec["quad_err"] <= 1e-8
 
+    def test_near_perfect_correlation_computes_that_rho(self):
+        # no rho is altered, so nothing is written to stderr
+        proc = subprocess.run([sys.executable, "-m", "covbound.cli", "bound",
+                               "--method", "cp", "--m", "5",
+                               "--rho", "0.9999999"],
+                              capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        want = minimum_coverage(SelectionMethod("cp"), 0.05, 2, 5, 0.9999999)
+        assert json.loads(proc.stdout)["bound"] == want.bound
+
     def test_csv_format_has_quad_err(self, capsys):
         code, out, _ = run(["bound", "--method", "adjr2", "--m", "5",
                             "--rho", "0.5", "--format", "csv"], capsys)
@@ -395,6 +405,20 @@ class TestVerify:
         assert len(drawn) == streams
         assert sorted(drawn) == sorted({int(m) for m in ms.split(",")})
 
+    def test_near_perfect_correlation_computes_that_rho(self):
+        # the quadrature runs at the rho the Monte Carlo draws at and the
+        # report prints, and nothing is written to stderr
+        proc = subprocess.run([sys.executable, "-m", "covbound.cli", "verify",
+                               "--method", "cp", "--m", "5",
+                               "--rho", "0.9999999", "--gamma", "0.5",
+                               "--reps", "10000"],
+                              capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        point = json.loads(proc.stdout)["points"][0]
+        prob = BoundProblem.from_m(0.05, 10, 5, 0.9999999)
+        want = coverage_probability(prob, SelectionMethod("cp"), 0.5)
+        assert (point["rho"], point["quadrature"]) == (0.9999999, want.value)
+
     def test_report_equals_per_point_route(self, capsys):
         # the one Monte Carlo call must leave the report byte for byte as
         # one quadrature and one one-cell mc_coverage call per point gives
@@ -661,7 +685,8 @@ class TestEntryPoint:
                    "CanonicalSample", "draw_canonical", "SubsetState",
                    "rss_subset", "naive_interval", "select_model",
                    "NotApplicable", "NOT_APPLICABLE",
-                   "perfect_corr_bound", "asymptotic_problem"}
+                   "perfect_corr_bound", "asymptotic_problem",
+                   "Tolerance", "DEFAULT_TOL"}
         assert not removed & set(covbound.__all__)
         assert all(hasattr(covbound, name) for name in covbound.__all__)
 

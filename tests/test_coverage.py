@@ -14,9 +14,9 @@ from covbound.optimize import SearchConfig, minimize_over_gamma
 from covbound.rules import (BoundProblem, SelectionMethod,
                             asymptotic_threshold, selection_threshold)
 from covbound.simulate import mc_coverage
-from covbound.special import (Tolerance, norm_cdf, norm_pdf,
-                              norm_two_sided_quantile, residual_scale_interval,
-                              symmetric_interval_prob, t_quantile)
+from covbound.special import (norm_cdf, norm_pdf, norm_two_sided_quantile,
+                              residual_scale_interval, symmetric_interval_prob,
+                              t_quantile)
 
 from .oracles import coverage_dblquad
 from .reference import (cover_given_full, cover_given_submodel,
@@ -112,7 +112,7 @@ class TestCoverageProbability:
             assert 0.0 <= res.value <= 1.0
 
     def test_even_in_gamma_and_rho(self):
-        tight = Tolerance(abs_err=1e-10)
+        tight = 1e-10
         base = coverage_probability(prob(20, 0.6), CP, 1.3, tight).value
         neg_g = coverage_probability(prob(20, 0.6), CP, -1.3, tight).value
         neg_r = coverage_probability(prob(20, -0.6), CP, 1.3, tight).value
@@ -145,31 +145,21 @@ class TestCoverageProbability:
         with pytest.raises(ValueError, match="minimum_coverage"):
             coverage_probability(prob(5, 1.0), CP, 0.5)
 
-    def test_clamps_near_perfect_correlation(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            res = coverage_probability(prob(5, 1.0 - 1e-8), CP, 1.0)
+    def test_computes_the_rho_it_is_given(self):
+        # no rho is altered, and no warning is raised, however close to 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ref = coverage_probability(prob(5, 1.0 - 1e-6), CP, 1.0)
-        assert res.value == pytest.approx(ref.value, abs=1e-12)
-
-    def test_clamp_warns_once_per_bound(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            coverage_bound(prob(5, 1.0 - 1e-8), CP)
-        clamped = [w for w in caught if "clamped" in str(w.message)]
-        assert len(clamped) == 1
-        assert clamped[0].filename == __file__
+            res = coverage_probability(prob(5, 1.0 - 1e-8), CP, 1.0)
+            near = coverage_probability(prob(5, 1.0 - 1e-6), CP, 1.0)
+        assert res.value != near.value
 
     def test_rejects_nonfinite_gamma(self):
         with pytest.raises(ValueError):
             coverage_probability(prob(5, 0.5), CP, math.inf)
 
     def test_convergence_under_refinement(self):
-        loose = coverage_probability(prob(20, 0.8), CP, 1.0,
-                                     Tolerance(abs_err=1e-6))
-        tight = coverage_probability(prob(20, 0.8), CP, 1.0,
-                                     Tolerance(abs_err=1e-10))
+        loose = coverage_probability(prob(20, 0.8), CP, 1.0, abs_err=1e-6)
+        tight = coverage_probability(prob(20, 0.8), CP, 1.0, abs_err=1e-10)
         assert abs(loose.value - tight.value) <= 1e-6
         assert tight.panels >= loose.panels
 
@@ -401,6 +391,19 @@ class TestMinimumCoverage:
             assert (neg.bound, neg.quad_err, neg.evaluations) \
                 == (res.bound, res.quad_err, 0)
 
+    @pytest.mark.parametrize("kind,p,m", [("cp", 2, 5), ("aic", 10, 20),
+                                          ("bic", 10, 2)])
+    def test_continuous_into_perfect_correlation(self, kind, p, m):
+        # every rho below 1 is computed as given, so the gap to the
+        # rho = 1 closed form shrinks with 1 - rho down to one ulp
+        method = SelectionMethod(kind)
+        perfect = minimum_coverage(method, 0.05, p, m, 1.0).bound
+        gaps = [abs(minimum_coverage(method, 0.05, p, m, rho).bound - perfect)
+                for rho in (1.0 - 1e-6, 1.0 - 1e-8, 1.0 - 1e-12,
+                            math.nextafter(1.0, 0.0))]
+        assert gaps == sorted(gaps, reverse=True)
+        assert gaps[-1] <= 1e-9
+
     @pytest.mark.parametrize("method", [SelectionMethod("bic"),
                                         SelectionMethod("ttest", 0.05)],
                              ids=lambda m: m.kind)
@@ -411,7 +414,7 @@ class TestMinimumCoverage:
 
 
 # corners of the early-exit certificate: m in {1, 2} (w_hi ~ 7 and 5),
-# m = 10000 (w_hi ~ 1.1), rho at 0, 0.9 and clamped to 1 - 1e-6; a t test
+# m = 10000 (w_hi ~ 1.1), rho at 0, 0.9 and 1 - 1e-8; a t test
 # whose d w_hi exceeds gamma_max (no exit possible), and alpha = 0.999,
 # whose 1 - alpha has a 512x finer ulp than 0.95.  The exit rule does not
 # depend on the grid, so a coarser one keeps the reference scans cheap.
@@ -434,7 +437,6 @@ def _edge(pr, method):
             * residual_scale_interval(pr.m)[1])
 
 
-@pytest.mark.filterwarnings("ignore:rho=.*clamped")
 @pytest.mark.parametrize("case", _CORNERS, ids=_corner_id)
 class TestTailCertificate:
     def test_identical_to_full_scan(self, case):
@@ -485,10 +487,9 @@ def test_slack_bounds_refined_coverage(case):
     method, p, m, rho = case
     pr = BoundProblem.from_m(0.05, p, m, rho)
     slack = coverage._CoveragePlan(pr, method).tail_slack()
-    tol = Tolerance(abs_err=1e-13)
     panels = 0
     for gamma in 0.25 * np.arange(60):
-        res = coverage_probability(pr, method, float(gamma), tol)
+        res = coverage_probability(pr, method, float(gamma), abs_err=1e-13)
         panels = max(panels, res.panels)
         assert abs(res.value - 0.95) <= slack(float(gamma))
     assert panels > 40  # past the 32 + 8 start panels

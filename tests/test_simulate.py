@@ -284,7 +284,6 @@ class TestSimDesign:
     def test_properties(self):
         d = orthonormal_design()
         assert d.n == 15 and d.p == 3
-        assert d.theta == pytest.approx(0.6 * 1.0 + 0.8 * 2.0)
 
     @pytest.mark.parametrize("mutate", [
         dict(q=0),

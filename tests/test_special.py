@@ -1,5 +1,6 @@
 """Special-function layer: accuracy against independent references."""
 
+import inspect
 import math
 import warnings
 
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covbound.special import (BVN_RECTANGLE_ERR, DEFAULT_TOL, Tolerance,
-                              bvn_rectangle, erfc, norm_cdf, norm_pdf,
-                              norm_two_sided_quantile, residual_scale_density,
-                              residual_scale_interval, symmetric_interval_prob,
-                              t_quantile, t_two_sided_tail)
+from covbound.special import (BVN_RECTANGLE_ERR, bvn_rectangle, erfc,
+                              norm_cdf, norm_pdf, norm_two_sided_quantile,
+                              residual_scale_density, residual_scale_interval,
+                              symmetric_interval_prob, t_quantile,
+                              t_two_sided_tail)
 from covbound import special
+from covbound.coverage import (coverage_bound, coverage_probability,
+                               minimum_coverage)
 from covbound.quadrature import adaptive_quad
+from covbound.rules import BoundProblem, SelectionMethod
 
 from .oracles import (bvn_rectangle_mpmath, norm_cdf_oracle, t_central_prob,
                       t_quantile_bisect)
@@ -101,20 +105,33 @@ T_REFERENCE = {
 
 
 class TestTolerance:
+    """The quadratures' absolute error budget ``abs_err``: a plain float,
+    checked where the coverage layer reads it."""
+
+    CP = SelectionMethod("cp")
+    PROBLEM = BoundProblem.from_m(0.05, 2, 5, 0.5)
+
     def test_defaults(self):
-        assert DEFAULT_TOL.abs_err == 1e-8
+        for f in (coverage_probability, coverage_bound, minimum_coverage):
+            assert inspect.signature(f).parameters["abs_err"].default == 1e-8
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_err": 0.0},
         {"abs_err": -1.0},
+        {"abs_err": math.nan},
     ])
     def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
-            Tolerance(**kwargs)
+        with pytest.raises(ValueError, match="abs_err"):
+            coverage_probability(self.PROBLEM, self.CP, 1.0, **kwargs)
+        with pytest.raises(ValueError, match="abs_err"):
+            coverage_bound(self.PROBLEM, self.CP, **kwargs)
+        for m, rho in ((5, 1.0), (math.inf, 0.5)):
+            with pytest.raises(ValueError, match="abs_err"):
+                minimum_coverage(self.CP, 0.05, 2, m, rho, **kwargs)
 
     def test_has_no_relative_budget(self):
         with pytest.raises(TypeError):
-            Tolerance(rel_err=1e-12)
+            coverage_probability(self.PROBLEM, self.CP, 1.0, rel_err=1e-12)
 
 
 def _erfc_masked_reference(x):
