@@ -22,8 +22,7 @@ from .asymptotic import (AsymptoticProblem, asymptotic_bound,
                          asymptotic_coverage)
 from .coverage import (CoverageResult, coverage_bound, coverage_probability,
                        minimum_coverage)
-from .optimize import (DEFAULT_SEARCH, BoundResult, SearchConfig,
-                       minimize_over_gamma)
+from .optimize import BoundResult, minimize_over_gamma
 from .quadrature import (QuadratureError, QuadResult, adaptive_quad,
                          adaptive_quad_2d)
 from .rules import (METHOD_NAMES, BoundProblem, SelectionMethod,
@@ -43,13 +42,11 @@ __all__ = [
     "BoundProblem",
     "BoundResult",
     "CoverageResult",
-    "DEFAULT_SEARCH",
     "EmpiricalCoverage",
     "MCEstimate",
     "METHOD_NAMES",
     "QuadResult",
     "QuadratureError",
-    "SearchConfig",
     "SelectionMethod",
     "SimDesign",
     "adaptive_quad",

@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
-                       minimize_over_gamma)
+from .optimize import BoundResult, additive_tail_slack, minimize_over_gamma
 from .special import (BVN_RECTANGLE_ERR, bvn_rectangle, norm_pdf,
                       norm_two_sided_quantile, symmetric_interval_prob)
 
@@ -96,8 +95,7 @@ def asymptotic_tail_slack(problem: AsymptoticProblem):
     return additive_tail_slack(1.0 - problem.alpha, correction_bound)
 
 
-def asymptotic_bound(problem: AsymptoticProblem,
-                     config: SearchConfig | None = None) -> BoundResult:
+def asymptotic_bound(problem: AsymptoticProblem) -> BoundResult:
     """Minimum large-sample coverage over gamma >= 0.
 
     The scan stops as soon as the certified tail envelope
@@ -107,7 +105,7 @@ def asymptotic_bound(problem: AsymptoticProblem,
     value wins, which is exact).
     """
     res = minimize_over_gamma(lambda g: asymptotic_coverage(problem, g),
-                              config=config, tail_value=1.0 - problem.alpha,
+                              tail_value=1.0 - problem.alpha,
                               tail_slack=asymptotic_tail_slack(problem))
     err = 0.0 if math.isinf(res.gamma_star) else BVN_RECTANGLE_ERR
     return replace(res, quad_err=err)

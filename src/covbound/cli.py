@@ -284,7 +284,8 @@ def cmd_verify(ns) -> int:
     _check_rho_values(rhos)
     if any(r == 1.0 for r in rhos):
         raise CliError("verify requires rho < 1")
-    gammas = _parse_list("--gamma", ns.gamma) if ns.gamma else [0.0, 1.0, 3.0]
+    gammas = ([0.0, 1.0, 3.0] if ns.gamma is None
+              else _parse_list("--gamma", ns.gamma))
     ms = _parse_list("--m", ns.m)
     if "inf" in ms:
         raise CliError("verify runs at finite m only")
@@ -361,7 +362,7 @@ def cmd_simulate(ns) -> int:
         raise CliError("--reps must be positive")
     _check_seed(ns.seed)
     design = _read_design(ns.design)
-    if ns.beta_last:
+    if ns.beta_last is not None:
         grid = []
         for b in _parse_list("--beta-last", ns.beta_last):
             row = np.array(design.beta, copy=True)
@@ -409,16 +410,17 @@ def _add_common(sp, *, method: str = "cp") -> None:
 
 def _add_problem(sp, *, p: int = 2, m: str | None = "20",
                  rho_grid: bool = False) -> None:
-    """--p and --rho, plus --m unless the command fixes m, plus --rho-grid
-    on the commands that sweep rho."""
+    """--p and --rho, plus --m unless the command fixes m, plus --rho-grid,
+    exclusive with --rho, on the commands that sweep rho."""
     sp.add_argument("--p", type=int, default=p,
                     help="number of regressors (m = n - p)")
     if m is not None:
         sp.add_argument("--m", default=m,
                         help="error degrees of freedom; comma list, 'inf' allowed")
-    sp.add_argument("--rho", type=float, default=None)
+    rho = sp.add_mutually_exclusive_group() if rho_grid else sp
+    rho.add_argument("--rho", type=float, default=None)
     if rho_grid:
-        sp.add_argument("--rho-grid", default=None, metavar="LO:STEP:HI")
+        rho.add_argument("--rho-grid", default=None, metavar="LO:STEP:HI")
 
 
 def _add_monte_carlo(sp, *, reps: int) -> None:

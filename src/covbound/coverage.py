@@ -64,8 +64,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotic import AsymptoticProblem, asymptotic_bound
-from .optimize import (BoundResult, SearchConfig, additive_tail_slack,
-                       minimize_over_gamma)
+from .optimize import BoundResult, additive_tail_slack, minimize_over_gamma
 from .quadrature import (adaptive_quad, adaptive_quad_2d, start_mesh,
                          start_nodes)
 from .rules import (BoundProblem, SelectionMethod, asymptotic_threshold,
@@ -254,8 +253,7 @@ def coverage_probability(problem: BoundProblem, method: SelectionMethod,
 
 
 def coverage_bound(problem: BoundProblem, method: SelectionMethod,
-                   abs_err: float = 1e-8,
-                   search: SearchConfig | None = None) -> BoundResult:
+                   abs_err: float = 1e-8) -> BoundResult:
     """Upper bound on the minimum coverage probability: the coverage
     minimized over the standardized coefficient gamma >= 0.
 
@@ -275,8 +273,7 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
         results[g] = plan.evaluate(g)
         return results[g].value
 
-    res = minimize_over_gamma(objective, config=search,
-                              tail_value=1.0 - problem.alpha,
+    res = minimize_over_gamma(objective, tail_value=1.0 - problem.alpha,
                               tail_slack=plan.tail_slack())
     err = 0.0 if math.isinf(res.gamma_star) else results[res.gamma_star].quad_err
     return replace(res, quad_err=err)
@@ -302,8 +299,8 @@ def _perfect_corr_bound(t: float, d: float, m: int | float,
 
 
 def minimum_coverage(method: SelectionMethod, alpha: float, p: int,
-                     m: int | float, rho: float, abs_err: float = 1e-8,
-                     search: SearchConfig | None = None) -> BoundResult:
+                     m: int | float, rho: float,
+                     abs_err: float = 1e-8) -> BoundResult:
     """Upper bound on the minimum coverage probability at level 1 - alpha,
     p regressors, m error degrees of freedom (an integer >= 1 or
     ``math.inf``) and correlation rho, even in rho.  For |rho| < 1 it is
@@ -316,12 +313,12 @@ def minimum_coverage(method: SelectionMethod, alpha: float, p: int,
     if m == math.inf:
         d = asymptotic_threshold(method)
         if abs(rho) != 1.0:
-            return asymptotic_bound(AsymptoticProblem(alpha, rho, d), search)
+            return asymptotic_bound(AsymptoticProblem(alpha, rho, d))
         t = norm_two_sided_quantile(alpha)
     else:
         problem = BoundProblem.from_m(alpha, p, m, rho)
         if abs(rho) != 1.0:
-            return coverage_bound(problem, method, abs_err, search)
+            return coverage_bound(problem, method, abs_err)
         m = problem.m
         d, t = selection_threshold(method, problem.n, problem.p), t_quantile(m, alpha)
     bound, err = _perfect_corr_bound(t, d, m, abs_err)

@@ -2,11 +2,12 @@
 
 The curves minimized here (coverage as a function of gamma >= 0) are
 smooth but not certifiably unimodal, so the search never assumes
-unimodality: a coarse scan of the grid 0, step, 2 step, ... up to
-gamma_max locates the best basin, golden-section refinement polishes it,
-and the returned bound is the minimum over every objective evaluation made
-along the way plus the gamma -> infinity tail candidate.  By construction
-it is <= the scan-grid minimum.  Ties resolve to the smallest gamma.
+unimodality: a coarse scan of the fixed grid 0, 0.1, 0.2, ..., 30
+locates the best basin, golden-section refinement polishes it to a
+bracket of width 1e-6, and the returned bound is the minimum over every
+objective evaluation made along the way plus the gamma -> infinity tail
+candidate.  By construction it is <= the scan-grid minimum.  Ties
+resolve to the smallest gamma.
 
 The scan may stop early, and then only on a certificate from the problem:
 a ``tail_slack`` envelope proving that no later grid point can beat the
@@ -20,28 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["SearchConfig", "BoundResult", "minimize_over_gamma",
-           "additive_tail_slack"]
+__all__ = ["BoundResult", "minimize_over_gamma", "additive_tail_slack"]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Scan range/step and the golden-section target width."""
-
-    gamma_max: float = 30.0
-    step: float = 0.1
-    refine_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not (self.gamma_max > 0 and 0 < self.step <= self.gamma_max):
-            raise ValueError("require gamma_max > 0 and 0 < step <= gamma_max")
-        if not 0 < self.refine_tol < 1:
-            raise ValueError("refine_tol must lie in (0, 1)")
-
-
-DEFAULT_SEARCH = SearchConfig()
+_GAMMA_MAX = 30.0   # end of the scan grid
+_STEP = 0.1         # scan grid spacing
+_REFINE_TOL = 1e-6  # golden-section target bracket width
 
 
 @dataclass(frozen=True)
@@ -77,8 +62,7 @@ def additive_tail_slack(tail_value: float, correction_bound):
     return tail_slack
 
 
-def minimize_over_gamma(objective, config: SearchConfig | None = None,
-                        tail_value: float | None = None,
+def minimize_over_gamma(objective, tail_value: float | None = None,
                         tail_slack=None) -> BoundResult:
     """Minimize ``objective(gamma)`` over gamma >= 0.
 
@@ -94,7 +78,6 @@ def minimize_over_gamma(objective, config: SearchConfig | None = None,
     (every later point equals tail_value and loses the smallest-gamma
     tie).  Either way the result equals that of the full scan.
     """
-    cfg = config or DEFAULT_SEARCH
     if tail_slack is not None and tail_value is None:
         raise ValueError("tail_slack needs tail_value")
     seen: list[tuple[float, float]] = []
@@ -104,10 +87,10 @@ def minimize_over_gamma(objective, config: SearchConfig | None = None,
         seen.append((g, v))
         return v
 
-    n_grid = int(round(cfg.gamma_max / cfg.step))
+    n_grid = int(round(_GAMMA_MAX / _STEP))
     best_g, best_v = 0.0, f(0.0)
     for i in range(1, n_grid + 1):
-        g = i * cfg.step
+        g = i * _STEP
         if tail_slack is not None:
             s = tail_slack(g)
             if tail_value - s > best_v or (s == 0.0 and tail_value >= best_v):
@@ -116,13 +99,13 @@ def minimize_over_gamma(objective, config: SearchConfig | None = None,
         if v < best_v:
             best_g, best_v = g, v
 
-    lo = max(0.0, best_g - cfg.step)
-    hi = min(cfg.gamma_max, best_g + cfg.step)
+    lo = max(0.0, best_g - _STEP)
+    hi = min(_GAMMA_MAX, best_g + _STEP)
     a, b = lo, hi
     c = b - (b - a) * INV_PHI
     d = a + (b - a) * INV_PHI
     fc, fd = f(c), f(d)
-    while b - a > cfg.refine_tol:
+    while b - a > _REFINE_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * INV_PHI

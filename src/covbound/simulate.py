@@ -18,10 +18,11 @@ is two rows of the full family, so both families are scored on the same
 fit.
 
 Randomness: streams are derived via SeedSequence(seed).spawn(...), one
-child per fixed-size chunk, each driving a counter-based Philox generator.
-``mc_coverage`` draws one such stream per (alpha, m) among its cells, and
-``empirical_min_coverage`` one per point of its beta grid.  Results
-therefore depend only on (seed, chunk layout), not on how chunks are
+child per fixed-size chunk (2^18 draws in ``mc_coverage``, 2^16 replicates
+in ``empirical_min_coverage``), each driving a counter-based Philox
+generator.  ``mc_coverage`` draws one such stream per (alpha, m) among its
+cells, and ``empirical_min_coverage`` one per point of its beta grid.
+Results therefore depend only on the seed, not on how chunks are
 scheduled or which cells share a call.
 """
 
@@ -48,7 +49,8 @@ __all__ = [
 ]
 
 _MAX_FREE = 12  # enumeration cap on p - q (2^(p-q) candidate subsets)
-_DEFAULT_CHUNK = 1 << 18
+_MC_CHUNK = 1 << 18   # draws per chunk in mc_coverage
+_SIM_CHUNK = 1 << 16  # replicates per chunk in empirical_min_coverage
 
 
 class MCEstimate(NamedTuple):
@@ -96,8 +98,7 @@ def _proportion(hits: int, n: int) -> MCEstimate:
 
 
 def mc_coverage(cells: Sequence[tuple[BoundProblem, SelectionMethod | float, float]],
-                n_draws: int, seed: int,
-                chunk_size: int = _DEFAULT_CHUNK) -> list[MCEstimate]:
+                n_draws: int, seed: int) -> list[MCEstimate]:
     """Monte Carlo coverage estimates from the canonical construction, one
     per ``(problem, cutoff, gamma)`` cell, in input order.
 
@@ -113,15 +114,13 @@ def mc_coverage(cells: Sequence[tuple[BoundProblem, SelectionMethod | float, flo
     is computed on those draws alone and a cell's count is the full-model
     count, plus the discordant draws with |h|/w < d that only the submodel
     covers, minus those with |h|/w < d that only the full model covers.  A
-    cell's estimate depends only on (seed, chunk_size), not on which cells
-    share the call, so a one-cell call returns exactly the same estimate.
+    cell's estimate depends only on the seed, not on which cells share the
+    call, so a one-cell call returns exactly the same estimate.
     """
     cells = list(cells)
     ds = [_cutoff_value(p, c) for p, c, _ in cells]
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     if not all(math.isfinite(g) for _, _, g in cells):
         raise ValueError("gamma must be finite")
     # cells sharing (alpha, m) share a stream; within it, cells sharing
@@ -134,7 +133,7 @@ def mc_coverage(cells: Sequence[tuple[BoundProblem, SelectionMethod | float, flo
     for (alpha, m), groups in streams.items():
         t1, t2 = t_quantile(m, alpha), t_quantile(m + 1, alpha)
         for size, rng in _chunk_streams(np.random.SeedSequence(seed), n_draws,
-                                        chunk_size):
+                                        _MC_CHUNK):
             z1, z2, w = _standard_draws(m, size, rng)
             mww = m * w * w
             full = np.abs(z1) <= t1 * w
@@ -327,14 +326,11 @@ class EmpiricalCoverage:
 
 def empirical_min_coverage(design: SimDesign, method: SelectionMethod,
                            alpha: float, beta_grid: Sequence[Sequence[float]],
-                           reps: int, seed: int,
-                           chunk_size: int = 1 << 16) -> list[EmpiricalCoverage]:
+                           reps: int, seed: int) -> list[EmpiricalCoverage]:
     """Empirical naive-interval coverage at each beta on the grid, under
     both the full deletion family and the pair family {} / {p-1}."""
     if reps < 0:
         raise ValueError("reps must be nonnegative")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     if reps == 0:
         return []
     full = all_deletion_subsets(design.q, design.p)
@@ -357,7 +353,7 @@ def empirical_min_coverage(design: SimDesign, method: SelectionMethod,
         point_seq = np.random.SeedSequence(entropy=root.entropy,
                                            spawn_key=(bi,))
         covered = [0, 0]
-        for size, rng in _chunk_streams(point_seq, reps, chunk_size):
+        for size, rng in _chunk_streams(point_seq, reps, _SIM_CHUNK):
             fit = engine.fit(mean[:, None]
                              + design.sigma * rng.standard_normal((design.n, size)))
             cols = np.arange(size)

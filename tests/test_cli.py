@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -475,7 +476,8 @@ class TestVerify:
             code, out, err = run(self.ARGS + [flag, bad], capsys)
             assert code == 2 and flag in err and out == ""
         at = self.ARGS.index("--gamma") + 1
-        for bad in ("abc", "nan", "inf", ","):
+        # an empty value is an error too, not the default gammas
+        for bad in ("abc", "nan", "inf", ",", ""):
             code, _, err = run(self.ARGS[:at] + [bad] + self.ARGS[at + 1:], capsys)
             assert code == 2 and "--gamma" in err
         # empty entries are skipped, as in --m
@@ -592,8 +594,9 @@ class TestSimulate:
         code, out, err = run(base + ["1,,2"], capsys)
         assert code == 0, err
         assert run(base + ["1,2"], capsys)[1] == out
-        code, out, err = run(base + [","], capsys)
-        assert code == 2 and "--beta-last" in err and out == ""
+        for empty in (",", ""):  # not the design's beta
+            code, out, err = run(base + [empty], capsys)
+            assert code == 2 and "--beta-last list is empty" in err and out == ""
 
     def test_design_flag_required(self, capsys, design_file):
         code, _, _ = run(["simulate"], capsys)
@@ -625,6 +628,17 @@ class TestFlagScope:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", ["curve", "verify"])
+    def test_rho_and_rho_grid_exclusive(self, command, capsys, tmp_path):
+        out_path = tmp_path / "out.txt"
+        code, out, err = run([command, "--method", "cp", "--m", "5",
+                              "--rho", "0.5", "--rho-grid", "0:0.1:0.1",
+                              "--out", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument --rho" in err
+        assert not out_path.exists()
 
     def test_simulate_rejects_gamma(self, capsys, design_file):
         code, _, err = run(["simulate", "--design", str(design_file),
@@ -686,9 +700,16 @@ class TestEntryPoint:
                    "rss_subset", "naive_interval", "select_model",
                    "NotApplicable", "NOT_APPLICABLE",
                    "perfect_corr_bound", "asymptotic_problem",
-                   "Tolerance", "DEFAULT_TOL"}
+                   "Tolerance", "DEFAULT_TOL", "SearchConfig",
+                   "DEFAULT_SEARCH"}
         assert not removed & set(covbound.__all__)
         assert all(hasattr(covbound, name) for name in covbound.__all__)
+        # the gamma grid and the Monte Carlo chunk sizes are fixed
+        for name in covbound.__all__:
+            obj = getattr(covbound, name)
+            if callable(obj):
+                params = inspect.signature(obj).parameters
+                assert not {"search", "config", "chunk_size"} & set(params), name
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "covbound.cli",

@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from covbound import coverage, special
+from covbound import coverage, optimize, special
 from covbound.asymptotic import AsymptoticProblem, asymptotic_bound
 from covbound.coverage import (CoverageResult, coverage_bound,
                                coverage_probability, minimum_coverage)
-from covbound.optimize import SearchConfig, minimize_over_gamma
+from covbound.optimize import minimize_over_gamma
 from covbound.rules import (BoundProblem, SelectionMethod,
                             asymptotic_threshold, selection_threshold)
 from covbound.simulate import mc_coverage
@@ -415,10 +415,8 @@ class TestMinimumCoverage:
 
 # corners of the early-exit certificate: m in {1, 2} (w_hi ~ 7 and 5),
 # m = 10000 (w_hi ~ 1.1), rho at 0, 0.9 and 1 - 1e-8; a t test
-# whose d w_hi exceeds gamma_max (no exit possible), and alpha = 0.999,
-# whose 1 - alpha has a 512x finer ulp than 0.95.  The exit rule does not
-# depend on the grid, so a coarser one keeps the reference scans cheap.
-_CORNER_SEARCH = SearchConfig(step=0.2, refine_tol=1e-4)
+# whose d w_hi exceeds the scan's end gamma = 30 (no exit possible), and
+# alpha = 0.999, whose 1 - alpha has a 512x finer ulp than 0.95.
 _CORNERS = ([(SelectionMethod(k), 0.05, m, rho) for k in ("aic", "bic")
              for m in (1, 2, 10_000) for rho in (0.0, 0.9, 1.0 - 1e-8)]
             + [(SelectionMethod("adjr2"), 0.05, 1, 0.9),
@@ -442,13 +440,13 @@ class TestTailCertificate:
     def test_identical_to_full_scan(self, case):
         method, alpha, m, rho = case
         pr = BoundProblem.from_m(alpha, 10, m, rho)
-        res = coverage_bound(pr, method, search=_CORNER_SEARCH)
+        res = coverage_bound(pr, method)
         full = minimize_over_gamma(
             lambda g: coverage_probability(pr, method, g).value,
-            _CORNER_SEARCH, tail_value=1.0 - alpha)
+            tail_value=1.0 - alpha)
         assert (res.bound, res.gamma_star, res.bracket) \
             == (full.bound, full.gamma_star, full.bracket)
-        if _edge(pr, method) >= _CORNER_SEARCH.gamma_max:
+        if _edge(pr, method) >= optimize._GAMMA_MAX:
             assert res.evaluations == full.evaluations
         else:
             assert res.evaluations < full.evaluations

@@ -4,29 +4,21 @@ import math
 
 import pytest
 
-from covbound.optimize import (BoundResult, SearchConfig, additive_tail_slack,
+from covbound.optimize import (BoundResult, additive_tail_slack,
                               minimize_over_gamma)
 
 
 class TestSearchConfig:
-    def test_defaults(self):
-        cfg = SearchConfig()
-        assert cfg.gamma_max == 30.0
-        assert cfg.step == 0.1
-        assert cfg.refine_tol == 1e-6
+    """The one search: a scan of gamma = 0, 0.1, ..., 30, then
+    golden-section polish to a bracket of width 1e-6."""
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(gamma_max=0.0),
-        dict(gamma_max=-1.0),
-        dict(step=0.0),
-        dict(step=-0.1),
-        dict(step=31.0),           # step larger than the range
-        dict(refine_tol=0.0),
-        dict(refine_tol=1.0),
-    ])
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            SearchConfig(**kwargs)
+    def test_defaults(self):
+        # a minimum between the last two grid points is reached and polished
+        res = minimize_over_gamma(lambda g: (g - 29.95) ** 2)
+        assert res.gamma_star == pytest.approx(29.95, abs=1e-6)
+        lo, hi = res.bracket
+        assert 29.8 <= lo <= res.gamma_star <= hi <= 30.0
+        assert 0.5e-6 < hi - lo <= 1e-6
 
 
 class TestMinimizeOverGamma:
@@ -54,10 +46,8 @@ class TestMinimizeOverGamma:
         def f(g):
             return math.cos(3.0 * g) + 0.01 * g
 
-        cfg = SearchConfig(gamma_max=10.0, step=0.25)
-        res = minimize_over_gamma(f, cfg)
-        n = int(round(cfg.gamma_max / cfg.step))
-        grid_min = min(f(i * cfg.step) for i in range(n + 1))
+        res = minimize_over_gamma(f)
+        grid_min = min(f(i * 0.1) for i in range(301))
         assert res.bound <= grid_min
 
     def test_tail_value_wins_when_smaller(self):
@@ -74,14 +64,6 @@ class TestMinimizeOverGamma:
         res = minimize_over_gamma(lambda g: g * g + 1.0)
         assert res.gamma_star == pytest.approx(0.0, abs=1e-6)
         assert res.bound == pytest.approx(1.0, abs=1e-10)
-
-    def test_step_refinement_stable(self):
-        def f(g):
-            return -math.exp(-((g - 4.321) ** 2) / 2.0)
-
-        a = minimize_over_gamma(f, SearchConfig(step=0.1))
-        b = minimize_over_gamma(f, SearchConfig(step=0.05))
-        assert abs(a.bound - b.bound) <= 1e-6
 
     def test_deterministic(self):
         def f(g):
@@ -125,15 +107,14 @@ def _damped_cos_slack(g):
 
 
 class TestTailSlackEarlyExit:
-    @pytest.mark.parametrize("f,tail,slack,cfg", [
-        (_bimodal, 1.0, _bimodal_slack, None),
-        (_capped_quadratic, 1.0, _capped_quadratic_slack, None),
-        (_damped_cos, 0.0, _damped_cos_slack,
-         SearchConfig(gamma_max=10.0, step=0.25)),
+    @pytest.mark.parametrize("f,tail,slack", [
+        (_bimodal, 1.0, _bimodal_slack),
+        (_capped_quadratic, 1.0, _capped_quadratic_slack),
+        (_damped_cos, 0.0, _damped_cos_slack),
     ], ids=["bimodal", "quadratic", "cos"])
-    def test_identical_to_full_scan(self, f, tail, slack, cfg):
-        full = minimize_over_gamma(f, cfg, tail_value=tail)
-        fast = minimize_over_gamma(f, cfg, tail_value=tail, tail_slack=slack)
+    def test_identical_to_full_scan(self, f, tail, slack):
+        full = minimize_over_gamma(f, tail_value=tail)
+        fast = minimize_over_gamma(f, tail_value=tail, tail_slack=slack)
         assert (fast.bound, fast.gamma_star, fast.bracket) \
             == (full.bound, full.gamma_star, full.bracket)
         assert fast.evaluations < full.evaluations

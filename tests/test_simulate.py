@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from covbound import simulate
 from covbound.coverage import coverage_probability
 from covbound.rules import BoundProblem, SelectionMethod, selection_threshold
 from covbound.simulate import (EmpiricalCoverage, MCEstimate, SimDesign,
@@ -56,6 +57,13 @@ def reference_select(d, y, method, candidates=None):
                 "cp": rss / (rss_full / m) - n + 2 * k,
                 "adjr2": rss / (n - k)}[method.kind]
     return min(cands, key=lambda K: (criterion(K), len(K), K))
+
+
+@pytest.fixture
+def mc_chunks_of_300(monkeypatch):
+    """mc_coverage in chunks of 300 draws, so a 1000-draw call ends on a
+    partial chunk, as a 2M-draw call does in chunks of 2^18."""
+    monkeypatch.setattr(simulate, "_MC_CHUNK", 300)
 
 
 def canonical_chunks(gamma, rho, m, n_draws, seed, chunk_size):
@@ -127,9 +135,10 @@ class TestMcCoverage:
         b = mc_coverage([(pr, CP, 1.0)], 300_000, seed=17)
         assert a == b
 
+    @pytest.mark.usefixtures("mc_chunks_of_300")
     def test_chunking_covers_remainder(self):
         pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
-        est = mc_coverage([(pr, CP, 1.0)], 1000, seed=5, chunk_size=300)[0]
+        est = mc_coverage([(pr, CP, 1.0)], 1000, seed=5)[0]
         assert 0.0 < est.estimate < 1.0
 
     def test_method_route_equals_raw_cutoff_route(self):
@@ -146,12 +155,6 @@ class TestMcCoverage:
         with pytest.raises(ValueError):
             mc_coverage([(pr, CP, 1.0)], 0, seed=1)
 
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_rejects_nonpositive_chunk_size(self, chunk_size):
-        pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
-        with pytest.raises(ValueError, match="chunk_size"):
-            mc_coverage([(pr, CP, 1.0)], 100, seed=1, chunk_size=chunk_size)
-
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_gamma(self, gamma):
         pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
@@ -161,6 +164,7 @@ class TestMcCoverage:
             mc_coverage([(pr, CP, 1.0), (pr, CP, gamma)], 100, seed=1)
 
 
+@pytest.mark.usefixtures("mc_chunks_of_300")
 class TestMcCoverageBatched:
     # mixed cutoffs: a selection method, a raw zero cutoff and a t-test
     CUTOFFS = (CP, 0.0, SelectionMethod("ttest", 0.05))
@@ -174,8 +178,8 @@ class TestMcCoverageBatched:
     def test_grid_equals_per_point_calls(self):
         # n_draws = 1000 in chunks of 300 ends on a partial chunk
         cells = self.grid()
-        batched = mc_coverage(cells, 1000, seed=8, chunk_size=300)
-        single = [mc_coverage([cell], 1000, seed=8, chunk_size=300)[0]
+        batched = mc_coverage(cells, 1000, seed=8)
+        single = [mc_coverage([cell], 1000, seed=8)[0]
                   for cell in cells]
         assert isinstance(batched, list) and len(batched) == len(cells)
         assert all(isinstance(e, MCEstimate) for e in batched)
@@ -187,7 +191,7 @@ class TestMcCoverageBatched:
         # the per-draw coverage written out on draw_canonical samples, one
         # point at a time, with the chunk seeding mc_coverage documents
         cells = self.grid(m=3, alpha=0.1)
-        batched = mc_coverage(cells, 1000, seed=9, chunk_size=300)
+        batched = mc_coverage(cells, 1000, seed=9)
         for (pr, cut, gamma), est in zip(cells, batched):
             assert est.estimate == direct_estimate(pr, cut, gamma, 1000, 9, 300)
 
@@ -200,18 +204,18 @@ class TestMcCoverageBatched:
         cells = [cell for m in (2, 5) for alpha in (0.05, 0.1)
                  for cell in self.grid(m, alpha)[::5]]
         cells = cells[::2] + cells[1::2]
-        mixed = mc_coverage(cells, 1000, seed=8, chunk_size=300)
+        mixed = mc_coverage(cells, 1000, seed=8)
         for key in {(pr.alpha, pr.m) for pr, _, _ in cells}:
             members = [k for k, (pr, _, _) in enumerate(cells)
                        if (pr.alpha, pr.m) == key]
-            alone = mc_coverage([cells[k] for k in members], 1000, seed=8,
-                                chunk_size=300)
+            alone = mc_coverage([cells[k] for k in members], 1000, seed=8)
             assert [mixed[k] for k in members] == alone
         a = BoundProblem.from_m(0.05, 2, 5, 0.5)
         with pytest.raises(ValueError):
             mc_coverage([(a, CP, 1.0), (a, -0.5, 1.0)], 100, seed=1)
 
 
+@pytest.mark.usefixtures("mc_chunks_of_300")
 class TestDiscordantCounting:
     """mc_coverage counts each cutoff on the draws where exactly one model
     covers; every count must equal the per-draw formula's.  All calls use
@@ -220,7 +224,7 @@ class TestDiscordantCounting:
     N, SEED, CHUNK = 1000, 11, 300
 
     def check(self, cells):
-        got = mc_coverage(cells, self.N, self.SEED, self.CHUNK)
+        got = mc_coverage(cells, self.N, self.SEED)
         want = [direct_estimate(pr, c, g, self.N, self.SEED, self.CHUNK)
                 for pr, c, g in cells]
         assert [e.estimate for e in got] == want
@@ -514,13 +518,6 @@ class TestEmpiricalMinCoverage:
         with pytest.raises(ValueError):
             empirical_min_coverage(d, CP, 0.05, [d.beta], -1, seed=1)
 
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_rejects_nonpositive_chunk_size(self, chunk_size):
-        d = orthonormal_design()
-        with pytest.raises(ValueError, match="chunk_size"):
-            empirical_min_coverage(d, CP, 0.05, [d.beta], 100, seed=1,
-                                   chunk_size=chunk_size)
-
     def test_beta_length_checked(self):
         d = orthonormal_design()
         with pytest.raises(ValueError, match="length p"):
@@ -562,7 +559,7 @@ class TestEmpiricalMinCoverage:
         assert abs(res.coverage_pair - want) <= 3.0 * res.std_err_pair
 
     @pytest.mark.parametrize("kind", ["aic", "bic", "cp", "adjr2", "ttest"])
-    def test_counts_equal_per_replicate_reference(self, kind):
+    def test_counts_equal_per_replicate_reference(self, kind, monkeypatch):
         # regenerate the draws of empirical_min_coverage (one seed subtree
         # per grid point, one Philox stream per chunk, the last chunk
         # partial) and recount coverage one replicate at a time: selection
@@ -576,8 +573,8 @@ class TestEmpiricalMinCoverage:
         grid = [d.beta, d.beta * np.array([1, 1, 0, 1, 2])]
         families = {"full": None, "pair": [(), (d.p - 1,)]}
         reps, chunk, alpha, seed = 300, 128, 0.1, 17
-        res = empirical_min_coverage(d, method, alpha, grid, reps, seed,
-                                     chunk_size=chunk)
+        monkeypatch.setattr(simulate, "_SIM_CHUNK", chunk)
+        res = empirical_min_coverage(d, method, alpha, grid, reps, seed)
         root = np.random.SeedSequence(seed)
         for bi, beta in enumerate(grid):
             point_seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=(bi,))
