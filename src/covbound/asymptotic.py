@@ -21,7 +21,7 @@ gamma - d' shows that no later gamma can win.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .optimize import BoundResult, additive_tail_slack, minimize_over_gamma
 from .special import (BVN_RECTANGLE_ERR, bvn_rectangle, norm_pdf,
@@ -104,8 +104,6 @@ def asymptotic_bound(problem: AsymptoticProblem) -> BoundResult:
     closed form's error bound ``BVN_RECTANGLE_ERR`` (0.0 when the tail
     value wins, which is exact).
     """
-    res = minimize_over_gamma(lambda g: asymptotic_coverage(problem, g),
-                              tail_value=1.0 - problem.alpha,
-                              tail_slack=asymptotic_tail_slack(problem))
-    err = 0.0 if math.isinf(res.gamma_star) else BVN_RECTANGLE_ERR
-    return replace(res, quad_err=err)
+    return minimize_over_gamma(
+        lambda g: (asymptotic_coverage(problem, g), BVN_RECTANGLE_ERR),
+        1.0 - problem.alpha, asymptotic_tail_slack(problem))

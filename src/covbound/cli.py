@@ -9,7 +9,8 @@ verify    quadrature vs Monte Carlo cross-check grid, JSON report
 simulate  empirical coverage of the naive interval from a design file
 
 Exit codes: 0 success, 1 output I/O failure, 2 invalid input,
-3 verification failure.
+3 verification failure, 4 numerical failure (a quadrature or a special
+function did not converge).
 
 All numeric output uses repr-style shortest round-trip formatting, so a
 CSV produced twice from the same configuration and seed is bit-identical,
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+EXIT_NUMERIC = 4
 
 
 class CliError(Exception):
@@ -506,6 +508,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except RuntimeError as exc:  # QuadratureError, non-convergence, a broken pool
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

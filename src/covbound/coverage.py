@@ -59,7 +59,7 @@ and the bound runs continuously into the |rho| = 1 closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,16 +267,11 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     (0.0 when the tail value wins).
     """
     plan = _CoveragePlan(problem, method, abs_err)
-    results: dict[float, CoverageResult] = {}
 
-    def objective(g: float) -> float:
-        results[g] = plan.evaluate(g)
-        return results[g].value
-
-    res = minimize_over_gamma(objective, tail_value=1.0 - problem.alpha,
-                              tail_slack=plan.tail_slack())
-    err = 0.0 if math.isinf(res.gamma_star) else results[res.gamma_star].quad_err
-    return replace(res, quad_err=err)
+    def objective(g: float) -> tuple[float, float]:
+        res = plan.evaluate(g)
+        return res.value, res.quad_err
+    return minimize_over_gamma(objective, 1.0 - problem.alpha, plan.tail_slack())
 
 
 def _perfect_corr_bound(t: float, d: float, m: int | float,
@@ -322,4 +317,4 @@ def minimum_coverage(method: SelectionMethod, alpha: float, p: int,
         m = problem.m
         d, t = selection_threshold(method, problem.n, problem.p), t_quantile(m, alpha)
     bound, err = _perfect_corr_bound(t, d, m, abs_err)
-    return BoundResult(bound, math.nan, 0, (math.nan, math.nan), quad_err=err)
+    return BoundResult(bound, math.nan, 0, (math.nan, math.nan), err)

@@ -6,8 +6,10 @@ unimodality: a coarse scan of the fixed grid 0, 0.1, 0.2, ..., 30
 locates the best basin, golden-section refinement polishes it to a
 bracket of width 1e-6, and the returned bound is the minimum over every
 objective evaluation made along the way plus the gamma -> infinity tail
-candidate.  By construction it is <= the scan-grid minimum.  Ties
-resolve to the smallest gamma.
+value.  By construction it is <= the scan-grid minimum.  Ties resolve to
+the smallest gamma.  The objective reports each value with its error, and
+the result carries the error of the value it reports: the objective's at
+gamma_star, or 0.0 when the exact tail value wins.
 
 The scan may stop early, and then only on a certificate from the problem:
 a ``tail_slack`` envelope proving that no later grid point can beat the
@@ -31,17 +33,15 @@ _REFINE_TOL = 1e-6  # golden-section target bracket width
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Minimized value, its argmin, evaluation count, final bracket.
-
-    ``quad_err`` is the objective's own error estimate at gamma_star, set
-    by callers whose objective reports one (None otherwise).
-    """
+    """Minimized value, its argmin, evaluation count, final bracket and
+    ``quad_err``, the objective's own error estimate at gamma_star (0.0
+    when the exact tail value wins)."""
 
     bound: float
     gamma_star: float
     evaluations: int
     bracket: tuple[float, float]
-    quad_err: float | None = None
+    quad_err: float
 
 
 def additive_tail_slack(tail_value: float, correction_bound):
@@ -62,39 +62,36 @@ def additive_tail_slack(tail_value: float, correction_bound):
     return tail_slack
 
 
-def minimize_over_gamma(objective, tail_value: float | None = None,
-                        tail_slack=None) -> BoundResult:
-    """Minimize ``objective(gamma)`` over gamma >= 0.
+def minimize_over_gamma(objective, tail_value: float, tail_slack) -> BoundResult:
+    """Minimize ``objective(gamma)``, a (value, err) pair, over gamma >= 0.
 
-    ``tail_value``, when given, is the known gamma -> infinity limit and
-    competes as a final candidate: if it undercuts every evaluation the
-    result reports gamma_star = inf.
+    ``tail_value`` is the exact gamma -> infinity limit and competes as a
+    final candidate: if it undercuts every evaluation the result reports
+    gamma_star = inf and quad_err 0.0.
 
-    ``tail_slack(g)``, when given, must be a rigorous bound, nonincreasing
-    in g, on |computed objective(g') - tail_value| for every g' >= g.  The
-    scan then stops before grid point g once ``tail_value - tail_slack(g)``
-    exceeds the best value so far (no later point can win), or once
-    ``tail_slack(g)`` is exactly 0 and the best value is <= tail_value
-    (every later point equals tail_value and loses the smallest-gamma
-    tie).  Either way the result equals that of the full scan.
+    ``tail_slack(g)`` must be a rigorous bound, nonincreasing in g, on
+    |computed value at g' - tail_value| for every g' >= g (inf where no
+    bound is known).  The scan stops before grid point g once
+    ``tail_value - tail_slack(g)`` exceeds the best value so far (no later
+    point can win), or once ``tail_slack(g)`` is exactly 0 and the best
+    value is <= tail_value (every later point equals tail_value and loses
+    the smallest-gamma tie).  Either way the result equals that of the
+    full scan.
     """
-    if tail_slack is not None and tail_value is None:
-        raise ValueError("tail_slack needs tail_value")
-    seen: list[tuple[float, float]] = []
+    seen: list[tuple[float, float, float]] = []
 
     def f(g: float) -> float:
-        v = float(objective(g))
-        seen.append((g, v))
-        return v
+        v, err = objective(g)
+        seen.append((g, float(v), err))
+        return seen[-1][1]
 
     n_grid = int(round(_GAMMA_MAX / _STEP))
     best_g, best_v = 0.0, f(0.0)
     for i in range(1, n_grid + 1):
         g = i * _STEP
-        if tail_slack is not None:
-            s = tail_slack(g)
-            if tail_value - s > best_v or (s == 0.0 and tail_value >= best_v):
-                break
+        s = tail_slack(g)
+        if tail_value - s > best_v or (s == 0.0 and tail_value >= best_v):
+            break
         v = f(g)
         if v < best_v:
             best_g, best_v = g, v
@@ -115,8 +112,7 @@ def minimize_over_gamma(objective, tail_value: float | None = None,
             d = a + (b - a) * INV_PHI
             fd = f(d)
 
-    gamma_star, bound = min(seen, key=lambda gv: (gv[1], gv[0]))
-    if tail_value is not None and tail_value < bound:
-        bound, gamma_star = tail_value, math.inf
-    return BoundResult(bound=bound, gamma_star=gamma_star,
-                       evaluations=len(seen), bracket=(a, b))
+    gamma_star, bound, err = min(seen, key=lambda gve: (gve[1], gve[0]))
+    if tail_value < bound:
+        bound, gamma_star, err = tail_value, math.inf, 0.0
+    return BoundResult(bound, gamma_star, len(seen), (a, b), err)

@@ -67,11 +67,14 @@ class QuadratureError(RuntimeError):
     """Refinement failed; carries the best estimate reached so far."""
 
     def __init__(self, message: str, value: float, err: float, panels: int):
-        super().__init__(f"{message} (best estimate {value!r}, error {err:.3e}, "
-                         f"{panels} panels)")
-        self.value = value
-        self.err = err
-        self.panels = panels
+        # every field goes to args, so the error survives pickling (a
+        # worker process raises it to its parent)
+        super().__init__(message, value, err, panels)
+        self.value, self.err, self.panels = value, err, panels
+
+    def __str__(self) -> str:
+        message, value, err, panels = self.args
+        return f"{message} (best estimate {value!r}, error {err:.3e}, {panels} panels)"
 
 
 class QuadResult(NamedTuple):
@@ -106,6 +109,9 @@ def _cached_mesh(limits, initial):
     return mesh
 
 
+# the panel budgets of adaptive_quad and adaptive_quad_2d
+_MAX_PANELS = (4096, 40000)
+
 # row i: axis i's node at every slot of the flat 15**k tensor rule
 _TENSOR = {k: _grid(*[NODES] * k) for k in (1, 2)}
 
@@ -139,7 +145,7 @@ def _rule(fv, h):
     return kk, np.maximum(np.abs(kk - gg), np.maximum(dev[0], dev[1])), dev
 
 
-def _refine(f, limits, abs_err, max_panels, initial, start_values):
+def _refine(f, limits, abs_err, initial, start_values):
     # the refinement loop of both drivers over the box limits = (lo, hi)
     # per axis; c, h and dev hold one row per axis, one column per panel
     los, his = limits[::2], limits[1::2]
@@ -165,7 +171,7 @@ def _refine(f, limits, abs_err, max_panels, initial, start_values):
         if not len(grow):
             raise QuadratureError("quadrature stalled on panels too narrow "
                                   "to split", float(val.sum()), err_sum, n)
-        if n + len(grow) > max_panels:
+        if n + len(grow) > _MAX_PANELS[len(h) - 1]:
             raise QuadratureError("quadrature did not converge within the "
                                   "panel budget", float(val.sum()), err_sum, n)
         # halve each panel along its larger deficit among the axes still
@@ -188,16 +194,14 @@ def _refine(f, limits, abs_err, max_panels, initial, start_values):
 
 
 def adaptive_quad(f: Callable, a: float, b: float, abs_err: float = 1e-10,
-                  max_panels: int = 4096, initial: int = 4,
-                  start_values=None) -> QuadResult:
+                  initial: int = 4, start_values=None) -> QuadResult:
     """Integrate vectorized ``f`` over [a, b] to the requested tolerance;
     ``start_values`` are ``f`` at ``start_nodes(a, b, initial=initial)``."""
-    return _refine(f, (a, b), abs_err, max_panels, initial, start_values)
+    return _refine(f, (a, b), abs_err, initial, start_values)
 
 
 def adaptive_quad_2d(f: Callable, ua: float, ub: float, va: float, vb: float,
-                     abs_err: float = 1e-8, max_panels: int = 40000,
-                     initial: tuple[int, int] = (8, 4),
+                     abs_err: float = 1e-8, initial: tuple[int, int] = (8, 4),
                      start_values=None) -> QuadResult:
     """Integrate vectorized ``f(u, v)`` over [ua, ub] x [va, vb].
 
@@ -206,5 +210,4 @@ def adaptive_quad_2d(f: Callable, ua: float, ub: float, va: float, vb: float,
     split halves the axis whose Gauss deficit is larger.  ``start_values``
     are ``f`` at ``start_nodes(ua, ub, va, vb, initial=initial)``.
     """
-    return _refine(f, (ua, ub, va, vb), abs_err, max_panels, initial,
-                   start_values)
+    return _refine(f, (ua, ub, va, vb), abs_err, initial, start_values)

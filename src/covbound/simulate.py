@@ -329,10 +329,8 @@ def empirical_min_coverage(design: SimDesign, method: SelectionMethod,
                            reps: int, seed: int) -> list[EmpiricalCoverage]:
     """Empirical naive-interval coverage at each beta on the grid, under
     both the full deletion family and the pair family {} / {p-1}."""
-    if reps < 0:
-        raise ValueError("reps must be nonnegative")
-    if reps == 0:
-        return []
+    if reps < 1:
+        raise ValueError("reps must be positive")
     full = all_deletion_subsets(design.q, design.p)
     engine = _Engine(design, full)
     # the pair family {(), (p-1,)} is two rows of the full family

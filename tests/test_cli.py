@@ -321,7 +321,7 @@ class TestCurve:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         monkeypatch.setattr(cli, "minimum_coverage",
-                            lambda *args: BoundResult(0.9, 1.0, 1, (0.9, 1.1)))
+                            lambda *args: BoundResult(0.9, 1.0, 1, (0.9, 1.1), 1e-9))
         code, out, _ = run(["curve", "--method", "cp", "--m", "5",
                             "--rho-grid", grid, "--jobs", str(jobs)], capsys)
         assert code == 0
@@ -606,6 +606,32 @@ class TestSimulate:
         assert code == 2 and "--seed" in err and out == ""
 
 
+class TestNumericalFailure:
+    """A quadrature or special function that does not converge exits 4
+    with one error line, not a traceback."""
+
+    @pytest.mark.parametrize("m, message", [
+        ("500000000", "panel budget"),  # the 1-D full-model term
+        ("100000000000", "incomplete gamma series did not converge"),
+    ])
+    def test_bound(self, capsys, m, message):
+        code, out, err = run(["bound", "--m", m, "--rho", "0.5"], capsys)
+        assert (code, out) == (cli.EXIT_NUMERIC, "")
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_curve_worker_failure_reaches_the_parent(self, capsys, monkeypatch):
+        # the worker's QuadratureError crosses the pool intact, so the
+        # parent reports it rather than a broken pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = run(["curve", "--m", "500000000", "--rho-grid",
+                              "0:0.5:0.5", "--jobs", "2"], capsys)
+        assert (code, out) == (cli.EXIT_NUMERIC, "")
+        assert err.startswith("error: quadrature did not converge within "
+                              "the panel budget")
+        assert err.count("\n") == 1
+
+
 class TestFlagScope:
     @pytest.mark.parametrize("argv", [
         ["bound", "--method", "cp", "--m", "5", "--rho", "0.5", "--jobs", "2"],
@@ -704,12 +730,19 @@ class TestEntryPoint:
                    "DEFAULT_SEARCH"}
         assert not removed & set(covbound.__all__)
         assert all(hasattr(covbound, name) for name in covbound.__all__)
-        # the gamma grid and the Monte Carlo chunk sizes are fixed
+        # the gamma grid, the Monte Carlo chunk sizes and the panel budgets
+        # are fixed
         for name in covbound.__all__:
             obj = getattr(covbound, name)
             if callable(obj):
                 params = inspect.signature(obj).parameters
-                assert not {"search", "config", "chunk_size"} & set(params), name
+                assert not {"search", "config", "chunk_size",
+                            "max_panels"} & set(params), name
+        # the search takes its tail; a bound carries the error it reports
+        params = inspect.signature(covbound.minimize_over_gamma).parameters
+        assert all(p.default is inspect.Parameter.empty for p in params.values())
+        quad_err = inspect.signature(covbound.BoundResult).parameters["quad_err"]
+        assert quad_err.default is inspect.Parameter.empty
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "covbound.cli",

@@ -8,13 +8,24 @@ from covbound.optimize import (BoundResult, additive_tail_slack,
                               minimize_over_gamma)
 
 
+def _no_bound(g):
+    # "no bound known" at every g: the scan never stops early
+    return math.inf
+
+
+def _minimize(f, tail_value=math.inf, tail_slack=_no_bound):
+    """The search on a scalar objective reported with error 0.0; with no
+    tail by default (an infinite tail value never wins)."""
+    return minimize_over_gamma(lambda g: (f(g), 0.0), tail_value, tail_slack)
+
+
 class TestSearchConfig:
     """The one search: a scan of gamma = 0, 0.1, ..., 30, then
     golden-section polish to a bracket of width 1e-6."""
 
     def test_defaults(self):
         # a minimum between the last two grid points is reached and polished
-        res = minimize_over_gamma(lambda g: (g - 29.95) ** 2)
+        res = _minimize(lambda g: (g - 29.95) ** 2)
         assert res.gamma_star == pytest.approx(29.95, abs=1e-6)
         lo, hi = res.bracket
         assert 29.8 <= lo <= res.gamma_star <= hi <= 30.0
@@ -23,12 +34,12 @@ class TestSearchConfig:
 
 class TestMinimizeOverGamma:
     def test_constant_objective_ties_to_zero(self):
-        res = minimize_over_gamma(lambda g: 3.5)
+        res = _minimize(lambda g: 3.5)
         assert res.bound == 3.5
         assert res.gamma_star == 0.0
 
     def test_quadratic_minimum_located(self):
-        res = minimize_over_gamma(lambda g: (g - 1.37) ** 2 + 0.25)
+        res = _minimize(lambda g: (g - 1.37) ** 2 + 0.25)
         assert res.gamma_star == pytest.approx(1.37, abs=1e-6)
         assert res.bound == pytest.approx(0.25, abs=1e-10)
 
@@ -38,7 +49,7 @@ class TestMinimizeOverGamma:
             return (1.0 - 0.5 * math.exp(-((g - 2.0) ** 2))
                     - 0.8 * math.exp(-((g - 11.0) ** 2)))
 
-        res = minimize_over_gamma(f)
+        res = _minimize(f)
         assert res.gamma_star == pytest.approx(11.0, abs=1e-5)
         assert res.bound == pytest.approx(0.2, abs=1e-9)
 
@@ -46,22 +57,22 @@ class TestMinimizeOverGamma:
         def f(g):
             return math.cos(3.0 * g) + 0.01 * g
 
-        res = minimize_over_gamma(f)
+        res = _minimize(f)
         grid_min = min(f(i * 0.1) for i in range(301))
         assert res.bound <= grid_min
 
     def test_tail_value_wins_when_smaller(self):
-        res = minimize_over_gamma(lambda g: 1.0 / (1.0 + g), tail_value=0.0)
+        res = _minimize(lambda g: 1.0 / (1.0 + g), tail_value=0.0)
         assert res.bound == 0.0
         assert res.gamma_star == math.inf
 
     def test_tail_value_loses_ties(self):
-        res = minimize_over_gamma(lambda g: 2.0, tail_value=2.0)
+        res = _minimize(lambda g: 2.0, tail_value=2.0)
         assert res.bound == 2.0
         assert res.gamma_star == 0.0
 
     def test_minimum_at_origin(self):
-        res = minimize_over_gamma(lambda g: g * g + 1.0)
+        res = _minimize(lambda g: g * g + 1.0)
         assert res.gamma_star == pytest.approx(0.0, abs=1e-6)
         assert res.bound == pytest.approx(1.0, abs=1e-10)
 
@@ -69,10 +80,10 @@ class TestMinimizeOverGamma:
         def f(g):
             return math.sin(g) + 0.1 * g
 
-        assert minimize_over_gamma(f) == minimize_over_gamma(f)
+        assert _minimize(f) == _minimize(f)
 
     def test_bookkeeping(self):
-        res = minimize_over_gamma(lambda g: (g - 0.5) ** 2)
+        res = _minimize(lambda g: (g - 0.5) ** 2)
         assert isinstance(res, BoundResult)
         assert res.evaluations > 300  # 301 scan points plus refinement
         lo, hi = res.bracket
@@ -113,15 +124,14 @@ class TestTailSlackEarlyExit:
         (_damped_cos, 0.0, _damped_cos_slack),
     ], ids=["bimodal", "quadratic", "cos"])
     def test_identical_to_full_scan(self, f, tail, slack):
-        full = minimize_over_gamma(f, tail_value=tail)
-        fast = minimize_over_gamma(f, tail_value=tail, tail_slack=slack)
+        full = _minimize(f, tail_value=tail)
+        fast = _minimize(f, tail_value=tail, tail_slack=slack)
         assert (fast.bound, fast.gamma_star, fast.bracket) \
             == (full.bound, full.gamma_star, full.bracket)
         assert fast.evaluations < full.evaluations
 
     def test_bimodal_scan_passes_the_shallow_dip(self):
-        res = minimize_over_gamma(_bimodal, tail_value=1.0,
-                                  tail_slack=_bimodal_slack)
+        res = _minimize(_bimodal, tail_value=1.0, tail_slack=_bimodal_slack)
         assert res.gamma_star == pytest.approx(11.0, abs=1e-5)
 
     def test_later_dip_deeper_by_a_hair_is_found(self):
@@ -136,8 +146,8 @@ class TestTailSlackEarlyExit:
             second = (0.5 + 1e-13) * math.exp(-(max(g - 11.0, 0.0) ** 2))
             return first + second + 1e-15
 
-        full = minimize_over_gamma(f, tail_value=1.0)
-        fast = minimize_over_gamma(f, tail_value=1.0, tail_slack=slack)
+        full = _minimize(f, tail_value=1.0)
+        fast = _minimize(f, tail_value=1.0, tail_slack=slack)
         assert fast.gamma_star == full.gamma_star == pytest.approx(11.0, abs=1e-5)
         assert fast.bound == full.bound < 0.5
 
@@ -150,8 +160,8 @@ class TestTailSlackEarlyExit:
         def slack(g):
             return 0.0 if g >= 2.0 else math.inf
 
-        full = minimize_over_gamma(f, tail_value=0.5)
-        fast = minimize_over_gamma(f, tail_value=0.5, tail_slack=slack)
+        full = _minimize(f, tail_value=0.5)
+        fast = _minimize(f, tail_value=0.5, tail_slack=slack)
         assert fast.bound == full.bound == 0.5
         assert fast.gamma_star == full.gamma_star == 2.0
         assert fast.evaluations < full.evaluations
@@ -162,9 +172,9 @@ class TestTailSlackEarlyExit:
         def slack(g):
             return 2.0 / (1.0 + g)
 
-        full = minimize_over_gamma(lambda g: 1.0 / (1.0 + g), tail_value=0.0)
-        fast = minimize_over_gamma(lambda g: 1.0 / (1.0 + g), tail_value=0.0,
-                                   tail_slack=slack)
+        full = _minimize(lambda g: 1.0 / (1.0 + g), tail_value=0.0)
+        fast = _minimize(lambda g: 1.0 / (1.0 + g), tail_value=0.0,
+                         tail_slack=slack)
         assert fast == full
         assert fast.gamma_star == math.inf
 
@@ -175,10 +185,9 @@ class TestTailSlackEarlyExit:
             calls.append(g)
             return math.inf
 
-        res = minimize_over_gamma(lambda g: (g - 0.5) ** 2, tail_value=1.0,
-                                  tail_slack=slack)
-        assert res == minimize_over_gamma(lambda g: (g - 0.5) ** 2,
-                                          tail_value=1.0)
+        res = _minimize(lambda g: (g - 0.5) ** 2, tail_value=1.0,
+                        tail_slack=slack)
+        assert res == _minimize(lambda g: (g - 0.5) ** 2, tail_value=1.0)
         assert calls == [i * 0.1 for i in range(1, 301)]
 
     def test_no_envelope_scans_whole_grid(self):
@@ -189,13 +198,28 @@ class TestTailSlackEarlyExit:
             gammas.append(g)
             return 2.0
 
-        res = minimize_over_gamma(f, tail_value=2.0)
+        res = _minimize(f, tail_value=2.0)
         assert gammas[:301] == [i * 0.1 for i in range(301)]
         assert res.gamma_star == 0.0
 
-    def test_slack_needs_tail_value(self):
-        with pytest.raises(ValueError, match="tail_value"):
-            minimize_over_gamma(lambda g: g, tail_slack=lambda g: math.inf)
+
+class TestReportedError:
+    """The search returns the objective's error at gamma_star."""
+
+    def test_error_at_the_minimum(self):
+        # the error reported with each value is g + 1, so the error at the
+        # minimum names the gamma it came from
+        res = minimize_over_gamma(lambda g: ((g - 1.37) ** 2, g + 1.0),
+                                  math.inf, _no_bound)
+        assert res.quad_err == res.gamma_star + 1.0
+
+    def test_error_of_repeated_minimum_from_smallest_gamma(self):
+        res = minimize_over_gamma(lambda g: (2.0, g + 1.0), math.inf, _no_bound)
+        assert (res.gamma_star, res.quad_err) == (0.0, 1.0)
+
+    def test_exact_tail_reports_zero_error(self):
+        res = minimize_over_gamma(lambda g: (1.0 / (1.0 + g), 0.5), 0.0, _no_bound)
+        assert (res.bound, res.gamma_star, res.quad_err) == (0.0, math.inf, 0.0)
 
 
 class TestAdditiveTailSlack:

@@ -1,10 +1,12 @@
 """Adaptive panel quadrature: exactness, convergence, error control."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from covbound import quadrature
 from covbound.quadrature import (NODES, WEIGHTS_G, WEIGHTS_K, QuadratureError,
                                  QuadResult, adaptive_quad, adaptive_quad_2d,
                                  start_nodes)
@@ -80,12 +82,13 @@ class TestAdaptiveQuad:
         r2 = adaptive_quad(f, 0.0, 5.0, abs_err=1e-11)
         assert r1 == r2
 
-    def test_budget_exhaustion_raises_with_best_estimate(self):
+    def test_budget_exhaustion_raises_with_best_estimate(self, monkeypatch):
         # integrable singularity at an interior panel edge: refinement
         # stalls before the tolerance is met
         f = lambda x: np.abs(x) ** -0.9
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", (64, 40000))
         with pytest.raises(QuadratureError) as exc:
-            adaptive_quad(f, -1.0, 1.0, abs_err=1e-12, max_panels=64)
+            adaptive_quad(f, -1.0, 1.0, abs_err=1e-12)
         assert exc.value.value == pytest.approx(20.0, rel=0.5)
         assert exc.value.err > 1e-12
         assert exc.value.panels <= 64
@@ -148,10 +151,11 @@ class TestAdaptiveQuad2d:
         r2 = adaptive_quad_2d(f, -2, 2, -2, 2, abs_err=1e-9)
         assert r1 == r2
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         f = lambda u, v: (np.abs(u) + np.abs(v)) ** -0.9
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", (4096, 32))
         with pytest.raises(QuadratureError):
-            adaptive_quad_2d(f, -1, 1, -1, 1, abs_err=1e-13, max_panels=32)
+            adaptive_quad_2d(f, -1, 1, -1, 1, abs_err=1e-13)
 
     def test_panels_reported(self):
         f = lambda u, v: np.exp(-(u * u + v * v))
@@ -177,7 +181,7 @@ class TestAdaptiveQuad2d:
         got = np.unique(np.concatenate([z[axis] for z in seen]))
         assert np.array_equal(got, np.unique(start))
 
-    def test_never_halves_an_axis_at_the_width_floor(self):
+    def test_never_halves_an_axis_at_the_width_floor(self, monkeypatch):
         # the jump is along u, but u starts below the width floor: splits
         # go to v until the budget runs out, and u keeps its start nodes
         seen = []
@@ -187,37 +191,41 @@ class TestAdaptiveQuad2d:
             return np.where(u > 1.0 + 5e-15, 1.0, 0.0)
 
         limits = (1.0, 1.0 + 1e-14, 0.0, 1.0)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", (4096, 400))
         with pytest.raises(QuadratureError, match="budget"):
-            adaptive_quad_2d(f, *limits, abs_err=1e-30, max_panels=400)
+            adaptive_quad_2d(f, *limits, abs_err=1e-30)
         assert len(seen) >= 2
         start = start_nodes(*limits, initial=(8, 4))[0]
         assert np.array_equal(np.unique(np.concatenate(seen)), np.unique(start))
 
 
 # (driver, integrand, limits, options, outcome): converged on the start
-# mesh, refined for several rounds, or out of panel budget
+# mesh, refined for several rounds, or out of panel budget (64 panels in
+# 1-D, 400 in 2-D)
 _START_CASES = [
     (adaptive_quad, np.exp, (0.0, 1.0), {}, "start"),
     (adaptive_quad, lambda x: 1.0 / (1.0 + 25.0 * x * x), (-1.0, 1.0),
      {"abs_err": 1e-13, "initial": 8}, "refine"),
     (adaptive_quad, lambda x: np.abs(x) ** -0.9, (-1.0, 1.0),
-     {"abs_err": 1e-12, "max_panels": 64}, "budget"),
+     {"abs_err": 1e-12}, "budget"),
     (adaptive_quad_2d, lambda u, v: u * u * v ** 4, (0.0, 2.0, -1.0, 1.0),
      {"abs_err": 1e-12}, "start"),
     (adaptive_quad_2d,
      lambda u, v: np.exp(-50.0 * (u - v) ** 2) * np.exp(-0.5 * v * v),
      (-3.0, 3.0, -3.0, 3.0), {"abs_err": 1e-10}, "refine"),
     (adaptive_quad_2d, lambda u, v: (np.abs(u) + np.abs(v)) ** -0.9,
-     (-1.0, 1.0, -1.0, 1.0), {"abs_err": 1e-13, "max_panels": 400}, "budget"),
+     (-1.0, 1.0, -1.0, 1.0), {"abs_err": 1e-13}, "budget"),
 ]
 
 
 @pytest.mark.parametrize("case", _START_CASES,
                          ids=lambda c: f"{c[0].__name__}-{c[4]}")
-def test_start_values_give_the_same_result(case):
+def test_start_values_give_the_same_result(case, monkeypatch):
     # values on the start nodes, computed by the caller, stand in for the
     # driver's first integrand call and change nothing else
     driver, f, limits, opts, outcome = case
+    if outcome == "budget":
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", (64, 400))
     calls = []
 
     def counted(*args):
@@ -294,3 +302,15 @@ def test_non_finite_values_raise(driver, f, limits, abs_err):
     assert not math.isfinite(exc.value.err)
     # raised on the start mesh, before any split
     assert exc.value.panels == (4 if driver is adaptive_quad else 8 * 4)
+
+
+def test_quadrature_error_survives_pickling():
+    # a worker process raises it to its parent through pickle
+    err = QuadratureError("quadrature did not converge within the panel "
+                          "budget", 0.25, 3e-9, 4096)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is QuadratureError
+    assert (back.value, back.err, back.panels) == (0.25, 3e-9, 4096)
+    assert str(back) == str(err) == (
+        "quadrature did not converge within the panel budget (best estimate "
+        "0.25, error 3.000e-09, 4096 panels)")

@@ -509,9 +509,11 @@ class TestSelectModel:
 
 
 class TestEmpiricalMinCoverage:
-    def test_zero_reps_gives_empty_table(self):
+    def test_zero_reps_rejected(self):
+        # one rule for sample sizes, as in mc_coverage: at least one
         d = orthonormal_design()
-        assert empirical_min_coverage(d, CP, 0.05, [d.beta], 0, seed=1) == []
+        with pytest.raises(ValueError, match="reps must be positive"):
+            empirical_min_coverage(d, CP, 0.05, [d.beta], 0, seed=1)
 
     def test_negative_reps_rejected(self):
         d = orthonormal_design()
