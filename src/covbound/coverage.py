@@ -33,21 +33,20 @@ a correction to the nominal level carried entirely by the event
 is evaluated in two terms, over [w_lo, w_hi], which holds all but 1e-12
 of the mass of w:
 
-  submodel term    int int_{-d}^{d} D(rho gamma / s, q(w, wx)) phi(wx - gamma)
-                                    w f_W(w) dx dw,
+  submodel term    int int_0^d D(rho gamma / s, q(w, wx))
+                               (phi(wx - gamma) + phi(wx + gamma)) w f_W(w) dx dw,
   full-model term  int f_W(w) P(|G| <= t_m w, |H| <= d w) dw,
 
 and the coverage is (1 - alpha) + submodel term - full-model term.  Here
 (G, H) is bivariate normal with G ~ N(0, 1), H ~ N(gamma, 1) and
 correlation rho.  The full-model term is the k_full part integrated over
 x in closed form: a bivariate-normal rectangle (``bvn_rectangle``) under a
-1-D adaptive Gauss-Kronrod integral in w.  The submodel term is a 2-D
-adaptive Gauss-Kronrod integral over [w_lo, w_hi] x [-d, d], two Phi per
-node, except that on the start mesh D runs once per distinct half-width:
-q is even in x and that mesh is symmetric about x = 0, so its nodes carry
-about half as many distinct q.  On each start cell of the two quadratures
-both terms are pinned below a Gaussian tail in gamma minus the largest h
-on the cell; ``coverage_bound`` uses that to stop its gamma scan early.
+1-D adaptive Gauss-Kronrod integral in w.  The submodel term is the k_sub
+part folded onto x >= 0, as q depends on x only through x^2: a 2-D
+adaptive Gauss-Kronrod integral over [w_lo, w_hi] x [0, d], two Phi per
+node.  On each start cell of the two quadratures both terms are pinned
+below a Gaussian tail in gamma minus the largest h on the cell;
+``coverage_bound`` uses that to stop its gamma scan early.
 
 At |rho| = 1 this representation degenerates, and the minimum coverage
 is 2 int (Phi(t_m w) - Phi(d w)) f_W(w) dw when d < t_m and exactly 0
@@ -87,7 +86,7 @@ _W_MASS_EPS = 1e-12
 _SUB_SHARE = 0.8
 _FULL_SHARE = 0.1
 # start meshes of the 2-D (w, x) and 1-D (w) quadratures, in panels
-_SUB_MESH, _FULL_MESH = (8, 4), 8
+_SUB_MESH, _FULL_MESH = (8, 2), 8
 
 
 @dataclass(frozen=True)
@@ -115,11 +114,8 @@ def _check_abs_err(abs_err: float) -> float:
 class _CoveragePlan:
     """``coverage_probability`` for one (problem, method, abs_err): the scalars
     and, read-only on both start meshes, the gamma-independent integrand
-    factors.  On the 2-D start mesh these include the distinct half-widths
-    ``q_distinct`` and the index ``q_index`` that maps them back to the
-    nodes, so D(c, q) runs once per distinct q; refined panels compute D
-    and the factors node by node, by the same arithmetic, so each
-    ``evaluate`` gives the bits of a fresh evaluation."""
+    factors.  Refined panels compute the factors by the same arithmetic,
+    so each ``evaluate`` gives the bits of a fresh evaluation."""
 
     def __init__(self, problem: BoundProblem, method: SelectionMethod,
                  abs_err: float = 1e-8) -> None:
@@ -133,13 +129,10 @@ class _CoveragePlan:
         self.w_lo, self.w_hi = residual_scale_interval(self.m, _W_MASS_EPS)
         self.sd = math.sqrt(1.0 - self.rho * self.rho)
         self.sub_start = self._sub_factors(*start_nodes(
-            self.w_lo, self.w_hi, -self.d, self.d, initial=_SUB_MESH))
+            self.w_lo, self.w_hi, 0.0, self.d, initial=_SUB_MESH))
         self.full_start = self._full_factors(*start_nodes(
             self.w_lo, self.w_hi, initial=_FULL_MESH))
-        self.q_distinct, self.q_index = np.unique(self.sub_start[1],
-                                                  return_inverse=True)
-        for z in (*self.sub_start, *self.full_start, self.q_distinct,
-                  self.q_index):
+        for z in (*self.sub_start, *self.full_start):
             z.flags.writeable = False
 
     def _sub_factors(self, w, x):
@@ -167,10 +160,11 @@ class _CoveragePlan:
         a cell with top corner (w_top, x_top):
 
         * submodel term: |k_sub| <= 1, w <= w_top, f_W is at most its
-          largest value on the cell's w panel, and h = w x <= u =
-          w_top max(x_top, 0), so the integrand is at most
-          w_top max f_W phi(gamma' - u) when gamma' > u and
-          w_top max f_W / sqrt(2 pi) otherwise;
+          largest value on the cell's w panel, and h = w x lies in [0, u],
+          u = w_top x_top, so phi(h - gamma') <= phi(max(gamma' - u, 0))
+          and the mirror term phi(h + gamma') <= phi(max(gamma', 0)), which
+          is phi(gamma') in the search; the integrand is at most
+          w_top max f_W times their sum;
         * full-model term: ``bvn_rectangle`` never exceeds its computed
           Phi(d w - gamma') - Phi(-d w - gamma') <= min(Phi(-x), 1) with
           x = gamma' - d w_top, and Phi(-x) <= phi(x)/x for x > 0.
@@ -191,13 +185,13 @@ class _CoveragePlan:
             f_max = residual_scale_density(np.clip(mode, c[0] - h[0], top[0]), m)
             return top, np.prod(2.0 * h, axis=0) * f_max
 
-        (w_sub, x_sub), sub_mass = cells(self.w_lo, self.w_hi, -d, d, initial=_SUB_MESH)
-        sub_scale, sub_edge = sub_mass * w_sub, w_sub * np.maximum(x_sub, 0.0)
+        (w_sub, x_sub), sub_mass = cells(self.w_lo, self.w_hi, 0.0, d, initial=_SUB_MESH)
+        sub_scale, sub_edge = sub_mass * w_sub, w_sub * x_sub
         (w_full,), full_scale = cells(self.w_lo, self.w_hi, initial=_FULL_MESH)
         full_edge = d * w_full
 
         def correction_bound(gamma: float) -> float:
-            sub = norm_pdf(np.maximum(gamma - sub_edge, 0.0))
+            sub = norm_pdf(np.maximum(gamma - sub_edge, 0.0)) + norm_pdf(max(gamma, 0.0))
             # min(phi(x)/x, 1) for x > 0, and 1 for x <= 0
             x = np.maximum(gamma - full_edge, 0.0)
             q = norm_pdf(x)
@@ -211,23 +205,19 @@ class _CoveragePlan:
         # D(c, q) is even in c; c <= 0 keeps both Phi on the lower tail
         c = -abs(self.rho * gamma) / self.sd
 
-        def sub_values(d_cq, h, w, f_w):
-            # the submodel integrand from D(c, q) at the same nodes
-            return d_cq * norm_pdf(h - gamma) * w * f_w
-
-        def sub_refined(w, x):
-            h, q, w, f_w = self._sub_factors(w, x)
-            return sub_values(symmetric_interval_prob(c, q), h, w, f_w)
+        def sub_values(h, q, w, f_w):
+            # the folded submodel integrand: D(c, q) at h and at -h
+            return (symmetric_interval_prob(c, q)
+                    * (norm_pdf(h - gamma) + norm_pdf(h + gamma)) * w * f_w)
 
         def full_values(f_w, lo1, hi1, lo2, hi2):
             return f_w * bvn_rectangle(lo1, hi1, lo2 - gamma, hi2 - gamma, self.rho)
 
-        h, _, w, f_w = self.sub_start
-        d_start = symmetric_interval_prob(c, self.q_distinct)[self.q_index]
         sub = adaptive_quad_2d(
-            sub_refined, self.w_lo, self.w_hi, -self.d, self.d,
+            lambda w, x: sub_values(*self._sub_factors(w, x)),
+            self.w_lo, self.w_hi, 0.0, self.d,
             abs_err=_SUB_SHARE * self.abs_err, initial=_SUB_MESH,
-            start_values=sub_values(d_start, h, w, f_w))
+            start_values=sub_values(*self.sub_start))
         full = adaptive_quad(
             lambda w: full_values(*self._full_factors(w)), self.w_lo, self.w_hi,
             abs_err=_FULL_SHARE * self.abs_err, initial=_FULL_MESH,

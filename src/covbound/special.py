@@ -544,7 +544,9 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
 def residual_scale_density(w, df: int):
     """Density of W = sqrt(chi2_df / df) at w (0 for w <= 0).
 
-    Evaluated in log space: 2 (df/2)^(df/2) w^(df-1) exp(-df w^2/2) / Gamma(df/2).
+    Evaluated in log space: 2 a^a w^(df-1) exp(-a w^2) / Gamma(a), a = df/2,
+    from a = 20 on with lnGamma(a) in Stirling form (as in ``_lbeta``), so
+    that no terms of size df ln df cancel.
     """
     if df < 1 or df != int(df):
         raise ValueError("degrees of freedom must be a positive integer")
@@ -557,8 +559,14 @@ def residual_scale_density(w, df: int):
     if pos.any():
         ww = w[pos]
         half = 0.5 * df
-        lg = (math.log(2.0) + half * math.log(half) - math.lgamma(half)
-              + (df - 1) * np.log(ww) - half * ww * ww)
+        if half < 20.0:
+            lg = (math.log(2.0) + half * math.log(half) - math.lgamma(half)
+                  + (df - 1) * np.log(ww) - half * ww * ww)
+        else:
+            u = (ww - 1.0) * (ww + 1.0)
+            with np.errstate(divide="ignore"):  # u = -1 below w ~ 1e-8: exp(-inf) = 0
+                lg = (math.log(2.0) + 0.5 * math.log(half / (2.0 * math.pi))
+                      - _stirling_tail(half) - half * (u - np.log1p(u)) - np.log(ww))
         out[pos] = np.exp(lg)
     return float(out[0]) if scalar else out
 

@@ -176,6 +176,25 @@ class TestLargeSampleConvergence:
         asym = minimum_coverage(method, ALPHA, 2, math.inf, rho)
         assert abs(finite.bound - asym.bound) <= 0.005
 
+    @pytest.mark.parametrize("name", ("cp", "aic", "adjr2"))
+    @pytest.mark.parametrize("rho", (0.5, 0.9))
+    def test_one_over_m_law(self, name, rho):
+        # bound(m) = bound(inf) + c/m + c2/m^2 + O(m^-3): fit c and c2 at
+        # m = 1e5 and 1e6, then the law must hold to the reported error
+        # out to 5e8, where the m^-3 term is far below it
+        method = SelectionMethod.from_name(name)
+        limit = minimum_coverage(method, ALPHA, 10, math.inf, rho).bound
+
+        def excess(m):
+            res = minimum_coverage(method, ALPHA, 10, m, rho)
+            return res.bound - limit, res.quad_err
+        (e1, _), (e2, _) = excess(10**5), excess(10**6)
+        c2 = (10**5 * e1 - 10**6 * e2) / (1e-5 - 1e-6)
+        c = 10**6 * e2 - c2 / 10**6
+        for m in (10**7, 10**8, 5 * 10**8):
+            e, err = excess(m)
+            assert abs(e - c / m - c2 / m**2) <= err
+
 
 class TestAsymptoticFormsAgree:
     """The closed-form large-sample coverage (one bivariate-normal

@@ -15,6 +15,7 @@ import pytest
 import covbound
 import covbound.cli as cli
 import covbound.simulate as simulate
+from covbound import coverage, quadrature
 from covbound.cli import main
 from covbound.coverage import coverage_probability, minimum_coverage
 from covbound.optimize import BoundResult
@@ -610,8 +611,22 @@ class TestNumericalFailure:
     """A quadrature or special function that does not converge exits 4
     with one error line, not a traceback."""
 
+    @pytest.fixture
+    def start_mesh_budget(self, monkeypatch):
+        # budgets of the two start meshes alone, so any split exhausts
+        # them; a forked pool worker inherits the patch
+        monkeypatch.setattr(quadrature, "_MAX_PANELS",
+                            (coverage._FULL_MESH, math.prod(coverage._SUB_MESH)))
+
+    def test_bound_panel_budget(self, capsys, start_mesh_budget):
+        code, out, err = run(["bound", "--m", "20", "--rho", "0.99"], capsys)
+        assert (code, out) == (cli.EXIT_NUMERIC, "")
+        assert err.startswith("error: ") and "panel budget" in err
+        assert err.count("\n") == 1
+        # a bound whose every evaluation stops on the start meshes computes
+        assert run(["bound", "--m", "5", "--rho", "0.5"], capsys)[0] == 0
+
     @pytest.mark.parametrize("m, message", [
-        ("500000000", "panel budget"),  # the 1-D full-model term
         ("100000000000", "incomplete gamma series did not converge"),
     ])
     def test_bound(self, capsys, m, message):
@@ -620,12 +635,13 @@ class TestNumericalFailure:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
 
-    def test_curve_worker_failure_reaches_the_parent(self, capsys, monkeypatch):
+    def test_curve_worker_failure_reaches_the_parent(self, capsys, monkeypatch,
+                                                     start_mesh_budget):
         # the worker's QuadratureError crosses the pool intact, so the
         # parent reports it rather than a broken pool
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        code, out, err = run(["curve", "--m", "500000000", "--rho-grid",
-                              "0:0.5:0.5", "--jobs", "2"], capsys)
+        code, out, err = run(["curve", "--m", "20", "--rho-grid",
+                              "0.98:0.01:0.99", "--jobs", "2"], capsys)
         assert (code, out) == (cli.EXIT_NUMERIC, "")
         assert err.startswith("error: quadrature did not converge within "
                               "the panel budget")

@@ -11,6 +11,7 @@ from covbound.asymptotic import AsymptoticProblem, asymptotic_bound
 from covbound.coverage import (CoverageResult, coverage_bound,
                                coverage_probability, minimum_coverage)
 from covbound.optimize import minimize_over_gamma
+from covbound.quadrature import start_nodes
 from covbound.rules import (BoundProblem, SelectionMethod,
                             asymptotic_threshold, selection_threshold)
 from covbound.simulate import mc_coverage
@@ -23,6 +24,8 @@ from .reference import (cover_given_full, cover_given_submodel,
                         full_interval_endpoints, submodel_interval_endpoints)
 
 CP = SelectionMethod("cp")
+# the panels of both start meshes: more than this means some panel split
+_START_PANELS = math.prod(coverage._SUB_MESH) + coverage._FULL_MESH
 
 
 def prob(m, rho, alpha=0.05, p=2):
@@ -139,7 +142,7 @@ class TestCoverageProbability:
     def test_quad_err_accounts_for_truncation(self):
         res = coverage_probability(prob(5, 0.5), CP, 1.0)
         assert res.quad_err >= 1e-12
-        assert res.panels >= 32
+        assert res.panels >= _START_PANELS
 
     def test_rejects_perfect_correlation(self):
         with pytest.raises(ValueError, match="minimum_coverage"):
@@ -194,8 +197,8 @@ def test_split_form_within_quad_err_of_combined_integrand(case):
     assert abs(res.value - want) <= res.quad_err
 
 
-# corners where both quadratures refine past their start meshes (32 2-D
-# plus 8 1-D panels); the t test's cutoff d is large at m = 1
+# corners where both quadratures refine past their start meshes
+# (_START_PANELS); the t test's cutoff d is large at m = 1
 _PLAN_CORNERS = ([(SelectionMethod(k), m, rho) for k in ("aic", "bic")
                   for m in (1, 2) for rho in (0.999, 0.9999)]
                  + [(SelectionMethod("ttest", 0.01), 1, 0.9)])
@@ -209,16 +212,15 @@ def test_plan_reused_across_gammas_matches_fresh_evaluations(case):
     method, m, rho = case
     pr = BoundProblem.from_m(0.05, 10, m, rho)
     fresh = {g: coverage_probability(pr, method, g) for g in (0.0, 5.0)}
-    assert all(r.panels > 40 for r in fresh.values())
+    assert all(r.panels > _START_PANELS for r in fresh.values())
     plan = coverage._CoveragePlan(pr, method)
     shuffled = np.random.default_rng(3).permutation([0.0, 5.0] * 3)
     for g in [0.0, 5.0] + [float(g) for g in shuffled]:
         assert plan.evaluate(g) == fresh[g]
 
 
-# the plan corners, and the golden row cp p 2 m 5 rho 0.6, whose 7,200
-# start nodes carry 3,739 distinct half-widths, the most of the 340 finite-m
-# golden rows
+# the plan corners, and the golden row cp p 2 m 5 rho 0.6, where rounding
+# kept the most mirrored half-widths apart on a start mesh over [-d, d]
 _GOLDEN_START = (CP, 2, 5, 0.6)
 _START_CASES = ([(method, 10, m, rho) for method, m, rho in _PLAN_CORNERS]
                 + [_GOLDEN_START])
@@ -237,28 +239,34 @@ def _start_id(case):
 
 @pytest.mark.parametrize("case", _START_CASES, ids=_start_id)
 def test_start_values_are_the_integrand_on_the_start_mesh(case, monkeypatch):
-    # D computed once per distinct half-width and mapped back gives the
-    # bits of D computed node by node
+    # the cached start factors give the folded integrand node by node, and
+    # the bits of the callback that refined panels use
     plan = _start_plan(case)
     seen = []
     quad_2d = coverage.adaptive_quad_2d
 
-    def capture(*args, start_values, **kwargs):
-        seen.append(start_values)
-        return quad_2d(*args, start_values=start_values, **kwargs)
+    def capture(f, *args, start_values, **kwargs):
+        seen.append((f, start_values))
+        return quad_2d(f, *args, start_values=start_values, **kwargs)
 
     monkeypatch.setattr(coverage, "adaptive_quad_2d", capture)
     h, q, w, f_w = plan.sub_start
+    nodes = start_nodes(plan.w_lo, plan.w_hi, 0.0, plan.d,
+                        initial=coverage._SUB_MESH)
     for g in _START_GAMMAS:
         plan.evaluate(g)
+        f, start_values = seen[-1]
         c = -abs(plan.rho * g) / plan.sd
         assert np.array_equal(
-            seen[-1], symmetric_interval_prob(c, q) * norm_pdf(h - g) * w * f_w)
+            start_values, symmetric_interval_prob(c, q)
+            * (norm_pdf(h - g) + norm_pdf(h + g)) * w * f_w)
+        assert np.array_equal(start_values, f(*nodes))
 
 
 @pytest.mark.parametrize("case", _START_CASES, ids=_start_id)
 def test_start_mesh_d_sees_each_half_width_once(case, monkeypatch):
-    # the two Phi of D on the start mesh see at most 0.55 x its nodes
+    # the folded start mesh lies in x > 0, so each of its nodes carries its
+    # own half-width, and the two Phi of D see each one once
     plan = _start_plan(case)
     d_calls = []  # per D call, the sizes of its erfc calls
     erfc = special.erfc
@@ -274,16 +282,14 @@ def test_start_mesh_d_sees_each_half_width_once(case, monkeypatch):
             return symmetric_interval_prob(c, q)
 
     monkeypatch.setattr(coverage, "symmetric_interval_prob", counted_d)
-    q = plan.sub_start[1]
-    n = np.unique(q).size
-    assert q.size == 7200 and n <= 0.55 * q.size
-    if case == _GOLDEN_START:
-        assert n > 3600
+    h, q = plan.sub_start[:2]
+    assert np.all(h > 0.0)
+    assert q.size == 3600 and np.unique(q).size == q.size
     for g in _START_GAMMAS:
         d_calls.clear()
         plan.evaluate(g)
         # the start mesh's D call comes first, refined panels' after it
-        assert d_calls[0] == [n, n]
+        assert d_calls[0] == [3600, 3600]
 
 
 class TestPerfectCorrBound:
@@ -495,7 +501,7 @@ def test_slack_bounds_refined_coverage(case):
         res = coverage_probability(pr, method, float(gamma), abs_err=1e-13)
         panels = max(panels, res.panels)
         assert abs(res.value - 0.95) <= slack(float(gamma))
-    assert panels > 40  # past the 32 + 8 start panels
+    assert panels > _START_PANELS
 
 
 # the default search: the result is the full scan's, bit for bit, at a

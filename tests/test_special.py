@@ -459,6 +459,27 @@ class TestResidualScaleDensity:
         assert residual_scale_density(0.0, 5) == 0.0
         assert residual_scale_density(-1.0, 5) == 0.0
 
+    def test_zero_where_w_squared_rounds_away(self):
+        # w^2 - 1 rounds to -1 here: the density underflows, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = residual_scale_density([1e-9, 1e-200], 100)
+        assert got.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("m", [40, 100, 10**4, 10**6, 10**8, 5 * 10**8])
+    def test_relative_accuracy_at_large_df(self, m):
+        # the bulk w in 1 +- 7/sqrt(2m), against 40-digit mpmath
+        mp = pytest.importorskip("mpmath")
+        w = 1.0 + np.linspace(-7.0, 7.0, 29) / math.sqrt(2.0 * m)
+        got = residual_scale_density(w, m)
+        with mp.workdps(40):
+            a = mp.mpf(m) / 2
+            for g, x in zip(got, w):
+                x = mp.mpf(x)
+                ref = mp.exp(mp.log(2) + a * mp.log(a) - mp.loggamma(a)
+                             + (m - 1) * mp.log(x) - a * x * x)
+                assert abs(g - ref) <= 1e-11 * ref
+
     def test_mass_interval_brackets_one(self):
         for m in [1, 5, 50, 1000]:
             lo, hi = residual_scale_interval(m, 1e-12)
