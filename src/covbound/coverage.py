@@ -30,23 +30,31 @@ and the unconditional coverage equals
 
 a correction to the nominal level carried entirely by the event
 |h|/w < d (k_sub, k_full: the two conditional coverages at h = wx).  It
-is evaluated in two terms, over [w_lo, w_hi], which holds all but 1e-12
-of the mass of w:
+is evaluated in two terms.  The submodel term is the k_sub part folded
+onto x >= 0, as q depends on x only through x^2, and written in the polar
+coordinates h = r sin(theta), sqrt(m) w = r cos(theta).  There the
+half-width is q = t_{m+1} r / sqrt(m + 1), a function of r alone, and the
+event |h|/w < d is the sector 0 <= theta <= theta_d = atan(d / sqrt(m)):
 
-  submodel term    int int_0^d D(rho gamma / s, q(w, wx))
-                               (phi(wx - gamma) + phi(wx + gamma)) w f_W(w) dx dw,
+  submodel term    int_{r_lo}^{r_hi} int_0^{theta_d} D(rho gamma / s, q(r))
+                       (phi(h - gamma) + phi(h + gamma)) f_W(w) r / sqrt(m)
+                       dtheta dr,
   full-model term  int f_W(w) P(|G| <= t_m w, |H| <= d w) dw,
 
 and the coverage is (1 - alpha) + submodel term - full-model term.  Here
 (G, H) is bivariate normal with G ~ N(0, 1), H ~ N(gamma, 1) and
-correlation rho.  The full-model term is the k_full part integrated over
-x in closed form: a bivariate-normal rectangle (``bvn_rectangle``) under a
-1-D adaptive Gauss-Kronrod integral in w.  The submodel term is the k_sub
-part folded onto x >= 0, as q depends on x only through x^2: a 2-D
-adaptive Gauss-Kronrod integral over [w_lo, w_hi] x [0, d], two Phi per
-node.  On each start cell of the two quadratures both terms are pinned
-below a Gaussian tail in gamma minus the largest h on the cell;
-``coverage_bound`` uses that to stop its gamma scan early.
+correlation rho.  The full-model term runs over [w_lo, w_hi], which holds
+all but 1e-12 of the mass of w; the submodel term over the polar
+rectangle r_lo = sqrt(m) w_lo, r_hi = sqrt(m + d^2) w_hi, which covers the
+image of [w_lo, w_hi] x [0, d] and adds only mass with w outside the
+window, inside the same 1e-12.  The full-model term is the k_full part
+integrated over x in closed form: a bivariate-normal rectangle
+(``bvn_rectangle``) under a 1-D adaptive Gauss-Kronrod integral in w.  The
+submodel term is a 2-D adaptive Gauss-Kronrod integral over (r, theta),
+with D, two Phi, once per radius of its start mesh.  On each start cell
+of the two quadratures both terms are pinned below a Gaussian tail in
+gamma minus the largest h on the cell; ``coverage_bound`` uses that to
+stop its gamma scan early.
 
 At |rho| = 1 this representation degenerates, and the minimum coverage
 is 2 int (Phi(t_m w) - Phi(d w)) f_W(w) dw when d < t_m and exactly 0
@@ -64,7 +72,7 @@ import numpy as np
 
 from .asymptotic import AsymptoticProblem, asymptotic_bound
 from .optimize import BoundResult, additive_tail_slack, minimize_over_gamma
-from .quadrature import (adaptive_quad, adaptive_quad_2d, start_mesh,
+from .quadrature import (NODES, adaptive_quad, adaptive_quad_2d, start_mesh,
                          start_nodes)
 from .rules import (BoundProblem, SelectionMethod, asymptotic_threshold,
                     selection_threshold)
@@ -85,8 +93,10 @@ _W_MASS_EPS = 1e-12
 # full-model term; the rest covers the rectangle and w-window allowances
 _SUB_SHARE = 0.8
 _FULL_SHARE = 0.1
-# start meshes of the 2-D (w, x) and 1-D (w) quadratures, in panels
+# start meshes of the 2-D (r, theta) and 1-D (w) quadratures, in panels
 _SUB_MESH, _FULL_MESH = (8, 2), 8
+# sub-cells per axis of each 2-D start cell in ``tail_slack``
+_SLACK_SPLIT = 8
 
 
 @dataclass(frozen=True)
@@ -114,8 +124,11 @@ def _check_abs_err(abs_err: float) -> float:
 class _CoveragePlan:
     """``coverage_probability`` for one (problem, method, abs_err): the scalars
     and, read-only on both start meshes, the gamma-independent integrand
-    factors.  Refined panels compute the factors by the same arithmetic,
-    so each ``evaluate`` gives the bits of a fresh evaluation."""
+    factors.  The submodel term runs over (r, theta), h = r sin(theta) and
+    sqrt(m) w = r cos(theta), where its half-width depends on r alone, so
+    D is computed once per start-mesh radius.  Refined panels compute the
+    factors, and D per node, by the same arithmetic, so each ``evaluate``
+    gives the bits of a fresh evaluation."""
 
     def __init__(self, problem: BoundProblem, method: SelectionMethod,
                  abs_err: float = 1e-8) -> None:
@@ -128,18 +141,33 @@ class _CoveragePlan:
         self.t1, self.t2 = (t_quantile(df, self.alpha) for df in (self.m, self.m + 1))
         self.w_lo, self.w_hi = residual_scale_interval(self.m, _W_MASS_EPS)
         self.sd = math.sqrt(1.0 - self.rho * self.rho)
-        self.sub_start = self._sub_factors(*start_nodes(
-            self.w_lo, self.w_hi, 0.0, self.d, initial=_SUB_MESH))
+        # the polar image of [w_lo, w_hi] x [0, d]: the sector |h|/w < d
+        # is theta <= atan(d / sqrt(m)) at any r
+        self.root_m = math.sqrt(self.m)
+        self.sub_limits = (self.root_m * self.w_lo,
+                           math.sqrt(self.m + self.d * self.d) * self.w_hi,
+                           0.0, math.atan(self.d / self.root_m))
+        # the start mesh's radii (they are its 2-D nodes' r, bit for bit),
+        # and its factors in (r panel, theta panel, r slot, theta slot) order
+        n_r, n_theta = _SUB_MESH
+        (radii,) = start_nodes(*self.sub_limits[:2], initial=n_r)
+        self.q_start = self._half_width(radii).reshape(n_r, 1, NODES.size, 1)
+        self.sub_start = tuple(z.reshape(n_r, n_theta, NODES.size, NODES.size)
+                               for z in self._polar_factors(*start_nodes(
+                                   *self.sub_limits, initial=_SUB_MESH)))
         self.full_start = self._full_factors(*start_nodes(
             self.w_lo, self.w_hi, initial=_FULL_MESH))
-        for z in (*self.sub_start, *self.full_start):
+        for z in (self.q_start, *self.sub_start, *self.full_start):
             z.flags.writeable = False
 
-    def _sub_factors(self, w, x):
-        # h = w x, the submodel half-width q in units of sd, w and f_W(w)
-        h = w * x
-        q = _submodel_half_width(self.t2, self.m * w * w, h, self.m, 1.0)
-        return h, q, w, residual_scale_density(w, self.m)
+    def _half_width(self, r):
+        # the submodel half-width in units of sd: t_{m+1} r / sqrt(m + 1)
+        return _submodel_half_width(self.t2, r * r, 0.0, self.m, 1.0)
+
+    def _polar_factors(self, r, theta):
+        # h and the mass f_W(w) r / sqrt(m) at w = r cos(theta) / sqrt(m)
+        mass = residual_scale_density(r * np.cos(theta) / self.root_m, self.m)
+        return r * np.sin(theta), mass * r / self.root_m
 
     def _full_factors(self, w):
         # f_W(w) and the rectangle limits before the shift by gamma
@@ -156,47 +184,59 @@ class _CoveragePlan:
         full-model term, and it is bounded cell by cell over the start
         meshes of the two quadratures (``start_mesh``).  Refinement only
         halves panels, so the positive Kronrod weights of the nodes inside
-        one start cell sum to the cell's area however far it refines.  On
-        a cell with top corner (w_top, x_top):
+        one start cell sum to the cell's area however far it refines.
 
-        * submodel term: |k_sub| <= 1, w <= w_top, f_W is at most its
-          largest value on the cell's w panel, and h = w x lies in [0, u],
-          u = w_top x_top, so phi(h - gamma') <= phi(max(gamma' - u, 0))
-          and the mirror term phi(h + gamma') <= phi(max(gamma', 0)), which
-          is phi(gamma') in the search; the integrand is at most
-          w_top max f_W times their sum;
-        * full-model term: ``bvn_rectangle`` never exceeds its computed
-          Phi(d w - gamma') - Phi(-d w - gamma') <= min(Phi(-x), 1) with
-          x = gamma' - d w_top, and Phi(-x) <= phi(x)/x for x > 0.
+        * Submodel term, on a cell [r_bot, r_top] x [theta_bot, theta_top]:
+          |k_sub| <= 1, the mass factor r / sqrt(m) is at most
+          r_top / sqrt(m), f_W is at most its largest value over the
+          cell's w range [r_bot cos(theta_top), r_top cos(theta_bot)] /
+          sqrt(m), and h = r sin(theta) lies in [0, u], u = r_top
+          sin(theta_top), so phi(h - gamma') <= phi(max(gamma' - u, 0))
+          and the mirror term phi(h + gamma') <= phi(max(gamma', 0)),
+          which is phi(gamma') in the search.  The largest u is r_hi
+          sin(theta_d) = d w_hi.  The cell's
+          bound is the largest product of these factors over a grid of
+          sub-cells, as the largest edge and the largest f_W sit on
+          different sub-cells where theta_d is wide.
+        * Full-model term, on a w panel with top w_top: ``bvn_rectangle``
+          never exceeds its computed Phi(d w - gamma') - Phi(-d w -
+          gamma') <= min(Phi(-x), 1) with x = gamma' - d w_top, and
+          Phi(-x) <= phi(x)/x for x > 0.
 
         Each cell's bound is nonincreasing in gamma', so its value at
         gamma covers every gamma' >= gamma.  The factor 2 absorbs the
         few-ulp relative rounding of every factor and of the sums.
         """
-        m, d = self.m, self.d
+        m, root_m = self.m, self.root_m
         # f_W is unimodal with its mode at sqrt((m - 1)/m) (decreasing for m = 1)
         mode = math.sqrt((m - 1.0) / m)
 
-        def cells(*limits, initial):
-            # every start cell's top corner, its area times the largest f_W
-            # on its w panel
-            c, h = start_mesh(*limits, initial=initial)
-            top = c + h
-            f_max = residual_scale_density(np.clip(mode, c[0] - h[0], top[0]), m)
-            return top, np.prod(2.0 * h, axis=0) * f_max
+        def f_max(lo, hi):
+            return residual_scale_density(np.clip(mode, lo, hi), m)
 
-        (w_sub, x_sub), sub_mass = cells(self.w_lo, self.w_hi, 0.0, d, initial=_SUB_MESH)
-        sub_scale, sub_edge = sub_mass * w_sub, w_sub * x_sub
-        (w_full,), full_scale = cells(self.w_lo, self.w_hi, initial=_FULL_MESH)
-        full_edge = d * w_full
+        (r_c, t_c), (r_h, t_h) = start_mesh(*self.sub_limits, initial=_SUB_MESH)
+        # the sub-cell edges of each start cell, one row per start cell
+        split = np.linspace(-1.0, 1.0, _SLACK_SPLIT + 1)
+        r = r_c[:, None] + r_h[:, None] * split
+        theta = t_c[:, None] + t_h[:, None] * split
+        r_bot, r_top = r[:, :-1, None], r[:, 1:, None]
+        t_bot, t_top = theta[:, None, :-1], theta[:, None, 1:]
+        sub_scale = r_top / root_m * f_max(r_bot * np.cos(t_top) / root_m,
+                                           r_top * np.cos(t_bot) / root_m)
+        sub_edge, sub_area = r_top * np.sin(t_top), 4.0 * r_h * t_h
+        (w_c,), (w_h,) = start_mesh(self.w_lo, self.w_hi, initial=_FULL_MESH)
+        full_scale = 2.0 * w_h * f_max(w_c - w_h, w_c + w_h)
+        full_edge = self.d * (w_c + w_h)
 
         def correction_bound(gamma: float) -> float:
-            sub = norm_pdf(np.maximum(gamma - sub_edge, 0.0)) + norm_pdf(max(gamma, 0.0))
+            sub = sub_scale * (norm_pdf(np.maximum(gamma - sub_edge, 0.0))
+                               + norm_pdf(max(gamma, 0.0)))
             # min(phi(x)/x, 1) for x > 0, and 1 for x <= 0
             x = np.maximum(gamma - full_edge, 0.0)
             q = norm_pdf(x)
             full = q / np.maximum(x, q)
-            return 2.0 * float(np.sum(sub_scale * sub) + np.sum(full_scale * full))
+            return 2.0 * float(np.sum(sub_area * sub.max(axis=(1, 2)))
+                               + np.sum(full_scale * full))
         return additive_tail_slack(1.0 - self.alpha, correction_bound)
 
     def evaluate(self, gamma: float) -> CoverageResult:
@@ -205,19 +245,19 @@ class _CoveragePlan:
         # D(c, q) is even in c; c <= 0 keeps both Phi on the lower tail
         c = -abs(self.rho * gamma) / self.sd
 
-        def sub_values(h, q, w, f_w):
+        def sub_values(q, h, mass):
             # the folded submodel integrand: D(c, q) at h and at -h
             return (symmetric_interval_prob(c, q)
-                    * (norm_pdf(h - gamma) + norm_pdf(h + gamma)) * w * f_w)
+                    * (norm_pdf(h - gamma) + norm_pdf(h + gamma)) * mass)
 
         def full_values(f_w, lo1, hi1, lo2, hi2):
             return f_w * bvn_rectangle(lo1, hi1, lo2 - gamma, hi2 - gamma, self.rho)
 
         sub = adaptive_quad_2d(
-            lambda w, x: sub_values(*self._sub_factors(w, x)),
-            self.w_lo, self.w_hi, 0.0, self.d,
-            abs_err=_SUB_SHARE * self.abs_err, initial=_SUB_MESH,
-            start_values=sub_values(*self.sub_start))
+            lambda r, theta: sub_values(self._half_width(r),
+                                        *self._polar_factors(r, theta)),
+            *self.sub_limits, abs_err=_SUB_SHARE * self.abs_err,
+            initial=_SUB_MESH, start_values=sub_values(self.q_start, *self.sub_start))
         full = adaptive_quad(
             lambda w: full_values(*self._full_factors(w)), self.w_lo, self.w_hi,
             abs_err=_FULL_SHARE * self.abs_err, initial=_FULL_MESH,

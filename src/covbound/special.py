@@ -517,7 +517,15 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
         raise ValueError("require x >= 0 and a > 0")
     if x == 0.0:
         return 0.0, 1.0
-    scale = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    # scale = x^a e^-x / Gamma(a), from a = 20 on with lnGamma(a) in
+    # Stirling form, as in ``residual_scale_density``
+    if a < 20.0:
+        scale = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    else:
+        # u = -1 only where x^a underflows: exp(-inf) = 0
+        u = (x - a) / a
+        lg = -a * (u - math.log1p(u)) if u > -1.0 else -math.inf
+        scale = math.exp(lg + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_tail(a))
     if x < a + 1.0:
         ap = a
         total = 1.0 / a

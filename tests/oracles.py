@@ -9,6 +9,11 @@ integral oracles at the end: the original combined coverage integrand by
 scipy ``dblquad``, bivariate-normal rectangles as a 1-D mpmath integral,
 and the large-sample coverage as a 1-D scipy ``quad``.  Each imports its
 library on first use.
+
+One oracle is the exception: ``folded_submodel_term`` runs the package's
+own quadrature and special functions over the (w, x) parametrization of
+the submodel term, so it checks the (r, theta) change of variables of
+``coverage._CoveragePlan``, not the numerics, and needs no scipy.
 """
 
 from __future__ import annotations
@@ -125,6 +130,38 @@ def coverage_dblquad(alpha: float, m: int, rho: float, d: float,
 
     val, _ = integrate.dblquad(f, w_lo, w_hi, -d, d, epsabs=1e-13, epsrel=0.0)
     return (1.0 - alpha) + val
+
+
+def folded_submodel_term(alpha: float, m: int, rho: float, d: float,
+                         gamma: float, abs_err: float = 1e-13):
+    """The submodel term of the coverage over (w, x), as a ``QuadResult``:
+
+      int_{w_lo}^{w_hi} int_0^d D(c, q(w, w x)) (phi(w x - gamma)
+                                 + phi(w x + gamma)) w f_W(w) dx dw
+
+    with c = -|rho gamma| / s, q the submodel half-width in units of
+    s = sqrt(1 - rho^2), and [w_lo, w_hi] all but 1e-12 of the mass of w,
+    by ``adaptive_quad_2d`` from a start mesh of (8, 2) panels.
+    """
+    from covbound.coverage import _submodel_half_width
+    from covbound.quadrature import adaptive_quad_2d
+    from covbound.special import (norm_pdf, residual_scale_density,
+                                  residual_scale_interval,
+                                  symmetric_interval_prob, t_quantile)
+
+    t2 = t_quantile(m + 1, alpha)
+    w_lo, w_hi = residual_scale_interval(m, 1e-12)
+    c = -abs(rho * gamma) / math.sqrt(1.0 - rho * rho)
+
+    def f(w, x):
+        h = w * x
+        q = _submodel_half_width(t2, m * w * w, h, m, 1.0)
+        return (symmetric_interval_prob(c, q)
+                * (norm_pdf(h - gamma) + norm_pdf(h + gamma))
+                * w * residual_scale_density(w, m))
+
+    return adaptive_quad_2d(f, w_lo, w_hi, 0.0, d, abs_err=abs_err,
+                            initial=(8, 2))
 
 
 def bvn_rectangle_mpmath(lo1: float, hi1: float, lo2: float, hi2: float,

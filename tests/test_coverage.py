@@ -16,10 +16,10 @@ from covbound.rules import (BoundProblem, SelectionMethod,
                             asymptotic_threshold, selection_threshold)
 from covbound.simulate import mc_coverage
 from covbound.special import (norm_cdf, norm_pdf, norm_two_sided_quantile,
-                              residual_scale_interval, symmetric_interval_prob,
-                              t_quantile)
+                              residual_scale_density, residual_scale_interval,
+                              symmetric_interval_prob, t_quantile)
 
-from .oracles import coverage_dblquad
+from .oracles import coverage_dblquad, folded_submodel_term
 from .reference import (cover_given_full, cover_given_submodel,
                         full_interval_endpoints, submodel_interval_endpoints)
 
@@ -219,8 +219,7 @@ def test_plan_reused_across_gammas_matches_fresh_evaluations(case):
         assert plan.evaluate(g) == fresh[g]
 
 
-# the plan corners, and the golden row cp p 2 m 5 rho 0.6, where rounding
-# kept the most mirrored half-widths apart on a start mesh over [-d, d]
+# the plan corners, and the golden row cp p 2 m 5 rho 0.6
 _GOLDEN_START = (CP, 2, 5, 0.6)
 _START_CASES = ([(method, 10, m, rho) for method, m, rho in _PLAN_CORNERS]
                 + [_GOLDEN_START])
@@ -239,8 +238,9 @@ def _start_id(case):
 
 @pytest.mark.parametrize("case", _START_CASES, ids=_start_id)
 def test_start_values_are_the_integrand_on_the_start_mesh(case, monkeypatch):
-    # the cached start factors give the folded integrand node by node, and
-    # the bits of the callback that refined panels use
+    # the cached start factors give the folded (r, theta) integrand node by
+    # node, and the bits of the callback that refined panels use; the
+    # radii of the 1-D start mesh are the 2-D nodes' r, bit for bit
     plan = _start_plan(case)
     seen = []
     quad_2d = coverage.adaptive_quad_2d
@@ -250,46 +250,77 @@ def test_start_values_are_the_integrand_on_the_start_mesh(case, monkeypatch):
         return quad_2d(f, *args, start_values=start_values, **kwargs)
 
     monkeypatch.setattr(coverage, "adaptive_quad_2d", capture)
-    h, q, w, f_w = plan.sub_start
-    nodes = start_nodes(plan.w_lo, plan.w_hi, 0.0, plan.d,
-                        initial=coverage._SUB_MESH)
+    r_lo, r_hi, _, theta_d = plan.sub_limits
+    r, theta = start_nodes(r_lo, r_hi, 0.0, theta_d, initial=coverage._SUB_MESH)
+    (radii,) = start_nodes(r_lo, r_hi, initial=coverage._SUB_MESH[0])
+    assert np.array_equal(np.broadcast_to(radii.reshape(plan.q_start.shape),
+                                          plan.sub_start[0].shape).ravel(), r)
+    h, w = r * np.sin(theta), r * np.cos(theta) / math.sqrt(plan.m)
     for g in _START_GAMMAS:
         plan.evaluate(g)
         f, start_values = seen[-1]
         c = -abs(plan.rho * g) / plan.sd
-        assert np.array_equal(
-            start_values, symmetric_interval_prob(c, q)
-            * (norm_pdf(h - g) + norm_pdf(h + g)) * w * f_w)
-        assert np.array_equal(start_values, f(*nodes))
+        q = plan.t2 * r / math.sqrt(plan.m + 1.0)
+        want = (symmetric_interval_prob(c, q) * (norm_pdf(h - g) + norm_pdf(h + g))
+                * residual_scale_density(w, plan.m) * w / np.cos(theta))
+        np.testing.assert_allclose(start_values.ravel(), want, rtol=1e-12, atol=1e-300)
+        assert np.array_equal(start_values.ravel(), f(r, theta))
 
 
 @pytest.mark.parametrize("case", _START_CASES, ids=_start_id)
 def test_start_mesh_d_sees_each_half_width_once(case, monkeypatch):
-    # the folded start mesh lies in x > 0, so each of its nodes carries its
-    # own half-width, and the two Phi of D see each one once
+    # the half-width depends on r alone, so the start mesh's D call runs on
+    # its 120 radii, each with its own half-width, and the two Phi of D
+    # see each one once
     plan = _start_plan(case)
-    d_calls = []  # per D call, the sizes of its erfc calls
+    d_calls = []  # per D call, its half-widths and the sizes of its erfc calls
     erfc = special.erfc
 
     def counted_erfc(x):
-        d_calls[-1].append(np.size(x))
+        d_calls[-1][1].append(np.size(x))
         return erfc(x)
 
     def counted_d(c, q):
-        d_calls.append([])
+        d_calls.append((q, []))
         with monkeypatch.context() as patch:
             patch.setattr(special, "erfc", counted_erfc)
             return symmetric_interval_prob(c, q)
 
     monkeypatch.setattr(coverage, "symmetric_interval_prob", counted_d)
-    h, q = plan.sub_start[:2]
-    assert np.all(h > 0.0)
-    assert q.size == 3600 and np.unique(q).size == q.size
+    assert np.all(plan.sub_start[0] > 0.0)
     for g in _START_GAMMAS:
         d_calls.clear()
         plan.evaluate(g)
         # the start mesh's D call comes first, refined panels' after it
-        assert d_calls[0] == [3600, 3600]
+        q, erfc_sizes = d_calls[0]
+        assert q.size == 120 and np.unique(q).size == 120
+        assert erfc_sizes == [120, 120]
+
+
+# the (r, theta) submodel term against the (w, x) one, on the corner grid
+# and at large m; the polar rectangle adds only mass outside the w window
+_TERM_CASES = _SPLIT_CORNERS + [(SelectionMethod(k), 10, m, rho, gamma)
+                                for k, m, rho in (("cp", 10**7, 0.5),
+                                                  ("aic", 5 * 10**8, 0.9))
+                                for gamma in (0.0, 1.5)]
+
+
+@pytest.mark.parametrize("case", _TERM_CASES, ids=_split_id)
+def test_polar_submodel_term_matches_the_wx_term(case, monkeypatch):
+    method, p, m, rho, gamma = case
+    pr = BoundProblem.from_m(0.05, p, m, rho)
+    terms = []
+    quad_2d = coverage.adaptive_quad_2d
+
+    def capture(*args, **kwargs):
+        terms.append(quad_2d(*args, **kwargs))
+        return terms[-1]
+
+    monkeypatch.setattr(coverage, "adaptive_quad_2d", capture)
+    res = coverage_probability(pr, method, gamma)
+    want = folded_submodel_term(0.05, pr.m, rho,
+                                selection_threshold(method, pr.n, pr.p), gamma)
+    assert abs(terms[0].value - want.value) <= res.quad_err + 1e-12
 
 
 class TestPerfectCorrBound:
@@ -484,10 +515,14 @@ class TestTailCertificate:
 
 # refined evaluations: every node stays in its start cell, so the
 # envelope built on the start meshes bounds them too
+# the t tests at m 1 and 2 have theta_d near pi/2, where the (r, theta)
+# start cells are widest
 _REFINED_CASES = [(SelectionMethod("aic"), 10, 5, 0.95),
                   (CP, 2, 20, 0.6),
                   (SelectionMethod("aic"), 10, 1, 0.9),
-                  (SelectionMethod("bic"), 10, 2, 0.0)]
+                  (SelectionMethod("bic"), 10, 2, 0.0),
+                  (SelectionMethod("ttest", 0.01), 10, 1, 0.9),
+                  (SelectionMethod("ttest", 0.01), 10, 2, 0.99)]
 
 
 @pytest.mark.parametrize("case", _REFINED_CASES,

@@ -498,6 +498,19 @@ class TestResidualScaleDensity:
         assert chi2.cdf(m * lo * lo, m) == pytest.approx(5e-13, rel=1e-9, abs=0.0)
         assert chi2.sf(m * hi * hi, m) == pytest.approx(5e-13, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("m", [40, 1000, 10**4, 10**5, 10**6])
+    def test_each_tail_holds_half_of_eps_at_large_df(self, m):
+        # against 40-digit mpmath; the incomplete gamma's prefactor in
+        # Stirling form keeps both tails within 1.1e-12 of eps/2 up to 10^6
+        mp = pytest.importorskip("mpmath")
+        lo, hi = residual_scale_interval(m, 1e-12)
+        with mp.workdps(40):
+            a = mp.mpf(m) / 2
+            tails = (mp.gammainc(a, 0, a * mp.mpf(lo) ** 2, regularized=True),
+                     mp.gammainc(a, a * mp.mpf(hi) ** 2, mp.inf, regularized=True))
+        for tail in tails:
+            assert float(tail) == pytest.approx(5e-13, rel=1e-11, abs=0.0)
+
     def test_huge_df_window(self):
         # about 9 sqrt(df / 2) incomplete-gamma terms at w = 1; W is close
         # to 1 + N(0, 1)/sqrt(2 df) here
@@ -545,3 +558,4 @@ class TestIncompleteFunctions:
         assert reg_inc_beta(2.0, 3.0, 0.0) == 0.0
         assert reg_inc_beta(2.0, 3.0, 1.0) == 1.0
         assert reg_lower_gamma(2.0, 0.0) == 0.0
+        assert reg_lower_gamma(30.0, 1e-300) == 0.0
