@@ -71,7 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import AsymptoticProblem, asymptotic_bound
-from .optimize import BoundResult, additive_tail_slack, minimize_over_gamma
+from .optimize import (SCAN_GRID, BoundResult, additive_tail_slack,
+                       minimize_over_gamma)
 from .quadrature import (NODES, adaptive_quad, adaptive_quad_2d, start_mesh,
                          start_nodes)
 from .rules import (BoundProblem, SelectionMethod, asymptotic_threshold,
@@ -97,6 +98,9 @@ _FULL_SHARE = 0.1
 _SUB_MESH, _FULL_MESH = (8, 2), 8
 # sub-cells per axis of each 2-D start cell in ``tail_slack``
 _SLACK_SPLIT = 8
+# scan grid points per ``coverage_bound`` block evaluation, and their indices
+_SCAN_BLOCK = 8
+_SCAN_INDEX = {g: i for i, g in enumerate(SCAN_GRID)}
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,11 @@ class _CoveragePlan:
     and, read-only on both start meshes, the gamma-independent integrand
     factors.  The submodel term runs over (r, theta), h = r sin(theta) and
     sqrt(m) w = r cos(theta), where its half-width depends on r alone, so
-    D is computed once per start-mesh radius.  Refined panels compute the
-    factors, and D per node, by the same arithmetic, so each ``evaluate``
-    gives the bits of a fresh evaluation."""
+    D is computed once per start-mesh radius.  ``evaluate`` takes a block
+    of gammas and computes the start values of the whole block in one
+    vectorized pass; each gamma then refines on its own.  Refined panels
+    compute the factors, and D per node, by the same arithmetic, so every
+    result has the bits of a fresh evaluation of its gamma alone."""
 
     def __init__(self, problem: BoundProblem, method: SelectionMethod,
                  abs_err: float = 1e-8) -> None:
@@ -174,6 +180,33 @@ class _CoveragePlan:
         return (residual_scale_density(w, self.m), -self.t1 * w, self.t1 * w,
                 -self.d * w, self.d * w)
 
+    def _f_w_max(self, lo, hi):
+        # the largest f_W over [lo, hi]: f_W is unimodal with its mode at
+        # sqrt((m - 1)/m) (decreasing for m = 1)
+        mode = math.sqrt((self.m - 1.0) / self.m)
+        return residual_scale_density(np.clip(mode, lo, hi), self.m)
+
+    def _sub_cell_bound(self):
+        """(area, bound): the area of each 2-D start cell and ``bound(gamma)``,
+        per start cell a bound on the folded submodel integrand over the
+        cell at every gamma' >= gamma (the first case of ``tail_slack``)."""
+        root_m = self.root_m
+        (r_c, t_c), (r_h, t_h) = start_mesh(*self.sub_limits, initial=_SUB_MESH)
+        # the sub-cell edges of each start cell, one row per start cell
+        split = np.linspace(-1.0, 1.0, _SLACK_SPLIT + 1)
+        r = r_c[:, None] + r_h[:, None] * split
+        theta = t_c[:, None] + t_h[:, None] * split
+        r_bot, r_top = r[:, :-1, None], r[:, 1:, None]
+        t_bot, t_top = theta[:, None, :-1], theta[:, None, 1:]
+        scale = r_top / root_m * self._f_w_max(r_bot * np.cos(t_top) / root_m,
+                                               r_top * np.cos(t_bot) / root_m)
+        edge = r_top * np.sin(t_top)
+
+        def bound(gamma: float):
+            return (scale * (norm_pdf(np.maximum(gamma - edge, 0.0))
+                             + norm_pdf(max(gamma, 0.0)))).max(axis=(1, 2))
+        return 4.0 * r_h * t_h, bound
+
     def tail_slack(self):
         """Certified ``tail_slack(gamma)`` for the gamma search: a bound on
         |evaluate(gamma').value - (1 - alpha)| for every gamma' >= gamma,
@@ -207,61 +240,61 @@ class _CoveragePlan:
         gamma covers every gamma' >= gamma.  The factor 2 absorbs the
         few-ulp relative rounding of every factor and of the sums.
         """
-        m, root_m = self.m, self.root_m
-        # f_W is unimodal with its mode at sqrt((m - 1)/m) (decreasing for m = 1)
-        mode = math.sqrt((m - 1.0) / m)
-
-        def f_max(lo, hi):
-            return residual_scale_density(np.clip(mode, lo, hi), m)
-
-        (r_c, t_c), (r_h, t_h) = start_mesh(*self.sub_limits, initial=_SUB_MESH)
-        # the sub-cell edges of each start cell, one row per start cell
-        split = np.linspace(-1.0, 1.0, _SLACK_SPLIT + 1)
-        r = r_c[:, None] + r_h[:, None] * split
-        theta = t_c[:, None] + t_h[:, None] * split
-        r_bot, r_top = r[:, :-1, None], r[:, 1:, None]
-        t_bot, t_top = theta[:, None, :-1], theta[:, None, 1:]
-        sub_scale = r_top / root_m * f_max(r_bot * np.cos(t_top) / root_m,
-                                           r_top * np.cos(t_bot) / root_m)
-        sub_edge, sub_area = r_top * np.sin(t_top), 4.0 * r_h * t_h
+        sub_area, sub_bound = self._sub_cell_bound()
         (w_c,), (w_h,) = start_mesh(self.w_lo, self.w_hi, initial=_FULL_MESH)
-        full_scale = 2.0 * w_h * f_max(w_c - w_h, w_c + w_h)
+        full_scale = 2.0 * w_h * self._f_w_max(w_c - w_h, w_c + w_h)
         full_edge = self.d * (w_c + w_h)
 
         def correction_bound(gamma: float) -> float:
-            sub = sub_scale * (norm_pdf(np.maximum(gamma - sub_edge, 0.0))
-                               + norm_pdf(max(gamma, 0.0)))
             # min(phi(x)/x, 1) for x > 0, and 1 for x <= 0
             x = np.maximum(gamma - full_edge, 0.0)
             q = norm_pdf(x)
             full = q / np.maximum(x, q)
-            return 2.0 * float(np.sum(sub_area * sub.max(axis=(1, 2)))
+            return 2.0 * float(np.sum(sub_area * sub_bound(gamma))
                                + np.sum(full_scale * full))
         return additive_tail_slack(1.0 - self.alpha, correction_bound)
 
-    def evaluate(self, gamma: float) -> CoverageResult:
-        if not math.isfinite(gamma):
+    def evaluate(self, gammas) -> list[CoverageResult]:
+        """The coverage at each of ``gammas``, in order.  The start values of
+        the whole block come from one pass: one D call over its radii, the
+        normal densities over its 2-D start nodes and one ``bvn_rectangle``
+        call over its w nodes.  Each gamma then refines its own quadratures
+        from its slice, so its result does not depend on its block."""
+        gammas = [float(g) for g in gammas]
+        if not all(map(math.isfinite, gammas)):
             raise ValueError("gamma must be finite")
         # D(c, q) is even in c; c <= 0 keeps both Phi on the lower tail
-        c = -abs(self.rho * gamma) / self.sd
+        cs = [-abs(self.rho * g) / self.sd for g in gammas]
+        # the block runs along a leading axis of the start factors; the
+        # rectangles go first, as their temporaries set the memory peak
+        block = np.array(gammas)
+        full_start = self._full_values(block[:, None], *self.full_start)
+        col = (-1,) + (1,) * self.q_start.ndim
+        sub_start = self._sub_values(np.reshape(cs, col), block.reshape(col),
+                                     self.q_start, *self.sub_start)
+        return [self._refine(c, g, sub, full)
+                for c, g, sub, full in zip(cs, gammas, sub_start, full_start)]
 
-        def sub_values(q, h, mass):
-            # the folded submodel integrand: D(c, q) at h and at -h
-            return (symmetric_interval_prob(c, q)
-                    * (norm_pdf(h - gamma) + norm_pdf(h + gamma)) * mass)
+    @staticmethod
+    def _sub_values(c, gamma, q, h, mass):
+        # the folded submodel integrand: D(c, q) at h and at -h
+        return (symmetric_interval_prob(c, q)
+                * (norm_pdf(h - gamma) + norm_pdf(h + gamma)) * mass)
 
-        def full_values(f_w, lo1, hi1, lo2, hi2):
-            return f_w * bvn_rectangle(lo1, hi1, lo2 - gamma, hi2 - gamma, self.rho)
+    def _full_values(self, gamma, f_w, lo1, hi1, lo2, hi2):
+        return f_w * bvn_rectangle(lo1, hi1, lo2 - gamma, hi2 - gamma, self.rho)
 
+    def _refine(self, c: float, gamma: float, sub_start, full_start) -> CoverageResult:
+        # one gamma's two quadratures from its start values
         sub = adaptive_quad_2d(
-            lambda r, theta: sub_values(self._half_width(r),
-                                        *self._polar_factors(r, theta)),
+            lambda r, theta: self._sub_values(c, gamma, self._half_width(r),
+                                              *self._polar_factors(r, theta)),
             *self.sub_limits, abs_err=_SUB_SHARE * self.abs_err,
-            initial=_SUB_MESH, start_values=sub_values(self.q_start, *self.sub_start))
+            initial=_SUB_MESH, start_values=sub_start)
         full = adaptive_quad(
-            lambda w: full_values(*self._full_factors(w)), self.w_lo, self.w_hi,
-            abs_err=_FULL_SHARE * self.abs_err, initial=_FULL_MESH,
-            start_values=full_values(*self.full_start))
+            lambda w: self._full_values(gamma, *self._full_factors(w)),
+            self.w_lo, self.w_hi, abs_err=_FULL_SHARE * self.abs_err,
+            initial=_FULL_MESH, start_values=full_start)
         return CoverageResult(
             value=((1.0 - self.alpha) + sub.value) - full.value,
             quad_err=sub.err + full.err + BVN_RECTANGLE_ERR + _W_MASS_EPS,
@@ -279,7 +312,7 @@ def coverage_probability(problem: BoundProblem, method: SelectionMethod,
     truncation allowance of the w integration window; ``panels`` counts
     the panels of both.
     """
-    return _CoveragePlan(problem, method, abs_err).evaluate(gamma)
+    return _CoveragePlan(problem, method, abs_err).evaluate([gamma])[0]
 
 
 def coverage_bound(problem: BoundProblem, method: SelectionMethod,
@@ -292,14 +325,25 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     1 - alpha reports gamma_star = inf.  The gamma scan stops as soon as
     the certified tail envelope ``_CoveragePlan.tail_slack`` proves that no
     later grid point can win, so the result equals the full scan's.  All
-    evaluations share one ``_CoveragePlan``.
+    evaluations share one ``_CoveragePlan``.  The scan's grid points are
+    evaluated ``_SCAN_BLOCK`` at a time: the first unevaluated point the
+    search asks for brings the next ones with it, and the search reads
+    them one by one as before, so past the stop at most ``_SCAN_BLOCK - 1``
+    computed points go unread.  Polish points are evaluated one at a time.
+    A block does not change any result, so neither the result nor its
+    evaluation count depends on ``_SCAN_BLOCK``.
     ``quad_err`` on the result is the quadrature error at gamma_star
     (0.0 when the tail value wins).
     """
     plan = _CoveragePlan(problem, method, abs_err)
+    memo: dict[float, CoverageResult] = {}
 
     def objective(g: float) -> tuple[float, float]:
-        res = plan.evaluate(g)
+        if g not in memo:
+            i = _SCAN_INDEX.get(g)
+            block = [g] if i is None else SCAN_GRID[i:i + _SCAN_BLOCK]
+            memo.update(zip(block, plan.evaluate(block)))
+        res = memo[g]
         return res.value, res.quad_err
     return minimize_over_gamma(objective, 1.0 - problem.alpha, plan.tail_slack())
 

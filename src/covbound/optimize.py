@@ -29,6 +29,8 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GAMMA_MAX = 30.0   # end of the scan grid
 _STEP = 0.1         # scan grid spacing
 _REFINE_TOL = 1e-6  # golden-section target bracket width
+# the scan grid 0, 0.1, ..., 30, in the order the scan visits it
+SCAN_GRID = tuple(i * _STEP for i in range(int(round(_GAMMA_MAX / _STEP)) + 1))
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,8 @@ def minimize_over_gamma(objective, tail_value: float, tail_slack) -> BoundResult
         seen.append((g, float(v), err))
         return seen[-1][1]
 
-    n_grid = int(round(_GAMMA_MAX / _STEP))
-    best_g, best_v = 0.0, f(0.0)
-    for i in range(1, n_grid + 1):
-        g = i * _STEP
+    best_g, best_v = SCAN_GRID[0], f(SCAN_GRID[0])
+    for g in SCAN_GRID[1:]:
         s = tail_slack(g)
         if tail_value - s > best_v or (s == 0.0 and tail_value >= best_v):
             break

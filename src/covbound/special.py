@@ -374,9 +374,24 @@ def _genz_correction(h, k, bs, b, cdf_ba, rho, x, w):
     half = 0.5 * a
     xs = ((half * (x + 1.0)) ** 2)[:, None, None]
     rs = np.sqrt(1.0 - xs)
-    terms = np.exp(-0.5 * (bs / xs + hk)) * (
-        np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-        - (1.0 + c * xs * (1.0 + d * xs)))
+    # terms = exp(-(bs/xs + hk)/2) (exp(-hk (1 - rs)/(2 (1 + rs)))/rs
+    # - (1 + c xs (1 + d xs))), operation by operation as written, in two
+    # (node, corner, point) buffers: the remainder's memory peak
+    poly = d * xs
+    poly += 1.0
+    terms = c * xs
+    terms *= poly
+    terms += 1.0
+    ratio = np.multiply(-hk, 1.0 - rs, out=poly)
+    ratio /= 2.0 * (1.0 + rs)
+    np.exp(ratio, out=ratio)
+    ratio /= rs
+    ratio -= terms
+    np.divide(bs, xs, out=terms)
+    terms += hk
+    terms *= -0.5
+    np.exp(terms, out=terms)
+    terms *= ratio
     val = val + half * _rule_sum(w, terms)
     return val / (2.0 * math.pi)
 

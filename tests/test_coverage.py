@@ -11,7 +11,7 @@ from covbound.asymptotic import AsymptoticProblem, asymptotic_bound
 from covbound.coverage import (CoverageResult, coverage_bound,
                                coverage_probability, minimum_coverage)
 from covbound.optimize import minimize_over_gamma
-from covbound.quadrature import start_nodes
+from covbound.quadrature import start_mesh, start_nodes
 from covbound.rules import (BoundProblem, SelectionMethod,
                             asymptotic_threshold, selection_threshold)
 from covbound.simulate import mc_coverage
@@ -204,19 +204,28 @@ _PLAN_CORNERS = ([(SelectionMethod(k), m, rho) for k in ("aic", "bic")
                  + [(SelectionMethod("ttest", 0.01), 1, 0.9)])
 
 
+# spans the refined gammas 0 and 5, within and beyond the corners' edges
+_BLOCK_GAMMAS = (0.0, 0.7, 1.3, 2.5, 3.1, 5.0, 7.5, 12.0)
+
+
 @pytest.mark.parametrize("case", _PLAN_CORNERS,
                          ids=lambda c: f"{c[0].kind}-m{c[1]}-rho{c[2]}")
 def test_plan_reused_across_gammas_matches_fresh_evaluations(case):
-    # one plan serves every gamma of a bound: no evaluation may change
-    # the cached start-mesh factors that a later one reads
+    # one plan serves every gamma of a bound, a block of gammas shares one
+    # start-mesh pass, and each gamma refines from its own slice: in blocks
+    # of any size and order, with every gamma evaluated again and again,
+    # each result is the fresh per-gamma coverage_probability, bit for bit
     method, m, rho = case
     pr = BoundProblem.from_m(0.05, 10, m, rho)
-    fresh = {g: coverage_probability(pr, method, g) for g in (0.0, 5.0)}
-    assert all(r.panels > _START_PANELS for r in fresh.values())
+    fresh = {g: coverage_probability(pr, method, g) for g in _BLOCK_GAMMAS}
+    assert fresh[0.0].panels > _START_PANELS and fresh[5.0].panels > _START_PANELS
     plan = coverage._CoveragePlan(pr, method)
-    shuffled = np.random.default_rng(3).permutation([0.0, 5.0] * 3)
-    for g in [0.0, 5.0] + [float(g) for g in shuffled]:
-        assert plan.evaluate(g) == fresh[g]
+    rng = np.random.default_rng(7)
+    for size in (1, 3, 8, 1):
+        gammas = [float(g) for g in rng.permutation(_BLOCK_GAMMAS)]
+        for i in range(0, len(gammas), size):
+            block = gammas[i:i + size]
+            assert plan.evaluate(block) == [fresh[g] for g in block]
 
 
 # the plan corners, and the golden row cp p 2 m 5 rho 0.6
@@ -257,7 +266,7 @@ def test_start_values_are_the_integrand_on_the_start_mesh(case, monkeypatch):
                                           plan.sub_start[0].shape).ravel(), r)
     h, w = r * np.sin(theta), r * np.cos(theta) / math.sqrt(plan.m)
     for g in _START_GAMMAS:
-        plan.evaluate(g)
+        plan.evaluate([g])
         f, start_values = seen[-1]
         c = -abs(plan.rho * g) / plan.sd
         q = plan.t2 * r / math.sqrt(plan.m + 1.0)
@@ -269,32 +278,35 @@ def test_start_values_are_the_integrand_on_the_start_mesh(case, monkeypatch):
 
 @pytest.mark.parametrize("case", _START_CASES, ids=_start_id)
 def test_start_mesh_d_sees_each_half_width_once(case, monkeypatch):
-    # the half-width depends on r alone, so the start mesh's D call runs on
-    # its 120 radii, each with its own half-width, and the two Phi of D
-    # see each one once
+    # the half-width depends on r alone, so a block's start-mesh D call runs
+    # on its 120 radii against the block's K centres, and the two Phi of D
+    # see each of the K * 120 pairs once
     plan = _start_plan(case)
-    d_calls = []  # per D call, its half-widths and the sizes of its erfc calls
+    d_calls = []  # per D call: centres, half-widths, sizes of its erfc calls
     erfc = special.erfc
 
     def counted_erfc(x):
-        d_calls[-1][1].append(np.size(x))
+        d_calls[-1][2].append(np.size(x))
         return erfc(x)
 
     def counted_d(c, q):
-        d_calls.append((q, []))
+        d_calls.append((c, q, []))
         with monkeypatch.context() as patch:
             patch.setattr(special, "erfc", counted_erfc)
             return symmetric_interval_prob(c, q)
 
     monkeypatch.setattr(coverage, "symmetric_interval_prob", counted_d)
     assert np.all(plan.sub_start[0] > 0.0)
-    for g in _START_GAMMAS:
+    for block in [[g] for g in _START_GAMMAS] + [list(_START_GAMMAS)]:
         d_calls.clear()
-        plan.evaluate(g)
-        # the start mesh's D call comes first, refined panels' after it
-        q, erfc_sizes = d_calls[0]
+        plan.evaluate(block)
+        # the start mesh's D call comes first; refined panels' D calls
+        # after it take one gamma's scalar centre each
+        c, q, erfc_sizes = d_calls[0]
+        assert np.size(c) == len(block)
         assert q.size == 120 and np.unique(q).size == 120
-        assert erfc_sizes == [120, 120]
+        assert erfc_sizes == [len(block) * 120] * 2
+        assert all(np.ndim(centre) == 0 for centre, _, _ in d_calls[1:])
 
 
 # the (r, theta) submodel term against the (w, x) one, on the corner grid
@@ -387,9 +399,9 @@ class TestCoverageBound:
     def test_quad_err_zero_when_tail_wins(self, monkeypatch):
         # an objective above the nominal level everywhere: the tail value
         # wins at gamma_star = inf, where the coverage is exact
-        def above_nominal(plan, gamma):
-            return CoverageResult(value=0.95 + 1e-3 / (1.0 + gamma),
-                                  quad_err=1e-9, panels=32)
+        def above_nominal(plan, gammas):
+            return [CoverageResult(value=0.95 + 1e-3 / (1.0 + g),
+                                   quad_err=1e-9, panels=32) for g in gammas]
 
         monkeypatch.setattr(coverage._CoveragePlan, "evaluate", above_nominal)
         res = coverage_bound(prob(5, 0.7), CP)
@@ -539,6 +551,37 @@ def test_slack_bounds_refined_coverage(case):
     assert panels > _START_PANELS
 
 
+@pytest.mark.parametrize("case", _REFINED_CASES,
+                         ids=lambda c: f"{c[0].kind}-m{c[2]}-rho{c[3]}")
+def test_sub_cell_bound_holds_inside_each_start_cell(case, monkeypatch):
+    # the submodel half of the envelope, cell by cell: the folded (r, theta)
+    # integrand that refined panels evaluate, on every sub-cell corner and
+    # at random points of each 2-D start cell, stays below that cell's
+    # bound; a sum over cells could hide one cell's edge set too low
+    method, p, m, rho = case
+    plan = coverage._CoveragePlan(BoundProblem.from_m(0.05, p, m, rho), method)
+    integrands = []
+    quad_2d = coverage.adaptive_quad_2d
+
+    def capture(f, *args, **kwargs):
+        integrands.append(f)
+        return quad_2d(f, *args, **kwargs)
+
+    monkeypatch.setattr(coverage, "adaptive_quad_2d", capture)
+    _, cell_bound = plan._sub_cell_bound()
+    (r_c, t_c), (r_h, t_h) = start_mesh(*plan.sub_limits,
+                                        initial=coverage._SUB_MESH)
+    split = np.linspace(-1.0, 1.0, coverage._SLACK_SPLIT + 1)
+    rng = np.random.default_rng(11)
+    u, v = (np.concatenate([z.ravel(), rng.uniform(-1.0, 1.0, 400)])
+            for z in np.meshgrid(split, split, indexing="ij"))
+    r, theta = r_c[:, None] + r_h[:, None] * u, t_c[:, None] + t_h[:, None] * v
+    for gamma in (0.0, 0.5, 1.5, 3.0, 5.0, 8.0):
+        plan.evaluate([gamma])
+        values = integrands[-1](r.ravel(), theta.ravel()).reshape(r.shape)
+        assert np.all(values <= (1.0 + 1e-12) * cell_bound(gamma)[:, None])
+
+
 # the default search: the result is the full scan's, bit for bit, at a
 # ceiling on evaluations (a regression guard on the envelope's sharpness)
 @pytest.mark.parametrize("case, ceiling",
@@ -553,3 +596,57 @@ def test_default_search_identical_to_full_scan(case, ceiling):
     assert (res.bound, res.gamma_star, res.bracket) \
         == (full.bound, full.gamma_star, full.bracket)
     assert res.evaluations <= ceiling
+
+
+def _traced_bound(case, monkeypatch):
+    """A default ``coverage_bound`` with the gamma lists of its block
+    evaluations and the arguments of its search's objective calls."""
+    method, p, m, rho = case
+    blocks, reads = [], []
+    evaluate, search = coverage._CoveragePlan.evaluate, coverage.minimize_over_gamma
+
+    def traced_evaluate(plan, gammas):
+        blocks.append(list(gammas))
+        return evaluate(plan, gammas)
+
+    def traced_search(objective, *args):
+        def read(g):
+            reads.append(g)
+            return objective(g)
+        return search(read, *args)
+
+    monkeypatch.setattr(coverage._CoveragePlan, "evaluate", traced_evaluate)
+    monkeypatch.setattr(coverage, "minimize_over_gamma", traced_search)
+    res = coverage_bound(BoundProblem.from_m(0.05, p, m, rho), method)
+    return res, blocks, reads
+
+
+_SEARCH_CASES = [(CP, 2, 20, 0.6), (SelectionMethod("aic"), 10, 5, 0.95),
+                 (SelectionMethod("bic"), 10, 10_000, 0.3)]
+
+
+@pytest.mark.parametrize("case", _SEARCH_CASES,
+                         ids=lambda c: f"{c[0].kind}-m{c[2]}-rho{c[3]}")
+def test_search_objective_takes_one_float_per_evaluation(case, monkeypatch):
+    # the search sees a scalar objective, called once per counted
+    # evaluation with one float, however the bound batches its work; span
+    # tracers wrap the objective as such a function
+    res, _, reads = _traced_bound(case, monkeypatch)
+    assert len(reads) == res.evaluations
+    assert all(type(g) is float for g in reads)
+
+
+@pytest.mark.parametrize("case", _SEARCH_CASES,
+                         ids=lambda c: f"{c[0].kind}-m{c[2]}-rho{c[3]}")
+def test_scan_blocks_compute_at_most_one_unread_block(case, monkeypatch):
+    # scan misses evaluate _SCAN_BLOCK grid points at once and polish
+    # points one at a time; no gamma is computed twice, and past the
+    # certified stop at most _SCAN_BLOCK - 1 computed gammas go unread
+    res, blocks, reads = _traced_bound(case, monkeypatch)
+    computed = [g for block in blocks for g in block]
+    assert len(set(computed)) == len(computed)
+    assert max(map(len, blocks)) == coverage._SCAN_BLOCK
+    assert all(set(block) <= set(optimize.SCAN_GRID)
+               for block in blocks if len(block) > 1)
+    assert len(set(computed) - set(reads)) <= coverage._SCAN_BLOCK - 1
+    assert set(reads) <= set(computed)
