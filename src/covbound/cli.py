@@ -41,8 +41,9 @@ EXIT_VERIFY = 3
 EXIT_NUMERIC = 4
 
 
-class CliError(Exception):
-    """Carries an exit code with the message."""
+class CliError(argparse.ArgumentTypeError):
+    """Carries an exit code with the message.  Raised by a flag's type, it
+    is argparse's usage error for that flag."""
 
     def __init__(self, message: str, code: int = EXIT_INPUT) -> None:
         super().__init__(message)
@@ -125,28 +126,30 @@ def _parse_rho_grid(spec: str) -> list[float]:
     return [g for g in grid if g <= hi + 1e-12]
 
 
-def _check_rho_values(values: list[float]) -> None:
-    if not values:
-        raise CliError("rho grid is empty")
-    for r in values:
-        if not 0.0 <= r <= 1.0:
-            raise CliError(f"rho value {r!r} outside [0, 1]; negative rho is "
-                           "redundant because the bound is even in rho")
+def _require(ok, message: str):
+    """A check that returns the value, or refuses it with `message`
+    (formatted with the value) when `ok` fails."""
+    def check(value):
+        if not ok(value):
+            raise CliError(message.format(value))
+        return value
+    return check
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise CliError(f"alpha must be in (0, 1), got {alpha!r}")
+def _checked(convert, check):
+    """A flag's argparse type: `convert` reads the text, and `check` refuses
+    the value or returns what the flag stores."""
+    def parse(text: str):
+        return check(convert(text))
+    # argparse names the type of a malformed value: `invalid float value: 'x'`
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _check_p(p: int) -> None:
-    if p < 2:
-        raise CliError(f"--p must be >= 2, got {p!r}")
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise CliError(f"--seed must be >= 0, got {seed!r}")
+_unit_rho = _require(lambda r: 0.0 <= r <= 1.0,
+                    "rho value {!r} outside [0, 1]; negative rho is "
+                    "redundant because the bound is even in rho")
+_CURVE_RHOS = _parse_rho_grid("0:0.01:0.99")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -197,16 +200,12 @@ def _record_csv(records: list[dict], fields=_BOUND_FIELDS) -> str:
 
 def cmd_bound(ns) -> int:
     method = _parse_method(ns)
-    _check_alpha(ns.alpha)
-    _check_p(ns.p)
-    if ns.rho is None:
+    if ns.rhos is None:
         raise CliError("--rho is required")
-    _check_rho_values([ns.rho])
-    ms = _parse_list("--m", ns.m)
-    if len(ms) != 1:
+    if len(ns.m) != 1:
         raise CliError("bound takes a single --m value")
-    _check_large_sample(method, ms)
-    rec = _single_bound(method, ns.alpha, ns.p, ms[0], ns.rho)
+    _check_large_sample(method, ns.m)
+    rec = _single_bound(method, ns.alpha, ns.p, ns.m[0], ns.rhos[0])
     if ns.format == "csv":
         text = _record_csv([rec], _BOUND_FIELDS + ("quad_err",))
     else:
@@ -215,31 +214,14 @@ def cmd_bound(ns) -> int:
     return EXIT_OK
 
 
-def cmd_limit(ns) -> int:
-    ns.m = "inf"
-    return cmd_bound(ns)
-
-
 # ----------------------------------------------------------------------
 # curve
 # ----------------------------------------------------------------------
 
 def cmd_curve(ns) -> int:
     method = _parse_method(ns)
-    _check_alpha(ns.alpha)
-    _check_p(ns.p)
-    if ns.rho_grid is not None:
-        rhos = _parse_rho_grid(ns.rho_grid)
-    elif ns.rho is not None:
-        rhos = [ns.rho]
-    else:
-        rhos = _parse_rho_grid("0:0.01:0.99")
-    _check_rho_values(rhos)
-    ms = _parse_list("--m", ns.m)
-    _check_large_sample(method, ms)  # fail before computing any point
-    if ns.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {ns.jobs!r}")
-    points = [(method, ns.alpha, ns.p, m, rho) for m in ms for rho in rhos]
+    _check_large_sample(method, ns.m)  # fail before computing any point
+    points = [(method, ns.alpha, ns.p, m, rho) for m in ns.m for rho in ns.rhos]
     # no more processes than points or cores: the pool starts them all at once
     workers = min(ns.jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
@@ -269,33 +251,21 @@ def _default_verify_grid(test_size: float | None) -> list[SelectionMethod]:
 
 
 def cmd_verify(ns) -> int:
-    _check_alpha(ns.alpha)
-    _check_p(ns.p)
-    _check_seed(ns.seed)
     if ns.format == "csv":
         raise CliError("verify emits a JSON report; csv is not supported")
-    if ns.reps < 10_000:
-        raise CliError("verify needs --reps >= 10000 for a meaningful SE")
     if ns.method == "all":
         methods = _default_verify_grid(ns.test_size)
     else:
         methods = [_parse_method(ns)]
-    rhos = ([ns.rho] if ns.rho is not None
-            else _parse_rho_grid(ns.rho_grid) if ns.rho_grid is not None
-            else [0.0, 0.5, 0.9])
-    _check_rho_values(rhos)
-    if any(r == 1.0 for r in rhos):
+    if 1.0 in ns.rhos:
         raise CliError("verify requires rho < 1")
-    gammas = ([0.0, 1.0, 3.0] if ns.gamma is None
-              else _parse_list("--gamma", ns.gamma))
-    ms = _parse_list("--m", ns.m)
-    if "inf" in ms:
+    if "inf" in ns.m:
         raise CliError("verify runs at finite m only")
 
-    cells = [(method, m, rho, gamma) for method in methods for m in ms
-             for rho in rhos for gamma in gammas]
+    cells = [(method, m, rho, gamma) for method in methods for m in ns.m
+             for rho in ns.rhos for gamma in ns.gamma]
     probs = {(m, rho): BoundProblem.from_m(ns.alpha, ns.p, m, rho)
-             for m in ms for rho in rhos}
+             for m in ns.m for rho in ns.rhos}
     ests = mc_coverage([(probs[m, rho], method, gamma)
                         for method, m, rho, gamma in cells], ns.reps, ns.seed)
 
@@ -359,19 +329,10 @@ def _read_design(path: str) -> SimDesign:
 
 def cmd_simulate(ns) -> int:
     method = _parse_method(ns)
-    _check_alpha(ns.alpha)
-    if ns.reps < 1:
-        raise CliError("--reps must be positive")
-    _check_seed(ns.seed)
     design = _read_design(ns.design)
-    if ns.beta_last is not None:
-        grid = []
-        for b in _parse_list("--beta-last", ns.beta_last):
-            row = np.array(design.beta, copy=True)
-            row[-1] = b
-            grid.append(row)
-    else:
-        grid = [design.beta]
+    # each value of the last coefficient, the design's own by default
+    grid = [np.append(design.beta[:-1], b)
+            for b in ns.beta_last or design.beta[-1:]]
     rows = empirical_min_coverage(design, method, ns.alpha, grid,
                                   ns.reps, ns.seed)
     records = []
@@ -402,7 +363,8 @@ def _add_common(sp, *, method: str = "cp") -> None:
     # `--method TTEST` takes --test-size and `verify --method ALL` is `all`
     sp.add_argument("--method", default=method, type=lambda s: s.strip().lower(),
                     help=f"one of {', '.join(METHOD_NAMES)}")
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", default=0.05, type=_checked(float, _require(
+        lambda a: 0.0 < a < 1.0, "alpha must be in (0, 1), got {!r}")))
     sp.add_argument("--test-size", type=float, default=None,
                     help="two-sided size of the t test (method ttest)")
     sp.add_argument("--out", default=None, help="output path ('-' = stdout)")
@@ -411,23 +373,31 @@ def _add_common(sp, *, method: str = "cp") -> None:
 
 
 def _add_problem(sp, *, p: int = 2, m: str | None = "20",
-                 rho_grid: bool = False) -> None:
-    """--p and --rho, plus --m unless the command fixes m, plus --rho-grid,
-    exclusive with --rho, on the commands that sweep rho."""
-    sp.add_argument("--p", type=int, default=p,
+                 rhos: list[float] | None = None) -> None:
+    """--p and --rho, plus --m unless the command fixes m.  A command that
+    sweeps rho gives its default rho list and takes --rho-grid too,
+    exclusive with --rho; either fills ns.rhos."""
+    sp.add_argument("--p", default=p, type=_checked(int, _require(
+                        lambda p: p >= 2, "--p must be >= 2, got {!r}")),
                     help="number of regressors (m = n - p)")
     if m is not None:
         sp.add_argument("--m", default=m,
+                        type=lambda text: _parse_list("--m", text),
                         help="error degrees of freedom; comma list, 'inf' allowed")
-    rho = sp.add_mutually_exclusive_group() if rho_grid else sp
-    rho.add_argument("--rho", type=float, default=None)
-    if rho_grid:
-        rho.add_argument("--rho-grid", default=None, metavar="LO:STEP:HI")
+    rho = sp if rhos is None else sp.add_mutually_exclusive_group()
+    rho.add_argument("--rho", dest="rhos", default=rhos, metavar="RHO",
+                     type=_checked(float, lambda r: [_unit_rho(r)]))
+    if rhos is not None:
+        rho.add_argument("--rho-grid", dest="rhos", default=rhos,
+                         metavar="LO:STEP:HI", type=lambda spec: [
+                             _unit_rho(r) for r in _parse_rho_grid(spec)])
 
 
-def _add_monte_carlo(sp, *, reps: int) -> None:
-    sp.add_argument("--reps", type=int, default=reps)
-    sp.add_argument("--seed", type=int, default=20090415)
+def _add_monte_carlo(sp, *, reps: int, fewest: int, too_few: str) -> None:
+    sp.add_argument("--reps", default=reps, type=_checked(int, _require(
+        lambda n: n >= fewest, too_few)))
+    sp.add_argument("--seed", default=20090415, type=_checked(int, _require(
+        lambda s: s >= 0, "--seed must be >= 0, got {!r}")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,12 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("limit")
     _add_common(sp)
     _add_problem(sp, m=None)
-    sp.set_defaults(func=cmd_limit)
+    sp.set_defaults(func=cmd_bound, m=["inf"])
 
     sp = add("curve")
     _add_common(sp)
-    _add_problem(sp, rho_grid=True)
-    sp.add_argument("--jobs", type=int, default=1,
+    _add_problem(sp, rhos=_CURVE_RHOS)
+    sp.add_argument("--jobs", default=1, type=_checked(int, _require(
+                        lambda n: n >= 1, "--jobs must be >= 1, got {!r}")),
                     help="parallel workers for the rho/m sweep")
     sp.set_defaults(func=cmd_curve)
 
@@ -464,19 +435,24 @@ def build_parser() -> argparse.ArgumentParser:
     # that m's 45 points
     sp = add("verify")
     _add_common(sp, method="all")
-    _add_problem(sp, p=10, m="5,20", rho_grid=True)
-    _add_monte_carlo(sp, reps=2_000_000)
-    sp.add_argument("--gamma", default=None, help="comma list of gamma values")
+    _add_problem(sp, p=10, m="5,20", rhos=[0.0, 0.5, 0.9])
+    _add_monte_carlo(sp, reps=2_000_000, fewest=10_000, too_few=(
+        "verify needs --reps >= 10000 for a meaningful SE"))
+    sp.add_argument("--gamma", default="0,1,3",
+                    type=lambda text: _parse_list("--gamma", text),
+                    help="comma list of gamma values")
     sp.set_defaults(func=cmd_verify)
 
     # n, p and q come from the design file
     sp = add("simulate")
     _add_common(sp)
-    _add_monte_carlo(sp, reps=200_000)
+    _add_monte_carlo(sp, reps=200_000, fewest=1,
+                     too_few="--reps must be positive")
     sp.add_argument("--design", required=True,
                     help="plain-text design file: 'n p q', X rows, "
                          "a row, beta row, sigma")
     sp.add_argument("--beta-last", default=None,
+                    type=lambda text: _parse_list("--beta-last", text),
                     help="comma list of values for the last "
                          "coefficient, one table row pair each")
     sp.set_defaults(func=cmd_simulate)

@@ -682,6 +682,53 @@ class TestFlagScope:
         assert "not allowed with argument --rho" in err
         assert not out_path.exists()
 
+    BASE = {"bound": ["bound", "--m", "5", "--rho", "0.5"],
+            "curve": ["curve", "--m", "5"],
+            "verify": ["verify", "--m", "5", "--rho", "0.5", "--gamma", "1",
+                       "--reps", "10000"],
+            "simulate": ["simulate", "--reps", "100"]}
+
+    BAD_VALUES = [
+        ("simulate", "--seed", "-1", "--seed must be >= 0, got -1", "int"),
+        ("simulate", "--reps", "0", "--reps must be positive", "int"),
+        ("verify", "--reps", "9999",
+         "verify needs --reps >= 10000 for a meaningful SE", "int"),
+        ("curve", "--jobs", "0", "--jobs must be >= 1, got 0", "int"),
+        ("bound", "--alpha", "1", "alpha must be in (0, 1), got 1.0", "float"),
+        ("bound", "--p", "1", "--p must be >= 2, got 1", "int"),
+        ("bound", "--m", "0",
+         "bad --m entry '0': expected an integer >= 1 or 'inf'", None),
+        ("verify", "--gamma", "nan",
+         "bad --gamma entry 'nan': expected a finite number", None),
+        ("simulate", "--beta-last", "inf",
+         "bad --beta-last entry 'inf': expected a finite number", None),
+        ("bound", "--rho", "-0.1", "rho value -0.1 outside [0, 1]; negative "
+         "rho is redundant because the bound is even in rho", "float"),
+        ("curve", "--rho-grid", "0.9:0.1:0.1",
+         "--rho-grid needs step > 0 and hi >= lo", None),
+    ]
+
+    @pytest.mark.parametrize("command, flag, bad, message, kind", BAD_VALUES,
+                             ids=[f"{c}{f}={b}" for c, f, b, *_ in BAD_VALUES])
+    def test_bad_value_is_the_flags_usage_error(self, command, flag, bad,
+                                                message, kind, capsys,
+                                                tmp_path, design_file):
+        # a value out of range fails where the flag is parsed, as a
+        # malformed number does: exit 2 on argparse's `argument --flag:`
+        # line, before anything is computed or written
+        out_path = tmp_path / "out.txt"
+        base = self.BASE[command] + ["--out", str(out_path)]
+        if command == "simulate":
+            base += ["--design", str(design_file)]
+        code, out, err = run(base + [flag, bad], capsys)
+        assert (code, out) == (2, "") and not out_path.exists()
+        prefix = f"covbound {command}: error: argument {flag}: "
+        assert err.splitlines()[-1] == prefix + message
+        if kind is not None:  # argparse's own wording for a malformed number
+            code, out, err = run(base + [flag, "x"], capsys)
+            assert (code, out) == (2, "") and not out_path.exists()
+            assert err.splitlines()[-1] == prefix + f"invalid {kind} value: 'x'"
+
     def test_simulate_rejects_gamma(self, capsys, design_file):
         code, _, err = run(["simulate", "--design", str(design_file),
                             "--method", "aic", "--gamma", "1"], capsys)
