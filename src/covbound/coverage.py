@@ -56,11 +56,13 @@ of the two quadratures both terms are pinned below a Gaussian tail in
 gamma minus the largest h on the cell; ``coverage_bound`` uses that to
 stop its gamma scan early.
 
-At |rho| = 1 this representation degenerates, and the minimum coverage
-is 2 int (Phi(t_m w) - Phi(d w)) f_W(w) dw when d < t_m and exactly 0
-when d >= t_m.  ``minimum_coverage`` gives the bound at any (m, rho).  No
-rho is altered: every |rho| < 1 is computed as given, however close to 1,
-and the bound runs continuously into the |rho| = 1 closed form.
+At |rho| = 1 this representation degenerates.  The minimum coverage,
+attained as gamma -> inf, is 2 int (Phi(t_m w) - Phi(d w)) f_W(w) dw =
+P(d W < |Z| <= t_m W) for standard normal Z independent of W, and as
+P(|Z| <= t_m W) = 1 - alpha it is P(|T_m| > d) - alpha, T_m = Z / W, or 0
+when that is not positive: the finite-m form of P(|Z| > d') - alpha.
+``minimum_coverage`` gives the bound at any (m, rho) and alters no rho;
+the bound runs continuously from |rho| < 1 into that closed form.
 """
 
 from __future__ import annotations
@@ -77,10 +79,9 @@ from .quadrature import (NODES, adaptive_quad, adaptive_quad_2d, start_mesh,
                          start_nodes)
 from .rules import (BoundProblem, SelectionMethod, asymptotic_threshold,
                     selection_threshold)
-from .special import (BVN_RECTANGLE_ERR, bvn_rectangle, norm_cdf, norm_pdf,
-                      norm_two_sided_quantile, residual_scale_density,
-                      residual_scale_interval, symmetric_interval_prob,
-                      t_quantile)
+from .special import (BVN_RECTANGLE_ERR, SQRT2, bvn_rectangle, erfc, norm_pdf,
+                      residual_scale_density, residual_scale_interval,
+                      symmetric_interval_prob, t_quantile, t_two_sided_tail)
 
 __all__ = [
     "CoverageResult",
@@ -101,6 +102,10 @@ _SLACK_SPLIT = 8
 # scan grid points per ``coverage_bound`` block evaluation, and their indices
 _SCAN_BLOCK = 8
 _SCAN_INDEX = {g: i for i, g in enumerate(SCAN_GRID)}
+_PERFECT_CORR_ERR = 1e-14
+"""Absolute error bound of the |rho| = 1 closed form; against 40-digit
+mpmath on the grid of ``test_perfect_correlation_matches_mpmath`` the
+largest error is 6.1e-15, a t-test's, which is the error of its cutoff."""
 
 
 @dataclass(frozen=True)
@@ -348,25 +353,6 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     return minimize_over_gamma(objective, 1.0 - problem.alpha, plan.tail_slack())
 
 
-def _perfect_corr_bound(t: float, d: float, m: int | float,
-                        abs_err: float) -> tuple[float, float]:
-    """Minimum coverage over gamma at |rho| = 1 and its error, from the
-    critical value t and the cutoff d: 0 when d >= t, else 2 int (Phi(t w)
-    - Phi(d w)) f_W(w) dw (w = 1 at m = inf), attained as gamma -> inf; the
-    error adds the w window's 1e-12 allowance to the quadrature's."""
-    if d >= t:
-        return 0.0, 0.0
-    if m == math.inf:
-        return 2.0 * (norm_cdf(t) - norm_cdf(d)), 0.0
-    w_lo, w_hi = residual_scale_interval(m, _W_MASS_EPS)
-
-    def integrand(w):
-        return 2.0 * (norm_cdf(t * w) - norm_cdf(d * w)) * residual_scale_density(w, m)
-
-    res = adaptive_quad(integrand, w_lo, w_hi, abs_err=abs_err)
-    return res.value, res.err + _W_MASS_EPS
-
-
 def minimum_coverage(method: SelectionMethod, alpha: float, p: int,
                      m: int | float, rho: float,
                      abs_err: float = 1e-8) -> BoundResult:
@@ -374,21 +360,25 @@ def minimum_coverage(method: SelectionMethod, alpha: float, p: int,
     p regressors, m error degrees of freedom (an integer >= 1 or
     ``math.inf``) and correlation rho, even in rho.  For |rho| < 1 it is
     ``coverage_bound``, or at m = inf ``asymptotic_bound``, which needs no
-    ``abs_err``; at |rho| = 1 a closed form with no search (``gamma_star``
-    nan, ``evaluations`` 0).  No rho is altered, and as |rho| -> 1 the
-    bound runs continuously into the closed form.  bic and ttest raise
-    ``ValueError`` at m = inf."""
+    ``abs_err``; at |rho| = 1 the closed form P(|T_m| > d) - alpha, or
+    P(|Z| > d') - alpha at m = inf, and 0 with ``quad_err`` 0 where that is
+    not positive, with no search (``gamma_star`` nan, ``evaluations`` 0).
+    No rho is altered, and as |rho| -> 1 the bound runs continuously into
+    the closed form.  bic and ttest raise ``ValueError`` at m = inf."""
     _check_abs_err(abs_err)
     if m == math.inf:
         d = asymptotic_threshold(method)
         if abs(rho) != 1.0:
             return asymptotic_bound(AsymptoticProblem(alpha, rho, d))
-        t = norm_two_sided_quantile(alpha)
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        tail = erfc(d / SQRT2)
     else:
         problem = BoundProblem.from_m(alpha, p, m, rho)
         if abs(rho) != 1.0:
             return coverage_bound(problem, method, abs_err)
-        m = problem.m
-        d, t = selection_threshold(method, problem.n, problem.p), t_quantile(m, alpha)
-    bound, err = _perfect_corr_bound(t, d, m, abs_err)
+        # the t-test's d is t_m(size), so its tail is the size exactly
+        tail = method.test_size if method.kind == "ttest" else t_two_sided_tail(
+            selection_threshold(method, problem.n, problem.p), problem.m)
+    bound, err = (tail - alpha, _PERFECT_CORR_ERR) if tail > alpha else (0.0, 0.0)
     return BoundResult(bound, math.nan, 0, (math.nan, math.nan), err)

@@ -1,5 +1,6 @@
 """Coverage probability of the naive post-selection interval."""
 
+import itertools
 import math
 import warnings
 
@@ -426,7 +427,7 @@ class TestMinimumCoverage:
     rho = 1."""
 
     # the CLI's values for cp at rho = 1, m = 5 and m = inf
-    PERFECT = {5: 0.16643722926968446, math.inf: 0.1072992070502854}
+    PERFECT = {5: 0.16643722926968646, math.inf: 0.10729920705028516}
 
     @pytest.mark.parametrize("m,rho", [(5, 0.7), (math.inf, 0.7),
                                        (5, 1.0), (math.inf, 1.0)],
@@ -467,6 +468,53 @@ class TestMinimumCoverage:
     def test_no_limit_for_bic_and_ttest(self, method, rho):
         with pytest.raises(ValueError, match="large-sample"):
             minimum_coverage(method, 0.05, 2, math.inf, rho)
+
+    @pytest.mark.parametrize("m,rho", [(5, 0.7), (math.inf, 0.7),
+                                       (5, 1.0), (math.inf, 1.0)],
+                             ids=("finite", "limit", "finite-perfect",
+                                  "limit-perfect"))
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_rejects_bad_alpha(self, m, rho, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            minimum_coverage(CP, alpha, 2, m, rho)
+
+
+_PERFECT_METHODS = ([SelectionMethod(k) for k in ("cp", "aic", "bic", "adjr2")]
+                    + [SelectionMethod("ttest", s) for s in (0.01, 0.06, 0.1, 0.2)])
+
+
+@pytest.mark.parametrize("method", _PERFECT_METHODS,
+                         ids=lambda m: f"{m.kind}{m.test_size or ''}")
+def test_perfect_correlation_matches_mpmath(method):
+    """At |rho| = 1 the bound is P(|T_m| > d) - alpha, or 0 where that is
+    not positive: the exact value, from 40-digit mpmath (I_x(m/2, 1/2) at
+    x = m/(m + d^2), erfc(d/sqrt(2)) at m = inf) at the computed cutoff d,
+    lies within the reported ``quad_err``."""
+    mp = pytest.importorskip("mpmath")
+    for p, m, alpha in itertools.product(
+            (2, 10), (1, 2, 5, 20, 10**3, 10**5, 10**8, math.inf),
+            (0.01, 0.05, 0.1)):
+        if m == math.inf and method.kind in ("bic", "ttest"):
+            continue
+        res = minimum_coverage(method, alpha, p, m, 1.0)
+        with mp.workdps(40):
+            if method.test_size == alpha:
+                # d = t_m(alpha): the tail equals alpha by definition
+                tail = mp.mpf(alpha)
+            elif m == math.inf:
+                d = mp.mpf(asymptotic_threshold(method))
+                tail = mp.erfc(d / mp.sqrt(2))
+            else:
+                d = mp.mpf(selection_threshold(method, p + m, p))
+                tail = mp.betainc(mp.mpf(m) / 2, mp.mpf(1) / 2, 0,
+                                  m / (m + d * d), regularized=True)
+            exact = max(tail - alpha, 0)
+        case = (p, m, alpha)
+        if exact == 0:
+            assert (res.bound, res.quad_err) == (0.0, 0.0), case
+        else:
+            assert 0.0 < res.quad_err, case
+            assert abs(res.bound - exact) <= res.quad_err, case
 
 
 # corners of the early-exit certificate: m in {1, 2} (w_hi ~ 7 and 5),

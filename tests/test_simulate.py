@@ -507,6 +507,17 @@ class TestSelectModel:
         with pytest.raises(ValueError, match="candidate"):
             select_model(d, y, method, candidates=[(1,), (3,)])
 
+    def test_ttest_rejecting_every_candidate_raises(self):
+        # both free coefficients are large, so the t-tests keep both and
+        # the selected set is the full model (), which no candidate is
+        d = toy_design(beta=(1.0, 50.0, 80.0), sigma=1.0)
+        rng = np.random.default_rng(45)
+        y = d.X @ d.beta + rng.standard_normal(d.n)
+        method = SelectionMethod("ttest", 0.05)
+        assert select_model(d, y, method) == ()
+        with pytest.raises(ValueError, match="landed outside the candidate family"):
+            select_model(d, y, method, candidates=[(1,), (2,)])
+
 
 class TestEmpiricalMinCoverage:
     def test_zero_reps_rejected(self):
