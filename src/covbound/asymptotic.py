@@ -80,8 +80,9 @@ def asymptotic_tail_slack(problem: AsymptoticProblem):
     endpoints Phi(gamma' -+ d') of the product term round to 1.0 exactly
     once erfc(x / sqrt 2) <= 2 phi(x)/x falls to 2^-54, half the rounding
     threshold of 2 - erfc, making the term exactly 0; before that it
-    carries up to 2^-52 of cancellation.  The factor 2 absorbs the few-ulp
-    rounding of the rest.
+    carries up to 2^-52 of cancellation.  The factor 2 absorbs the rounding
+    of the rest: each erfc is within 4 ulps (``special.erfc``), and the
+    sums add a few more.
     """
     dp = problem.d_prime
 

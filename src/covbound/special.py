@@ -3,9 +3,9 @@
 Self-contained layer: everything here is built from `math`/`numpy`
 primitives (no scipy).  The pieces are
 
-* ``erfc`` / ``norm_pdf`` / ``norm_cdf`` -- Cody-style rational
-  approximations for the complementary error function, accurate to a few
-  ulps over the whole real line,
+* ``erfc`` / ``norm_pdf`` / ``norm_cdf`` -- the complementary error
+  function of the C library (``math.erfc``, within 4 ulps) and the
+  normal density and distribution function built on it,
 * ``symmetric_interval_prob`` -- D(c, q) = Phi(c + q) - Phi(c - q), the
   normal probability of an interval of half-width q about c,
 * ``bvn_rectangle`` -- rectangle probabilities of the standard bivariate
@@ -43,7 +43,6 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 _EPS = 1e-16
 _FPMIN = 1e-300
@@ -52,132 +51,20 @@ _FPMIN = 1e-300
 _ITMAX = 10**6
 
 
-# ----------------------------------------------------------------------
-# complementary error function, Cody rational approximations
-# ----------------------------------------------------------------------
-
-# |x| <= 0.46875: erf(x) = x * P1(x^2)/Q1(x^2)
-_ERF_A = (3.16112374387056560e0, 1.13864154151050156e2,
-          3.77485237685302021e2, 3.20937758913846947e3,
-          1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e1, 2.44024637934444173e2,
-          1.28261652607737228e3, 2.84423683343917062e3)
-# 0.46875 < x <= 4: erfc(x) = exp(-x^2) * P2(x)/Q2(x)
-_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e0,
-          6.61191906371416295e1, 2.98635138197400131e2,
-          8.81952221241769090e2, 1.71204761263407058e3,
-          2.05107837782607147e3, 1.23033935479799725e3,
-          2.15311535474403846e-8)
-_ERF_D = (1.57449261107098347e1, 1.17693950891312499e2,
-          5.37181101862009858e2, 1.62138957456669019e3,
-          3.29079923573345963e3, 4.36261909014324716e3,
-          3.43936767414372164e3, 1.23033935480374942e3)
-# x > 4: erfc(x) = exp(-x^2)/x * (1/sqrt(pi) - P3(1/x^2)/Q3(1/x^2)/x^2)
-_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
-          1.25781726111229246e-1, 1.60837851487422766e-2,
-          6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERF_Q = (2.56852019228982242e0, 1.87295284992346047e0,
-          5.27905102951428412e-1, 6.05183413124413191e-2,
-          2.33520497626869185e-3)
-
-
-# erfc(x) is exactly 0.0 in double precision from x ~ 27.3 on; clipping
-# |x| here keeps +inf and huge finite x finite (0.0, not NaN or warnings).
-_ERFC_CLIP = 40.0
-# up to this many elements the scalar route (about 4 us each) is cheaper
-# than the array route's fixed cost of about 50 numpy calls (40-80 us)
-_ERFC_FEW = 16
-
-
-def _exp_nxx(y):
-    # exp(-y*y) with the split exp(-ysq^2)*exp(-(y-ysq)(y+ysq)) to keep
-    # relative accuracy for large arguments (ysq has an exact square).
-    ysq = np.floor(y * 16.0) / 16.0
-    return np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq))
-
-
-# The three branches below take a float or an array.  Each keeps the
-# operation order of Cody's evaluation, so a float and an array element
-# give the same bits.
-
-def _erfc_small(x):
-    # |x| <= 0.46875: erf(x) = x * P1(x^2)/Q1(x^2)
-    z = x * x
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return 1.0 - x * (num + _ERF_A[3]) / (den + _ERF_B[3])
-
-
-def _erfc_mid(y, e):
-    # 0.46875 < y <= 4: erfc(y) = exp(-y^2) * P2(y)/Q2(y), e = exp(-y^2);
-    # Horner in place when y is an array
-    num = y * _ERF_C[8]
-    den = y + _ERF_D[0]
-    den *= y
-    for i in range(7):
-        num += _ERF_C[i]
-        num *= y
-    for i in range(1, 7):
-        den += _ERF_D[i]
-        den *= y
-    num += _ERF_C[7]
-    den += _ERF_D[7]
-    num *= e
-    num /= den
-    return num
-
-
-def _erfc_big(y, e):
-    # y > 4: erfc(y) = exp(-y^2)/y * (1/sqrt(pi) - P3(1/y^2)/Q3(1/y^2)/y^2)
-    z = 1.0 / (y * y)
-    num = _ERF_P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _ERF_P[i]) * z
-        den = (den + _ERF_Q[i]) * z
-    r = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-    return e * (INV_SQRT_PI - r) / y
-
-
-def _erfc_float(v: float) -> float:
-    y = abs(v)
-    if y <= 0.46875:
-        return float(_erfc_small(v))
-    y = min(y, _ERFC_CLIP)  # NaN stays NaN
-    e = _exp_nxx(y)
-    out = float(_erfc_mid(y, e) if y <= 4.0 else _erfc_big(y, e))
-    return 2.0 - out if v < -0.46875 else out
-
-
 def erfc(x):
-    """Complementary error function, a few-ulp rational approximation.
+    """Complementary error function: the C library's ``math.erfc``.
 
+    Within 4 ulps of the exact value (checked against 40-digit mpmath on
+    |x| <= 27.3 by ``tests/test_special.py``; glibc 2.36 reaches 3.9 ulps
+    near x = 1.23).  The last bits follow the platform's libm.
     erfc(+inf) = 0, erfc(-inf) = 2 and NaN gives NaN, without warnings.
-    On arrays the middle branch (0.46875 < |x| <= 4) runs over every
-    element, without a mask; only the elements of the two outer branches
-    are gathered and overwritten.  Arrays of at most ``_ERFC_FEW``
-    elements take the scalar route per element instead, which gives the
-    same bits without the array route's fixed cost.
+    An array is evaluated element by element.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        return _erfc_float(float(x))
-    if x.size <= _ERFC_FEW:
-        return np.array([_erfc_float(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    y = np.abs(x)
-    np.minimum(y, _ERFC_CLIP, out=y)  # NaN stays NaN
-    e = _exp_nxx(y)
-    out = _erfc_mid(y, e)
-    big = y > 4.0
-    if np.count_nonzero(big):
-        out[big] = _erfc_big(y[big], e[big])
-    small = y <= 0.46875
-    if np.count_nonzero(small):
-        out[small] = _erfc_small(x[small])
-    return np.where(x < -0.46875, 2.0 - out, out)
+        return math.erfc(float(x))
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float,
+                       count=x.size).reshape(x.shape)
 
 
 def norm_pdf(x):

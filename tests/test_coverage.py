@@ -427,7 +427,7 @@ class TestMinimumCoverage:
     rho = 1."""
 
     # the CLI's values for cp at rho = 1, m = 5 and m = inf
-    PERFECT = {5: 0.16643722926968646, math.inf: 0.10729920705028516}
+    PERFECT = {5: 0.16643722926968646, math.inf: 0.10729920705028513}
 
     @pytest.mark.parametrize("m,rho", [(5, 0.7), (math.inf, 0.7),
                                        (5, 1.0), (math.inf, 1.0)],

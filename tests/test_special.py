@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import platform
 import warnings
 
 import numpy as np
@@ -134,48 +135,30 @@ class TestTolerance:
             coverage_probability(self.PROBLEM, self.CP, 1.0, rel_err=1e-12)
 
 
-def _erfc_masked_reference(x):
-    """Cody's erfc with each branch gathered by a mask and scattered back."""
-    y = np.abs(x)
-    out = np.empty_like(y)
-    m1 = y <= 0.46875
-    z = x[m1] * x[m1]
-    num, den = special._ERF_A[4] * z, z
-    for i in range(3):
-        num = (num + special._ERF_A[i]) * z
-        den = (den + special._ERF_B[i]) * z
-    out[m1] = 1.0 - x[m1] * (num + special._ERF_A[3]) / (den + special._ERF_B[3])
-    m2 = (y > 0.46875) & (y <= 4.0)
-    yy = y[m2]
-    num, den = special._ERF_C[8] * yy, yy
-    for i in range(7):
-        num = (num + special._ERF_C[i]) * yy
-        den = (den + special._ERF_D[i]) * yy
-    out[m2] = special._exp_nxx(yy) * (num + special._ERF_C[7]) / (den + special._ERF_D[7])
-    m3 = y > 4.0
-    yy = y[m3]
-    z = 1.0 / (yy * yy)
-    num, den = special._ERF_P[5] * z, z
-    for i in range(4):
-        num = (num + special._ERF_P[i]) * z
-        den = (den + special._ERF_Q[i]) * z
-    r = z * (num + special._ERF_P[4]) / (den + special._ERF_Q[4])
-    out[m3] = special._exp_nxx(yy) * (special.INV_SQRT_PI - r) / yy
-    neg = (x < 0.0) & ~m1
-    out[neg] = 2.0 - out[neg]
-    return out
+# erfc's error bound in ulps of the result.  glibc 2.36 reaches 3.91 ulps
+# at x = 1.2268845585688397, the worst of 2M random points on [1.1, 1.35];
+# on the regular grids below its worst is 2.43 ulps.
+ERFC_ULPS = 4.0
 
 
 class TestErfcAndNormCdf:
-    def test_erfc_against_libm(self):
-        x = np.linspace(-6.0, 6.0, 4001)
-        ref = np.array([math.erfc(v) for v in x])
-        assert_allclose(erfc(x), ref, rtol=5e-14, atol=0.0)
-
-    def test_erfc_deep_tail_relative(self):
-        # stays accurate in relative terms well past the 1e-250 range
-        for v in [8.0, 12.0, 16.0, 20.0, 23.0]:
-            assert abs(erfc(v) / math.erfc(v) - 1.0) < 1e-13
+    def test_erfc_against_mpmath(self):
+        # from erfc ~ 2 through the deep tail (1e-307 at 26.5) and the
+        # underflow to 0 near 27.3; the last bits are the platform libm's
+        mp = pytest.importorskip("mpmath")
+        x = np.concatenate([np.linspace(-6.0, 6.0, 4001),
+                            np.linspace(-27.3, 27.3, 6001),
+                            np.linspace(8.0, 26.5, 371),
+                            [1.2268845585688397]])
+        got = erfc(x)
+        with mp.workdps(40):
+            exact = [mp.erfc(v) for v in x.tolist()]
+            ulps = np.array([float(abs(mp.mpf(g) - e)) / math.ulp(float(e))
+                             for g, e in zip(got.tolist(), exact)])
+        worst = int(np.argmax(ulps))
+        assert ulps[worst] <= ERFC_ULPS, (
+            f"{ulps[worst]:.2f} ulps at x = {float(x[worst])!r} "
+            f"({platform.libc_ver()})")
 
     def test_norm_cdf_absolute_floor(self):
         x = np.linspace(-10.0, 10.0, 2001)
@@ -197,23 +180,9 @@ class TestErfcAndNormCdf:
         ref = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
         assert_allclose(norm_pdf(x), ref, rtol=1e-15)
 
-    def test_bit_identical_to_masked_reference(self):
-        # the branch-by-branch masked evaluation erfc used to run; the
-        # in-place rewrite keeps every per-element operation in its order
-        edges = [0.0, 0.46875, 4.0]
-        x = np.concatenate([np.linspace(-27.3, 27.3, 200_001)]
-                           + [s * e + np.linspace(-1e-9, 1e-9, 201)
-                              for e in edges for s in (-1.0, 1.0)]
-                           + [[s * np.nextafter(e, t), s * e]
-                              for e in edges for s in (-1.0, 1.0)
-                              for t in (-np.inf, np.inf)])
-        assert np.array_equal(erfc(x), _erfc_masked_reference(x))
-        assert np.array_equal(np.signbit(erfc(x)),
-                              np.signbit(_erfc_masked_reference(x)))
-
     def test_scalar_path_matches_array_path(self):
-        # scalars take their own route through the three branches; every
-        # branch edge and both sides of it must give the array's bits
+        # a scalar gives the bits of the same value inside an array, on
+        # both sides of each point here
         edges = [0.0, 0.46875, 4.0, 27.3, 40.0]
         x = np.concatenate([np.linspace(-30.0, 30.0, 6001)]
                            + [[s * np.nextafter(e, t), s * e]
@@ -224,8 +193,8 @@ class TestErfcAndNormCdf:
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (6,), (2, 8), (17,)])
     def test_few_element_arrays_match_array_route(self, shape):
-        # at most _ERFC_FEW elements take the scalar route; both routes
-        # give the bits of a long array, non-finite values included
+        # short and empty arrays keep their shape and dtype and give the
+        # bits of the same values inside a long array, non-finite included
         rng = np.random.default_rng(11)
         x = rng.uniform(-30.0, 30.0, shape)
         x.flat[:3] = [np.nan, np.inf, -np.inf][:x.size]
