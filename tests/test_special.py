@@ -141,24 +141,42 @@ class TestTolerance:
 ERFC_ULPS = 4.0
 
 
+def _erfc_worst_ulps(x):
+    """(worst ulps of erfc against 40-digit mpmath, where) on the array x."""
+    mp = pytest.importorskip("mpmath")
+    got = erfc(x)
+    with mp.workdps(40):
+        exact = [mp.erfc(v) for v in x.tolist()]
+        ulps = np.array([float(abs(mp.mpf(g) - e)) / math.ulp(float(e))
+                         for g, e in zip(got.tolist(), exact)])
+    worst = int(np.argmax(ulps))
+    return ulps[worst], (f"{ulps[worst]:.2f} ulps at x = {float(x[worst])!r} "
+                         f"({platform.libc_ver()})")
+
+
 class TestErfcAndNormCdf:
+    def test_erfc_against_libm(self):
+        # arrays, short arrays and scalars all give math.erfc's bits
+        x = np.concatenate([np.linspace(-6.0, 6.0, 4001),
+                            np.linspace(-27.3, 27.3, 6001)])
+        ref = np.array([math.erfc(v) for v in x.tolist()])
+        assert np.array_equal(erfc(x), ref)
+        assert np.array_equal(erfc(x[:3]), ref[:3])
+        assert all(erfc(v) == r for v, r in zip(x[::97].tolist(), ref[::97]))
+
     def test_erfc_against_mpmath(self):
-        # from erfc ~ 2 through the deep tail (1e-307 at 26.5) and the
-        # underflow to 0 near 27.3; the last bits are the platform libm's
-        mp = pytest.importorskip("mpmath")
+        # from erfc ~ 2 to the underflow to 0 near 27.3, with glibc's
+        # worst point; the last bits are the platform libm's
         x = np.concatenate([np.linspace(-6.0, 6.0, 4001),
                             np.linspace(-27.3, 27.3, 6001),
-                            np.linspace(8.0, 26.5, 371),
                             [1.2268845585688397]])
-        got = erfc(x)
-        with mp.workdps(40):
-            exact = [mp.erfc(v) for v in x.tolist()]
-            ulps = np.array([float(abs(mp.mpf(g) - e)) / math.ulp(float(e))
-                             for g, e in zip(got.tolist(), exact)])
-        worst = int(np.argmax(ulps))
-        assert ulps[worst] <= ERFC_ULPS, (
-            f"{ulps[worst]:.2f} ulps at x = {float(x[worst])!r} "
-            f"({platform.libc_ver()})")
+        worst, where = _erfc_worst_ulps(x)
+        assert worst <= ERFC_ULPS, where
+
+    def test_erfc_deep_tail_relative(self):
+        # stays within ERFC_ULPS in relative terms down to 1e-307 at 26.5
+        worst, where = _erfc_worst_ulps(np.linspace(8.0, 26.5, 371))
+        assert worst <= ERFC_ULPS, where
 
     def test_norm_cdf_absolute_floor(self):
         x = np.linspace(-10.0, 10.0, 2001)
