@@ -20,6 +20,7 @@ and parsing plus re-emitting a CSV reproduces the file exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -476,9 +477,12 @@ def _attach_list_values(argv: list[str]) -> list[str]:
     return out
 
 
+_parser = functools.cache(build_parser)  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = build_parser().parse_args(_attach_list_values(argv))
+    ns = _parser().parse_args(_attach_list_values(argv))
     try:
         return ns.func(ns)
     except CliError as exc:

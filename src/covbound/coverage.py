@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import AsymptoticProblem, asymptotic_bound
-from .optimize import (SCAN_GRID, BoundResult, additive_tail_slack,
+from .optimize import (BoundResult, additive_tail_slack, block_objective,
                        minimize_over_gamma)
 from .quadrature import (NODES, adaptive_quad, adaptive_quad_2d, start_mesh,
                          start_nodes)
@@ -99,9 +99,8 @@ _FULL_SHARE = 0.1
 _SUB_MESH, _FULL_MESH = (8, 2), 8
 # sub-cells per axis of each 2-D start cell in ``tail_slack``
 _SLACK_SPLIT = 8
-# scan grid points per ``coverage_bound`` block evaluation, and their indices
+# scan grid points per ``coverage_bound`` block evaluation
 _SCAN_BLOCK = 8
-_SCAN_INDEX = {g: i for i, g in enumerate(SCAN_GRID)}
 _PERFECT_CORR_ERR = 1e-14
 """Absolute error bound of the |rho| = 1 closed form; against 40-digit
 mpmath on the grid of ``test_perfect_correlation_matches_mpmath`` the
@@ -330,26 +329,17 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     1 - alpha reports gamma_star = inf.  The gamma scan stops as soon as
     the certified tail envelope ``_CoveragePlan.tail_slack`` proves that no
     later grid point can win, so the result equals the full scan's.  All
-    evaluations share one ``_CoveragePlan``.  The scan's grid points are
-    evaluated ``_SCAN_BLOCK`` at a time: the first unevaluated point the
-    search asks for brings the next ones with it, and the search reads
-    them one by one as before, so past the stop at most ``_SCAN_BLOCK - 1``
-    computed points go unread.  Polish points are evaluated one at a time.
-    A block does not change any result, so neither the result nor its
+    evaluations share one ``_CoveragePlan``.  Through ``block_objective``,
+    the memo the m = inf bound shares, the scan computes ``_SCAN_BLOCK``
+    grid points at a time and polish points one by one; past the stop at
+    most ``_SCAN_BLOCK - 1`` go unread.  Neither the result nor its
     evaluation count depends on ``_SCAN_BLOCK``.
     ``quad_err`` on the result is the quadrature error at gamma_star
     (0.0 when the tail value wins).
     """
     plan = _CoveragePlan(problem, method, abs_err)
-    memo: dict[float, CoverageResult] = {}
-
-    def objective(g: float) -> tuple[float, float]:
-        if g not in memo:
-            i = _SCAN_INDEX.get(g)
-            block = [g] if i is None else SCAN_GRID[i:i + _SCAN_BLOCK]
-            memo.update(zip(block, plan.evaluate(block)))
-        res = memo[g]
-        return res.value, res.quad_err
+    objective = block_objective(lambda gammas: [
+        (res.value, res.quad_err) for res in plan.evaluate(gammas)], _SCAN_BLOCK)
     return minimize_over_gamma(objective, 1.0 - problem.alpha, plan.tail_slack())
 
 

@@ -31,6 +31,7 @@ _STEP = 0.1         # scan grid spacing
 _REFINE_TOL = 1e-6  # golden-section target bracket width
 # the scan grid 0, 0.1, ..., 30, in the order the scan visits it
 SCAN_GRID = tuple(i * _STEP for i in range(int(round(_GAMMA_MAX / _STEP)) + 1))
+_SCAN_INDEX = {g: i for i, g in enumerate(SCAN_GRID)}
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,20 @@ def additive_tail_slack(tail_value: float, correction_bound):
         c = correction_bound(g)
         return 0.0 if c < 0.25 * ulp else c + 2.0 * ulp
     return tail_slack
+
+
+def block_objective(evaluate, block: int):
+    """The scalar objective of ``evaluate(gammas)``, a (value, err) pair per
+    gamma: a grid miss evaluates ``block`` grid points on, a polish point one."""
+    memo: dict[float, tuple[float, float]] = {}
+
+    def objective(g: float) -> tuple[float, float]:
+        if g not in memo:
+            i = _SCAN_INDEX.get(g)
+            gammas = [g] if i is None else SCAN_GRID[i:i + block]
+            memo.update(zip(gammas, evaluate(gammas)))
+        return memo[g]
+    return objective
 
 
 def minimize_over_gamma(objective, tail_value: float, tail_slack) -> BoundResult:

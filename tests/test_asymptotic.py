@@ -1,7 +1,9 @@
 """Large-sample coverage: closed form against an independent quadrature
 oracle, bound, MC cross-check."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from covbound import asymptotic
 from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
                                  asymptotic_coverage, asymptotic_tail_slack)
 from covbound.coverage import minimum_coverage
-from covbound.optimize import minimize_over_gamma
+from covbound.optimize import SCAN_GRID, minimize_over_gamma
 from covbound.rules import SelectionMethod, asymptotic_threshold
 from covbound.special import (BVN_RECTANGLE_ERR, norm_cdf,
                               norm_two_sided_quantile)
@@ -18,6 +20,7 @@ from covbound.special import (BVN_RECTANGLE_ERR, norm_cdf,
 from .oracles import asymptotic_coverage_bivariate
 
 CP = SelectionMethod("cp")
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def problem(rho, method=CP, alpha=0.05):
@@ -230,3 +233,92 @@ def test_default_search_evaluation_ceiling():
     assert (res.bound, res.gamma_star, res.bracket) \
         == (full.bound, full.gamma_star, full.bracket)
     assert res.evaluations <= 66
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.999])
+@pytest.mark.parametrize("rho", [0.0, 0.29, 0.5, 0.8, 0.925, 0.95, 0.9999,
+                                 -0.6, -0.97])
+def test_array_equals_scalar_bit_for_bit(rho, alpha):
+    # every bvn_rectangle branch (6-, 12- and 20-point rules, Genz, both
+    # signs of rho) over the whole scan grid, as the search evaluates it
+    grid = np.array(SCAN_GRID)
+    for d_prime in (1e-3, 1.0, math.sqrt(2.0), 3.0):
+        pr = AsymptoticProblem(alpha, rho, d_prime)
+        scalars = [asymptotic_coverage(pr, g) for g in SCAN_GRID]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(_bits(asymptotic_coverage(pr, grid)),
+                              _bits(scalars))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_array_with_nonfinite_gamma_raises(bad):
+    pr = AsymptoticProblem(0.05, 0.5, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        asymptotic_coverage(pr, np.array([0.0, 1.0, bad]))
+
+
+def _traced_asymptotic_bound(pr, monkeypatch):
+    """``asymptotic_bound`` with the gammas of each closed-form call and the
+    arguments of its search's objective calls."""
+    blocks, reads = [], []
+    coverage, search = asymptotic.asymptotic_coverage, asymptotic.minimize_over_gamma
+
+    def traced_coverage(problem, gamma):
+        blocks.append(np.atleast_1d(gamma).tolist())
+        return coverage(problem, gamma)
+
+    def traced_search(objective, *args):
+        def read(g):
+            reads.append(g)
+            return objective(g)
+        return search(read, *args)
+
+    monkeypatch.setattr(asymptotic, "asymptotic_coverage", traced_coverage)
+    monkeypatch.setattr(asymptotic, "minimize_over_gamma", traced_search)
+    return asymptotic_bound(pr), blocks, reads
+
+
+@pytest.mark.parametrize("case", [(CP, 0.05, 0.6), (CP, 0.05, 0.0),
+                                  (SelectionMethod("adjr2"), 0.999, 0.9999),
+                                  (SelectionMethod("aic"), 0.05, -0.95)],
+                         ids=lambda c: f"{c[0].kind}-a{c[1]}-rho{c[2]}")
+def test_search_contract_at_infinite_m(case, monkeypatch):
+    # the search reads one float per counted evaluation; the scan grid is
+    # one block, the first call, polish points come alone, and no gamma is
+    # computed twice
+    method, alpha, rho = case
+    res, blocks, reads = _traced_asymptotic_bound(problem(rho, method, alpha),
+                                                  monkeypatch)
+    assert len(reads) == res.evaluations
+    assert all(type(g) is float for g in reads)
+    assert blocks[0] == list(SCAN_GRID)
+    assert all(len(block) == 1 for block in blocks[1:])
+    computed = [g for block in blocks for g in block]
+    assert len(set(computed)) == len(computed)
+    assert set(reads) <= set(computed)
+
+
+def _golden_inf_rows():
+    rows = []
+    for path in sorted(GOLDEN_DIR.glob("bound_curve_*.csv")):
+        with open(path, newline="") as fh:
+            rows += [r for r in csv.DictReader(fh) if r["m"] == "inf"]
+    return rows
+
+
+def test_golden_rows_equal_the_scalar_search():
+    # the block search gives the scalar search's result, field for field,
+    # on every m = inf golden row
+    rows = _golden_inf_rows()
+    assert len(rows) == 60
+    for row in rows:
+        method = SelectionMethod.from_name(row["method"])
+        pr = problem(float(row["rho"]), method, float(row["alpha"]))
+        scalar = minimize_over_gamma(
+            lambda g: (asymptotic_coverage(pr, g), BVN_RECTANGLE_ERR),
+            1.0 - pr.alpha, asymptotic_tail_slack(pr))
+        assert asymptotic_bound(pr) == scalar, row

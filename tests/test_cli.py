@@ -749,6 +749,60 @@ class TestFlagScope:
         assert "unrecognized arguments" in err
 
 
+class TestSharedParser:
+    """``main`` parses with one parser per process, built on its first call."""
+
+    CALLS = (["curve", "--m", "inf", "--rho-grid", "0:0.45:0.9"],
+             ["limit", "--method", "adjr2", "--rho", "0.8"],
+             ["bound", "--m", "5", "--rho", "0.5", "--format", "csv"])
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_repeated_calls_print_what_a_fresh_parser_prints(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            fresh.append(run(argv, capsys))
+        cli._parser.cache_clear()
+        shared = [run(argv, capsys) for argv in self.CALLS + self.CALLS[:1]]
+        assert shared == fresh + fresh[:1]
+        assert all(code == 0 and out for code, out, _ in shared)
+        assert cli._parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("bad", [["limit", "--rho", "0.2", "--p", "1"],
+                                     ["curve", "--m", "inf", "--rho", "2"],
+                                     ["bound", "--rho", "0.5", "--bogus"]])
+    def test_usage_error_leaves_the_next_call_unchanged(self, bad, capsys):
+        before = run(self.CALLS[1], capsys)
+        code, out, _ = run(bad, capsys)
+        assert (code, out) == (2, "")
+        assert run(self.CALLS[1], capsys) == before
+
+    def test_patched_bound_after_the_first_call_takes_effect(self, capsys,
+                                                             monkeypatch):
+        run(self.CALLS[1], capsys)
+        fake = BoundResult(0.125, 1.5, 1, (1.4, 1.6), 0.0)
+        monkeypatch.setattr(cli, "minimum_coverage", lambda *a, **k: fake)
+        code, out, _ = run(self.CALLS[1], capsys)
+        assert code == 0
+        assert json.loads(out)["bound"] == 0.125
+
+    def test_shared_defaults_unchanged(self, capsys):
+        rhos = list(cli._CURVE_RHOS)
+        for argv in self.CALLS + (["curve", "--m", "inf", "--method", "aic",
+                                   "--rho-grid", "0.9:0.05:1"],):
+            run(argv, capsys)
+        assert cli._CURVE_RHOS == rhos
+        parse = cli._parser().parse_args
+        assert parse(["limit", "--rho", "0.5"]).m == ["inf"]
+        assert parse(["curve"]).rhos == rhos
+        assert parse(["verify"]).rhos == [0.0, 0.5, 0.9]
+
+
 class TestEntryPoint:
     def test_console_script_installed(self, tmp_path):
         """The declared ``covbound`` console script runs and lists subcommands.

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from covbound.optimize import (BoundResult, additive_tail_slack,
-                              minimize_over_gamma)
+from covbound.optimize import (SCAN_GRID, BoundResult, additive_tail_slack,
+                              block_objective, minimize_over_gamma)
 
 
 def _no_bound(g):
@@ -244,3 +244,28 @@ class TestAdditiveTailSlack:
         slack = additive_tail_slack(0.95, lambda g: 1e-3)
         assert slack(1.0) == 1e-3 + 2.0 * math.ulp(0.95)
         assert additive_tail_slack(0.95, lambda g: math.inf)(1.0) == math.inf
+
+
+class TestBlockObjective:
+    def test_grid_misses_bring_the_next_block_and_polish_comes_alone(self):
+        calls = []
+
+        def evaluate(gammas):
+            calls.append(list(gammas))
+            return [(g * g, g) for g in gammas]
+
+        objective = block_objective(evaluate, 8)
+        grid = SCAN_GRID
+        for g in (grid[0], grid[1], grid[7], grid[8], 0.25, 0.25, grid[295]):
+            assert objective(g) == (g * g, g)
+        assert calls == [list(SCAN_GRID[:8]), list(SCAN_GRID[8:16]), [0.25],
+                         list(SCAN_GRID[295:])]
+
+    def test_search_result_does_not_depend_on_the_block(self):
+        def evaluate(gammas):
+            return [(_bimodal(g), 0.0) for g in gammas]
+
+        results = {minimize_over_gamma(block_objective(evaluate, block),
+                                       1.0, _bimodal_slack)
+                   for block in (1, 8, len(SCAN_GRID))}
+        assert len(results) == 1
