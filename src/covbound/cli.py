@@ -56,16 +56,13 @@ def _fmt(x: float) -> str:
 
 
 def _parse_method(ns) -> SelectionMethod:
-    try:
-        if ns.method == "ttest":
-            if ns.test_size is None:
-                raise ValueError("--test-size is required for method ttest")
-            return SelectionMethod("ttest", ns.test_size)
-        if ns.test_size is not None:
-            raise ValueError("--test-size applies to method ttest only")
-        return SelectionMethod.from_name(ns.method)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if ns.method == "ttest":
+        if ns.test_size is None:
+            raise CliError("--test-size is required for method ttest")
+        return SelectionMethod("ttest", ns.test_size)
+    if ns.test_size is not None:
+        raise CliError("--test-size applies to method ttest only")
+    return SelectionMethod.from_name(ns.method)
 
 
 def _m_entry(tok: str) -> int | str:
@@ -170,10 +167,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _check_large_sample(method: SelectionMethod, ms: list) -> None:
     if "inf" in ms:  # bic and ttest have no large-sample cutoff
-        try:
-            asymptotic_threshold(method)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        asymptotic_threshold(method)
 
 
 def _single_bound(method: SelectionMethod, alpha: float, p: int,
@@ -244,10 +238,7 @@ def cmd_curve(ns) -> int:
 
 def _default_verify_grid(test_size: float | None) -> list[SelectionMethod]:
     # the t test runs at --test-size, 0.05 when it is not given
-    try:
-        ttest = SelectionMethod("ttest", 0.05 if test_size is None else test_size)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    ttest = SelectionMethod("ttest", 0.05 if test_size is None else test_size)
     return [SelectionMethod(k) for k in ("cp", "adjr2", "aic", "bic")] + [ttest]
 
 
@@ -488,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # input the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except RuntimeError as exc:  # QuadratureError, non-convergence, a broken pool
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

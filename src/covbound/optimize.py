@@ -38,7 +38,12 @@ _SCAN_INDEX = {g: i for i, g in enumerate(SCAN_GRID)}
 class BoundResult:
     """Minimized value, its argmin, evaluation count, final bracket and
     ``quad_err``, the objective's own error estimate at gamma_star (0.0
-    when the exact tail value wins)."""
+    when the exact tail value wins).
+
+    ``evaluations`` counts the objective values the search read.  At
+    m = inf that is every value computed; at finite m up to
+    ``coverage._SCAN_BLOCK - 1`` computed grid values go unread past the
+    scan's certified stop."""
 
     bound: float
     gamma_star: float

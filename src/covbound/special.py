@@ -77,9 +77,7 @@ def norm_pdf(x):
 def norm_cdf(x):
     """Standard normal distribution function via erfc(-x/sqrt(2))/2."""
     val = erfc(np.asarray(x, dtype=float) / -SQRT2)
-    if np.ndim(val) == 0:
-        return 0.5 * val
-    val *= 0.5
+    val *= 0.5  # a float for a 0-d x, else the array in place
     return val
 
 
@@ -132,8 +130,7 @@ def symmetric_interval_prob(center, halfwidth):
     """
     center = np.asarray(center, dtype=float)
     halfwidth = np.asarray(halfwidth, dtype=float)
-    val = norm_cdf(center + halfwidth) - norm_cdf(center - halfwidth)
-    return float(val) if np.ndim(val) == 0 else val
+    return norm_cdf(center + halfwidth) - norm_cdf(center - halfwidth)
 
 
 # ----------------------------------------------------------------------
@@ -462,23 +459,19 @@ def residual_scale_density(w, df: int):
         raise ValueError("degrees of freedom must be a positive integer")
     df = int(df)
     w = np.asarray(w, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    if pos.any():
-        ww = w[pos]
-        half = 0.5 * df
+    half = 0.5 * df
+    # w <= 0 gives log(w) = -inf or nan, masked to 0 below; in Stirling
+    # form u = -1 below w ~ 1e-8 too, where exp(-inf) = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
         if half < 20.0:
             lg = (math.log(2.0) + half * math.log(half) - math.lgamma(half)
-                  + (df - 1) * np.log(ww) - half * ww * ww)
+                  + (df - 1) * np.log(w) - half * w * w)
         else:
-            u = (ww - 1.0) * (ww + 1.0)
-            with np.errstate(divide="ignore"):  # u = -1 below w ~ 1e-8: exp(-inf) = 0
-                lg = (math.log(2.0) + 0.5 * math.log(half / (2.0 * math.pi))
-                      - _stirling_tail(half) - half * (u - np.log1p(u)) - np.log(ww))
-        out[pos] = np.exp(lg)
-    return float(out[0]) if scalar else out
+            u = (w - 1.0) * (w + 1.0)
+            lg = (math.log(2.0) + 0.5 * math.log(half / (2.0 * math.pi))
+                  - _stirling_tail(half) - half * (u - np.log1p(u)) - np.log(w))
+        out = np.where(w > 0.0, np.exp(lg), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=None)

@@ -144,6 +144,16 @@ class TestBound:
         assert code == 0
         assert 0.0 < json.loads(out)["bound"] <= 0.96
 
+    def test_library_value_error_exits_2(self, capsys, monkeypatch):
+        # input the library rejects is invalid input (exit 2), reported on
+        # one line; exit 1 is reserved for output I/O failures
+        def reject(*args, **kwargs):
+            raise ValueError("boom")
+        monkeypatch.setattr(cli, "minimum_coverage", reject)
+        code, out, err = run(["bound", "--method", "cp", "--m", "5",
+                              "--rho", "0.5"], capsys)
+        assert (code, out, err) == (cli.EXIT_INPUT, "", "error: boom\n")
+
     @pytest.mark.parametrize("name", ["TTEST", "TTest", " ttest "])
     def test_method_name_is_case_insensitive(self, capsys, name):
         # the name is read as SelectionMethod.from_name reads it, so an
