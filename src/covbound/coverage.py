@@ -338,9 +338,10 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     (0.0 when the tail value wins).
     """
     plan = _CoveragePlan(problem, method, abs_err)
-    objective = block_objective(lambda gammas: [
+    objective, _ = block_objective(lambda gammas: [
         (res.value, res.quad_err) for res in plan.evaluate(gammas)], _SCAN_BLOCK)
-    return minimize_over_gamma(objective, 1.0 - problem.alpha, plan.tail_slack())
+    return minimize_over_gamma(objective, 1.0 - problem.alpha,
+                               plan.tail_slack(), None)
 
 
 def minimum_coverage(method: SelectionMethod, alpha: float, p: int,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covbound import asymptotic
+from covbound import asymptotic, optimize
 from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
                                  asymptotic_coverage)
 from covbound.coverage import minimum_coverage
@@ -185,7 +185,7 @@ def _full_scan(pr):
     """The gamma search with "no bound known" for the tail: every grid
     point is evaluated."""
     return minimize_over_gamma(lambda g: (asymptotic_coverage(pr, g), 0.0),
-                               1.0 - pr.alpha, lambda g: math.inf)
+                               1.0 - pr.alpha, lambda g: math.inf, None)
 
 
 @pytest.mark.parametrize("method", [CP, SelectionMethod("adjr2")],
@@ -230,13 +230,14 @@ def test_array_with_nonfinite_gamma_raises(bad):
 
 
 def _traced_asymptotic_bound(pr, monkeypatch):
-    """``asymptotic_bound`` with the gammas of each closed-form call and the
-    arguments of its search's objective calls."""
+    """``asymptotic_bound`` with the gammas of each closed-form call, each
+    with the number of objective calls made before it, and the arguments
+    of its search's objective calls."""
     blocks, reads = [], []
     coverage, search = asymptotic.asymptotic_coverage, asymptotic.minimize_over_gamma
 
     def traced_coverage(problem, gamma):
-        blocks.append(np.atleast_1d(gamma).tolist())
+        blocks.append((len(reads), np.atleast_1d(gamma).tolist()))
         return coverage(problem, gamma)
 
     def traced_search(objective, *args):
@@ -256,19 +257,22 @@ def _traced_asymptotic_bound(pr, monkeypatch):
                          ids=lambda c: f"{c[0].kind}-a{c[1]}-rho{c[2]}")
 def test_search_contract_at_infinite_m(case, monkeypatch):
     # the search reads one float per counted evaluation; the scan grid is
-    # one block, the first call, polish points come alone, no gamma is
-    # computed twice, and every computed gamma is read
+    # one block, the first call; every later call begins with the point the
+    # search reads next and carries the look-ahead; no gamma is computed
+    # twice, every gamma read was computed, and the golden steps after the
+    # first polish call need at most one call per _LOOKAHEAD of them
     method, alpha, rho = case
     res, blocks, reads = _traced_asymptotic_bound(problem(rho, method, alpha),
                                                   monkeypatch)
     assert len(reads) == res.evaluations
     assert all(type(g) is float for g in reads)
-    assert blocks[0] == list(SCAN_GRID)
-    assert all(len(block) == 1 for block in blocks[1:])
-    computed = [g for block in blocks for g in block]
+    assert blocks[0] == (1, list(SCAN_GRID))  # the first read brings it
+    assert all(block[0] == reads[n] for n, block in blocks[1:])
+    computed = [g for _, block in blocks for g in block]
     assert len(set(computed)) == len(computed)
-    assert set(reads) == set(computed)
-    assert res.evaluations == len(computed)
+    assert set(reads) <= set(computed)
+    steps = res.evaluations - len(SCAN_GRID) - 2
+    assert len(blocks) <= 2 + steps // optimize._LOOKAHEAD
 
 
 def _golden_inf_rows():
@@ -289,5 +293,40 @@ def test_golden_rows_equal_the_scalar_search():
         pr = problem(float(row["rho"]), method, float(row["alpha"]))
         scalar = minimize_over_gamma(
             lambda g: (asymptotic_coverage(pr, g), BVN_RECTANGLE_ERR),
-            1.0 - pr.alpha, lambda g: math.inf)
+            1.0 - pr.alpha, lambda g: math.inf, None)
         assert asymptotic_bound(pr) == scalar, row
+
+
+def _closed_form_calls(monkeypatch, wrap_objective=False):
+    """The number of ``asymptotic_coverage`` calls over the m = inf golden
+    rows; with ``wrap_objective`` the search's objective goes in as a plain
+    function of one float, as a span tracer passes it."""
+    calls = []
+    coverage, search = asymptotic.asymptotic_coverage, asymptotic.minimize_over_gamma
+
+    def counted(problem, gamma):
+        calls.append(1)
+        return coverage(problem, gamma)
+
+    monkeypatch.setattr(asymptotic, "asymptotic_coverage", counted)
+    if wrap_objective:
+        monkeypatch.setattr(asymptotic, "minimize_over_gamma",
+                            lambda objective, *args: search(
+                                lambda g: objective(g), *args))
+    for row in _golden_inf_rows():
+        method = SelectionMethod.from_name(row["method"])
+        asymptotic_bound(problem(float(row["rho"]), method, float(row["alpha"])))
+    return len(calls)
+
+
+def test_golden_rows_call_count(monkeypatch):
+    # the polish look-ahead at depth 5 makes 6-7 closed-form calls per
+    # bound (404 in all) where scalar polish points made 29 (1,740)
+    assert _closed_form_calls(monkeypatch) <= 404
+
+
+def test_look_ahead_survives_a_wrapped_objective(monkeypatch):
+    # the look-ahead reaches the memo past a wrapper of the objective
+    plain = _closed_form_calls(monkeypatch)
+    monkeypatch.undo()
+    assert _closed_form_calls(monkeypatch, wrap_objective=True) == plain

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from covbound.optimize import (SCAN_GRID, BoundResult, additive_tail_slack,
-                              block_objective, minimize_over_gamma)
+from covbound import optimize
+from covbound.optimize import (INV_PHI, SCAN_GRID, BoundResult,
+                               additive_tail_slack, block_objective,
+                               minimize_over_gamma)
 
 
 def _no_bound(g):
@@ -16,7 +18,8 @@ def _no_bound(g):
 def _minimize(f, tail_value=math.inf, tail_slack=_no_bound):
     """The search on a scalar objective reported with error 0.0; with no
     tail by default (an infinite tail value never wins)."""
-    return minimize_over_gamma(lambda g: (f(g), 0.0), tail_value, tail_slack)
+    return minimize_over_gamma(lambda g: (f(g), 0.0), tail_value, tail_slack,
+                               None)
 
 
 class TestSearchConfig:
@@ -210,15 +213,17 @@ class TestReportedError:
         # the error reported with each value is g + 1, so the error at the
         # minimum names the gamma it came from
         res = minimize_over_gamma(lambda g: ((g - 1.37) ** 2, g + 1.0),
-                                  math.inf, _no_bound)
+                                  math.inf, _no_bound, None)
         assert res.quad_err == res.gamma_star + 1.0
 
     def test_error_of_repeated_minimum_from_smallest_gamma(self):
-        res = minimize_over_gamma(lambda g: (2.0, g + 1.0), math.inf, _no_bound)
+        res = minimize_over_gamma(lambda g: (2.0, g + 1.0), math.inf,
+                                  _no_bound, None)
         assert (res.gamma_star, res.quad_err) == (0.0, 1.0)
 
     def test_exact_tail_reports_zero_error(self):
-        res = minimize_over_gamma(lambda g: (1.0 / (1.0 + g), 0.5), 0.0, _no_bound)
+        res = minimize_over_gamma(lambda g: (1.0 / (1.0 + g), 0.5), 0.0,
+                                  _no_bound, None)
         assert (res.bound, res.gamma_star, res.quad_err) == (0.0, math.inf, 0.0)
 
 
@@ -254,7 +259,7 @@ class TestBlockObjective:
             calls.append(list(gammas))
             return [(g * g, g) for g in gammas]
 
-        objective = block_objective(evaluate, 8)
+        objective, _ = block_objective(evaluate, 8)
         grid = SCAN_GRID
         for g in (grid[0], grid[1], grid[7], grid[8], 0.25, 0.25, grid[295]):
             assert objective(g) == (g * g, g)
@@ -265,7 +270,77 @@ class TestBlockObjective:
         def evaluate(gammas):
             return [(_bimodal(g), 0.0) for g in gammas]
 
-        results = {minimize_over_gamma(block_objective(evaluate, block),
-                                       1.0, _bimodal_slack)
+        results = {minimize_over_gamma(block_objective(evaluate, block)[0],
+                                       1.0, _bimodal_slack, None)
                    for block in (1, 8, len(SCAN_GRID))}
         assert len(results) == 1
+
+
+def _flat(g):
+    return 2.0
+
+
+def _increasing(g):
+    return g
+
+
+def _decreasing(g):
+    return -g
+
+
+def _near_end(g):
+    return (g - 29.95) ** 2
+
+
+class TestLookAhead:
+    """The polish computes its next steps' candidate points ahead of their
+    reads; the search reads what it reads without the look-ahead."""
+
+    @pytest.mark.parametrize("f,tail,slack", [
+        (_bimodal, math.inf, _no_bound),
+        (_bimodal, 1.0, _bimodal_slack),
+        (_flat, math.inf, _no_bound),         # every comparison a tie
+        (_increasing, math.inf, _no_bound),   # minimum at the edge 0
+        (_decreasing, math.inf, _no_bound),   # minimum at the edge 30
+        (_near_end, math.inf, _no_bound),
+        (_damped_cos, 0.0, _damped_cos_slack),
+    ], ids=["bimodal", "bimodal-slack", "flat", "increasing", "decreasing",
+            "near-end", "cos"])
+    def test_equals_the_search_without_look_ahead(self, f, tail, slack):
+        calls, fills = [], []
+
+        def evaluate(gammas):
+            calls.append(list(gammas))
+            return [(f(g), 0.0) for g in gammas]
+
+        objective, fill = block_objective(evaluate, len(SCAN_GRID))
+
+        def counted_fill(gammas):
+            fills.append(list(gammas))
+            fill(gammas)
+
+        reads = []
+
+        def read(g):
+            reads.append(g)
+            return objective(g)
+
+        res = minimize_over_gamma(read, tail, slack, counted_fill)
+        assert res == _minimize(f, tail, slack)
+        # each fill computes, beginning with the point read next; no polish
+        # read misses the memo, so the objective computes nothing on its own
+        assert [call[0] for call in calls[1:]] == [gs[0] for gs in fills]
+        steps = len(reads) - reads.index(fills[0][0]) - 2
+        assert 1 <= len(fills) <= 1 + steps // optimize._LOOKAHEAD
+
+    def test_candidates_are_the_loops_points(self):
+        # the points the next steps could read are those of _golden_step,
+        # both outcomes of each comparison, stopping where the loop stops
+        a, b = 1.2, 1.4
+        state = (a, b, b - (b - a) * INV_PHI, a + (b - a) * INV_PHI)
+        (_, _, c, _), g = optimize._golden_step(*state, True)
+        (_, _, _, d), h = optimize._golden_step(*state, False)
+        assert (g, h) == (c, d)
+        assert optimize._golden_reads(state, 1) == [g, h]
+        assert len(optimize._golden_reads(state, 3)) == 2 + 4 + 8
+        assert optimize._golden_reads((0.0, 1e-6, 0.3e-6, 0.6e-6), 3) == []
