@@ -26,7 +26,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -165,11 +164,6 @@ def _write_text(path: str | None, text: str) -> None:
 # bound / limit
 # ----------------------------------------------------------------------
 
-def _check_large_sample(method: SelectionMethod, ms: list) -> None:
-    if "inf" in ms:  # bic and ttest have no large-sample cutoff
-        asymptotic_threshold(method)
-
-
 def _single_bound(method: SelectionMethod, alpha: float, p: int,
                   m: int | str, rho: float) -> dict:
     """One bound record; m is an integer or the string 'inf'."""
@@ -199,7 +193,6 @@ def cmd_bound(ns) -> int:
         raise CliError("--rho is required")
     if len(ns.m) != 1:
         raise CliError("bound takes a single --m value")
-    _check_large_sample(method, ns.m)
     rec = _single_bound(method, ns.alpha, ns.p, ns.m[0], ns.rhos[0])
     if ns.format == "csv":
         text = _record_csv([rec], _BOUND_FIELDS + ("quad_err",))
@@ -215,11 +208,14 @@ def cmd_bound(ns) -> int:
 
 def cmd_curve(ns) -> int:
     method = _parse_method(ns)
-    _check_large_sample(method, ns.m)  # fail before computing any point
+    # bic and ttest have no large-sample cutoff: fail before any point
+    if "inf" in ns.m:
+        asymptotic_threshold(method)
     points = [(method, ns.alpha, ns.p, m, rho) for m in ns.m for rho in ns.rhos]
     # no more processes than points or cores: the pool starts them all at once
     workers = min(ns.jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_single_bound, *zip(*points), chunksize=4))
     else:

@@ -23,6 +23,7 @@ vectorized evaluation; scalar input yields a Python float.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
@@ -359,19 +360,18 @@ def t_two_sided_tail(t: float, df: int) -> float:
     tt = t * t
     x = df / (df + tt)
     y = tt / (df + tt)
-    ln_bt = (-_lbeta(a, b) - a * math.log1p(tt / df)
-             + b * (math.log(tt) - math.log(df + tt)))
-    bt = math.exp(ln_bt)
+    bt = math.exp(_t_ln_prefactor(t, df))
     if x < (a + 1.0) / (a + b + 2.0):
         return bt * _betacf(a, b, x) / a
     return 1.0 - bt * _betacf(b, a, y) / b
 
 
-def _t_pdf(t: float, df: int) -> float:
-    ln = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
-          - 0.5 * math.log(df * math.pi)
-          - 0.5 * (df + 1) * math.log1p(t * t / df))
-    return math.exp(ln)
+def _t_ln_prefactor(t: float, df: int) -> float:
+    # ln(x^a (1-x)^b / B(a, b)) at x = df/(df + t^2), a = df/2, b = 1/2,
+    # the prefactor of ``t_two_sided_tail``: t times the t density at t
+    tt = t * t
+    return (-_lbeta(0.5 * df, 0.5) - 0.5 * df * math.log1p(tt / df)
+            + 0.5 * (math.log(tt) - math.log(df + tt)))
 
 
 @lru_cache(maxsize=None)
@@ -401,7 +401,7 @@ def t_quantile(df: int, alpha: float) -> float:
         nu = float(df)
         return z + g1 / nu + g2 / nu ** 2 + g3 / nu ** 3 + g4 / nu ** 4
     return _solve(lambda t: alpha - t_two_sided_tail(t, df),
-                  lambda t: 2.0 * _t_pdf(t, df), z, 2.0)
+                  lambda t: 2.0 * math.exp(_t_ln_prefactor(t, df)) / t, z, 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -416,15 +416,12 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
         raise ValueError("require x >= 0 and a > 0")
     if x == 0.0:
         return 0.0, 1.0
-    # scale = x^a e^-x / Gamma(a), from a = 20 on with lnGamma(a) in
-    # Stirling form, as in ``residual_scale_density``
-    if a < 20.0:
-        scale = math.exp(-x + a * math.log(x) - math.lgamma(a))
-    else:
-        # u = -1 only where x^a underflows: exp(-inf) = 0
-        u = (x - a) / a
-        lg = -a * (u - math.log1p(u)) if u > -1.0 else -math.inf
-        scale = math.exp(lg + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_tail(a))
+    # scale = x^a e^-x / Gamma(a) = (w/2) f(w) at w = sqrt(x/a), f the
+    # density of W = sqrt(chi2_2a / 2a).  a w^2 misses x by a relative
+    # few ulps, which move ln(x^a e^-x) by (a - x) times as much
+    w = math.sqrt(x) / math.sqrt(a)
+    miss = float(1 - Fraction(a) * Fraction(w) ** 2 / Fraction(x))
+    scale = 0.5 * w * math.exp(_ln_scale_density(w, a) + miss * (a - x))
     if x < a + 1.0:
         ap = a
         total = 1.0 / a
@@ -448,6 +445,18 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
     return 1.0 - q, q
 
 
+def _ln_scale_density(w, a: float):
+    # ln of ``residual_scale_density`` at w for real a = df/2; w <= 0 gives
+    # -inf or nan, and in Stirling form u = -1 below w ~ 1e-8 gives -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if a < 20.0:
+            return (math.log(2.0) + a * math.log(a) - math.lgamma(a)
+                    + (2.0 * a - 1.0) * np.log(w) - a * w * w)
+        u = (w - 1.0) * (w + 1.0)
+        return (math.log(2.0) + 0.5 * math.log(a / (2.0 * math.pi))
+                - _stirling_tail(a) - a * (u - np.log1p(u)) - np.log(w))
+
+
 def residual_scale_density(w, df: int):
     """Density of W = sqrt(chi2_df / df) at w (0 for w <= 0).
 
@@ -457,20 +466,8 @@ def residual_scale_density(w, df: int):
     """
     if df < 1 or df != int(df):
         raise ValueError("degrees of freedom must be a positive integer")
-    df = int(df)
     w = np.asarray(w, dtype=float)
-    half = 0.5 * df
-    # w <= 0 gives log(w) = -inf or nan, masked to 0 below; in Stirling
-    # form u = -1 below w ~ 1e-8 too, where exp(-inf) = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if half < 20.0:
-            lg = (math.log(2.0) + half * math.log(half) - math.lgamma(half)
-                  + (df - 1) * np.log(w) - half * w * w)
-        else:
-            u = (w - 1.0) * (w + 1.0)
-            lg = (math.log(2.0) + 0.5 * math.log(half / (2.0 * math.pi))
-                  - _stirling_tail(half) - half * (u - np.log1p(u)) - np.log(w))
-        out = np.where(w > 0.0, np.exp(lg), 0.0)
+    out = np.where(w > 0.0, np.exp(_ln_scale_density(w, 0.5 * df)), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -481,13 +478,14 @@ def residual_scale_interval(df: int, eps: float = 1e-12) -> tuple[float, float]:
         raise ValueError("degrees of freedom must be a positive integer")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    df = int(df)
     tail = 0.5 * eps
     half = 0.5 * df
     density = partial(residual_scale_density, df=df)
-    # P(W <= w) = P(half, half w^2), each tail solved on its own side
+    # P(W <= w) = P(half, half w^2), each tail solved on its own side,
+    # from where W ~ 1 + N(0, 1)/sqrt(2 df) puts it
+    step = norm_two_sided_quantile(eps) / math.sqrt(2.0 * df)
     w_lo = _solve(lambda w: _gamma_pq(half, half * w * w)[0] - tail,
-                  density, 1.0, 2.0)
+                  density, 1.0 - step, 2.0)
     w_hi = _solve(lambda w: tail - _gamma_pq(half, half * w * w)[1],
-                  density, 1.0, 2.0)
+                  density, 1.0 + step, 2.0)
     return w_lo, w_hi

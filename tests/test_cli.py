@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import concurrent.futures
 import inspect
 import json
 import math
@@ -329,7 +330,7 @@ class TestCurve:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         monkeypatch.setattr(cli, "minimum_coverage",
                             lambda *args: BoundResult(0.9, 1.0, 1, (0.9, 1.1), 1e-9))
@@ -338,6 +339,16 @@ class TestCurve:
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + len(cli._parse_rho_grid(grid))
         assert started == ([] if workers is None else [workers])
+
+    def test_import_leaves_out_the_process_pool(self):
+        # only a parallel curve needs the pool, so no other command pays
+        # for importing it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, covbound.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} "
+             "& set(sys.modules)))"],
+            capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
     def test_parallel_matches_serial(self, capsys):
         args = ["curve", "--method", "adjr2", "--m", "5",
@@ -637,7 +648,7 @@ class TestNumericalFailure:
         assert run(["bound", "--m", "5", "--rho", "0.5"], capsys)[0] == 0
 
     @pytest.mark.parametrize("m, message", [
-        ("100000000000", "incomplete gamma series did not converge"),
+        ("1000000000000", "incomplete gamma series did not converge"),
     ])
     def test_bound(self, capsys, m, message):
         code, out, err = run(["bound", "--m", m, "--rho", "0.5"], capsys)

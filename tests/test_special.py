@@ -103,6 +103,7 @@ T_REFERENCE = {
     (1000000, 0.01): 2.5758342201053342,
     (1000000, 0.001): 3.2905364612486911,
 }
+EPS = 2.0 ** -52  # one ulp at 1
 
 
 class TestTolerance:
@@ -467,6 +468,22 @@ class TestResidualScaleDensity:
                              + (m - 1) * mp.log(x) - a * x * x)
                 assert abs(g - ref) <= 1e-11 * ref
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_small_w_against_mpmath(self, m):
+        # far below the bulk, down to w = 1e-300, where w^2 - 1 rounds
+        # to -1: relative error a few ulps of the log, against 40 digits
+        mp = pytest.importorskip("mpmath")
+        w = np.geomspace(1e-300, 1e-3, 150)
+        got = residual_scale_density(w, m)
+        with mp.workdps(40):
+            a = mp.mpf(m) / 2
+            for g, x in zip(got, w):
+                x = mp.mpf(x)
+                ref = mp.exp(mp.log(2) + a * mp.log(a) - mp.loggamma(a)
+                             + (m - 1) * mp.log(x) - a * x * x)
+                tol = 4 * EPS * (1 + abs(mp.log(ref))) * ref + 1e-322
+                assert abs(g - ref) <= tol, (m, float(x))
+
     def test_mass_interval_brackets_one(self):
         for m in [1, 5, 50, 1000]:
             lo, hi = residual_scale_interval(m, 1e-12)
@@ -499,13 +516,14 @@ class TestResidualScaleDensity:
             assert float(tail) == pytest.approx(5e-13, rel=1e-11, abs=0.0)
 
     def test_huge_df_window(self):
-        # about 9 sqrt(df / 2) incomplete-gamma terms at w = 1; W is close
-        # to 1 + N(0, 1)/sqrt(2 df) here
-        m = 10**8
-        lo, hi = residual_scale_interval(m, 1e-12)
+        # W is close to 1 + N(0, 1)/sqrt(2 df) here.  At w = 1 the series
+        # needs about 9 sqrt(df / 2) terms, more than _ITMAX at 10^11: the
+        # solves start in the tails and never go there
         z = norm_two_sided_quantile(1e-12)
-        assert (1.0 - lo) * math.sqrt(2 * m) == pytest.approx(z, rel=1e-2)
-        assert (hi - 1.0) * math.sqrt(2 * m) == pytest.approx(z, rel=1e-2)
+        for m in (10**8, 10**11):
+            lo, hi = residual_scale_interval(m, 1e-12)
+            assert (1.0 - lo) * math.sqrt(2 * m) == pytest.approx(z, rel=1e-2)
+            assert (hi - 1.0) * math.sqrt(2 * m) == pytest.approx(z, rel=1e-2)
 
 
 class TestIncompleteFunctions:
@@ -529,6 +547,24 @@ class TestIncompleteFunctions:
             got = reg_lower_gamma(a, x)
             want = sp.gammainc(a, x)
             assert abs(got - want) <= 1e-12 * max(want, 1e-15) + 1e-15
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.0, 19.5, 20.0, 20.5,
+                                   100.0, 1000.0, 5000.0])
+    def test_gamma_direct_side_against_mpmath(self, a):
+        # near the W window, x/a in 0.9-1.1, where the prefactor comes
+        # from the W density at w = sqrt(x/a); the error of u - log1p(u)
+        # grows like sqrt(a) ulps
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(10 * a))
+        for r in np.concatenate([np.linspace(0.9, 1.1, 21),
+                                 rng.uniform(0.9, 1.1, 20)]):
+            x = a * r
+            side = 0 if x < a + 1.0 else 1  # the series, else the fraction
+            got = special._gamma_pq(a, x)[side]
+            with mp.workdps(40):
+                ref = (mp.gammainc(a, 0, x, regularized=True) if side == 0
+                       else mp.gammainc(a, x, mp.inf, regularized=True))
+            assert abs(got - ref) <= EPS * (32 + 3 * math.sqrt(a)) * ref, (a, x)
 
     @pytest.mark.parametrize("call", [
         lambda: t_two_sided_tail(2.0, 5),
