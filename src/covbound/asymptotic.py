@@ -76,7 +76,8 @@ def asymptotic_bound(problem: AsymptoticProblem) -> BoundResult:
     The whole scan grid is computed in one vectorized call, bit for bit as
     scalar calls, before the scan reads any of it.  So the scan takes no
     tail certificate ("no bound known") and reads every grid value.  The
-    polish looks ahead (``minimize_over_gamma``'s ``prefetch``), so a
+    golden-section polish looks ahead (``minimize_over_gamma``'s
+    ``prefetch``; a finite-m bound polishes by Brent's method), so a
     golden-row bound makes 6 or 7 calls instead of 29 and reads 329 of about
     425 values computed.  ``quad_err`` is ``BVN_RECTANGLE_ERR`` (0.0 if the
     exact tail wins).

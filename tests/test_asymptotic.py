@@ -181,11 +181,17 @@ class TestAsymptoticBound:
         assert a == b
 
 
+def _no_prefetch(gammas):
+    # a prefetch that computes nothing: the golden-section polish that
+    # ``asymptotic_bound`` uses, without its look-ahead
+    return None
+
+
 def _full_scan(pr):
     """The gamma search with "no bound known" for the tail: every grid
-    point is evaluated."""
+    point is evaluated, then golden section polishes."""
     return minimize_over_gamma(lambda g: (asymptotic_coverage(pr, g), 0.0),
-                               1.0 - pr.alpha, lambda g: math.inf, None)
+                               1.0 - pr.alpha, lambda g: math.inf, _no_prefetch)
 
 
 @pytest.mark.parametrize("method", [CP, SelectionMethod("adjr2")],
@@ -285,7 +291,7 @@ def _golden_inf_rows():
 
 def test_golden_rows_equal_the_scalar_search():
     # the block search gives the scalar search's result, field for field,
-    # on every m = inf golden row
+    # on every m = inf golden row; both polish by golden section
     rows = _golden_inf_rows()
     assert len(rows) == 60
     for row in rows:
@@ -293,7 +299,7 @@ def test_golden_rows_equal_the_scalar_search():
         pr = problem(float(row["rho"]), method, float(row["alpha"]))
         scalar = minimize_over_gamma(
             lambda g: (asymptotic_coverage(pr, g), BVN_RECTANGLE_ERR),
-            1.0 - pr.alpha, lambda g: math.inf, None)
+            1.0 - pr.alpha, lambda g: math.inf, _no_prefetch)
         assert asymptotic_bound(pr) == scalar, row
 
 

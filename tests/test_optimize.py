@@ -1,8 +1,16 @@
-"""Scan plus golden-section minimization over the nonnegative half line."""
+"""Scan plus polish minimization over the nonnegative half line.
+
+The polish is Brent's method when the search is given no ``prefetch``
+(every finite-m bound), and golden section with look-ahead when it is
+(the m = inf bound).  Tests that compare golden section with itself pass
+the no-op prefetch ``_no_prefetch``.  scipy's bounded Brent serves as the
+oracle for the Brent polish; the package itself never imports scipy.
+"""
 
 import math
 
 import pytest
+from scipy.optimize import minimize_scalar
 
 from covbound import optimize
 from covbound.optimize import (INV_PHI, SCAN_GRID, BoundResult,
@@ -15,20 +23,37 @@ def _no_bound(g):
     return math.inf
 
 
-def _minimize(f, tail_value=math.inf, tail_slack=_no_bound):
+def _no_prefetch(gammas):
+    # a prefetch that computes nothing: golden section, no look-ahead
+    return None
+
+
+def _minimize(f, tail_value=math.inf, tail_slack=_no_bound, prefetch=None):
     """The search on a scalar objective reported with error 0.0; with no
-    tail by default (an infinite tail value never wins)."""
+    tail by default (an infinite tail value never wins) and the Brent
+    polish unless a ``prefetch`` is given."""
     return minimize_over_gamma(lambda g: (f(g), 0.0), tail_value, tail_slack,
-                               None)
+                               prefetch)
 
 
 class TestSearchConfig:
-    """The one search: a scan of gamma = 0, 0.1, ..., 30, then
-    golden-section polish to a bracket of width 1e-6."""
+    """The one search: a scan of gamma = 0, 0.1, ..., 30, then a polish to a
+    bracket of width at most 1e-6: Brent's method, or golden section where
+    the search is given a prefetch."""
 
     def test_defaults(self):
-        # a minimum between the last two grid points is reached and polished
+        # a minimum between the last two grid points is reached and polished;
+        # Brent stops once both bracket ends lie within 0.5e-6 of its best point
         res = _minimize(lambda g: (g - 29.95) ** 2)
+        assert res.gamma_star == pytest.approx(29.95, abs=1e-6)
+        lo, hi = res.bracket
+        assert 29.8 <= lo <= res.gamma_star <= hi <= 30.0
+        assert max(res.gamma_star - lo, hi - res.gamma_star) <= 0.5e-6
+
+    def test_golden_section_bracket(self):
+        # golden section stops at its first bracket no wider than 1e-6, which
+        # is wider than INV_PHI times 1e-6
+        res = _minimize(lambda g: (g - 29.95) ** 2, prefetch=_no_prefetch)
         assert res.gamma_star == pytest.approx(29.95, abs=1e-6)
         lo, hi = res.bracket
         assert 29.8 <= lo <= res.gamma_star <= hi <= 30.0
@@ -326,7 +351,7 @@ class TestLookAhead:
             return objective(g)
 
         res = minimize_over_gamma(read, tail, slack, counted_fill)
-        assert res == _minimize(f, tail, slack)
+        assert res == _minimize(f, tail, slack, _no_prefetch)
         # each fill computes, beginning with the point read next; no polish
         # read misses the memo, so the objective computes nothing on its own
         assert [call[0] for call in calls[1:]] == [gs[0] for gs in fills]
@@ -344,3 +369,47 @@ class TestLookAhead:
         assert optimize._golden_reads(state, 1) == [g, h]
         assert len(optimize._golden_reads(state, 3)) == 2 + 4 + 8
         assert optimize._golden_reads((0.0, 1e-6, 0.3e-6, 0.6e-6), 3) == []
+
+
+def _quadratic(g):
+    return (g - 1.37) ** 2 + 0.25
+
+
+def _origin(g):
+    return g * g + 1.0
+
+
+class TestBrentOracle:
+    """The Brent polish against scipy's bounded Brent on the bracket the scan
+    hands it, [best grid point - 0.1, best grid point + 0.1] within [0, 30].
+    The polish starts from the best grid point, scipy from the bracket's
+    golden point."""
+
+    @pytest.mark.parametrize("f", [_quadratic, _bimodal, _origin, _near_end,
+                                   _flat],
+                             ids=["quadratic", "bimodal", "origin", "near-end",
+                                  "flat"])
+    def test_matches_scipy_bounded(self, f):
+        reads = []
+
+        def objective(g):
+            reads.append(g)
+            return f(g), 0.0
+
+        res = minimize_over_gamma(objective, math.inf, _no_bound, None)
+        assert reads[:len(SCAN_GRID)] == list(SCAN_GRID)
+        polish = reads[len(SCAN_GRID):]
+        best = min(SCAN_GRID, key=lambda g: (f(g), g))
+        lo, hi = max(0.0, best - 0.1), min(30.0, best + 0.1)
+        oracle = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                 options={"xatol": 1e-6})
+        # Brent's minimizer: its best point, the latest of equal values, from
+        # the scan's best point on, whose value it already has
+        points = [best] + polish
+        values = [f(g) for g in points]
+        x = points[max(i for i, v in enumerate(values) if v == min(values))]
+        assert abs(x - oracle.x) <= 1e-6
+        assert f(x) <= oracle.fun
+        a, b = res.bracket
+        assert lo <= a <= x <= b <= hi
+        assert b - a <= 1e-6
