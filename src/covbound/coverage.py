@@ -69,14 +69,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .asymptotic import AsymptoticProblem, asymptotic_bound
 from .optimize import (BoundResult, additive_tail_slack, block_objective,
                        minimize_over_gamma)
-from .quadrature import (NODES, adaptive_quad, adaptive_quad_2d, start_mesh,
-                         start_nodes)
+from .quadrature import NODES, adaptive_quad_batch, start_mesh, start_nodes
 from .rules import (BoundProblem, SelectionMethod, asymptotic_threshold,
                     selection_threshold)
 from .special import (BVN_RECTANGLE_ERR, SQRT2, bvn_rectangle, erfc, norm_pdf,
@@ -193,9 +193,11 @@ class _CoveragePlan:
         return residual_scale_density(np.clip(mode, lo, hi), self.m)
 
     def _sub_cell_bound(self):
-        """(area, bound): the area of each 2-D start cell and ``bound(gamma)``,
+        """(area, bound): the area of each 2-D start cell and ``bound(gammas)``,
         per start cell a bound on the folded submodel integrand over the
-        cell at every gamma' >= gamma (the first case of ``tail_slack``)."""
+        cell at every gamma' >= gamma (the first case of
+        ``_correction_bound``), for one gamma or, one row per gamma, for an
+        array of them."""
         root_m = self.root_m
         (r_c, t_c), (r_h, t_h) = start_mesh(*self.sub_limits, initial=_SUB_MESH)
         # the sub-cell edges of each start cell, one row per start cell
@@ -208,16 +210,18 @@ class _CoveragePlan:
                                                r_top * np.cos(t_bot) / root_m)
         edge = r_top * np.sin(t_top)
 
-        def bound(gamma: float):
-            return (scale * (norm_pdf(np.maximum(gamma - edge, 0.0))
-                             + norm_pdf(max(gamma, 0.0)))).max(axis=(1, 2))
+        def bound(gammas):
+            # one row of start cells per gamma
+            g = np.asarray(gammas, dtype=float)[..., None, None, None]
+            return (scale * (norm_pdf(np.maximum(g - edge, 0.0))
+                             + norm_pdf(np.maximum(g, 0.0)))).max(axis=(-2, -1))
         return 4.0 * r_h * t_h, bound
 
-    def tail_slack(self):
-        """Certified ``tail_slack(gamma)`` for the gamma search: a bound on
-        |evaluate(gamma').value - (1 - alpha)| for every gamma' >= gamma,
-        finite and nonincreasing from gamma = 0 on and exactly 0 once the
-        computed value must equal 1 - alpha (see ``additive_tail_slack``).
+    def _correction_bound(self):
+        """``bound(gammas)``: at one gamma, or at each of an array of gammas,
+        a bound on the summed magnitudes of the two computed terms, the
+        corrections to 1 - alpha, at every gamma' >= gamma (what
+        ``additive_tail_slack`` needs).
 
         The value is (1 - alpha) plus the submodel term minus the
         full-model term, and it is bounded cell by cell over the start
@@ -244,28 +248,44 @@ class _CoveragePlan:
 
         Each cell's bound is nonincreasing in gamma', so its value at
         gamma covers every gamma' >= gamma.  The factor 2 absorbs the
-        few-ulp relative rounding of every factor and of the sums.
+        few-ulp relative rounding of every factor and of the sums.  Every
+        operation is elementwise along the gammas, so each bound of an
+        array has the bits of its gamma alone.
         """
         sub_area, sub_bound = self._sub_cell_bound()
         (w_c,), (w_h,) = start_mesh(self.w_lo, self.w_hi, initial=_FULL_MESH)
         full_scale = 2.0 * w_h * self._f_w_max(w_c - w_h, w_c + w_h)
         full_edge = self.d * (w_c + w_h)
 
-        def correction_bound(gamma: float) -> float:
-            # min(phi(x)/x, 1) for x > 0, and 1 for x <= 0
-            x = np.maximum(gamma - full_edge, 0.0)
+        def bound(gammas):
+            # min(phi(x)/x, 1) for x > 0, and 1 for x <= 0, per w panel
+            x = np.maximum(np.asarray(gammas, dtype=float)[..., None]
+                           - full_edge, 0.0)
             q = norm_pdf(x)
             full = q / np.maximum(x, q)
-            return 2.0 * float(np.sum(sub_area * sub_bound(gamma))
-                               + np.sum(full_scale * full))
-        return additive_tail_slack(1.0 - self.alpha, correction_bound)
+            return (2.0 * (np.sum(sub_area * sub_bound(gammas), axis=-1)
+                           + np.sum(full_scale * full, axis=-1))).tolist()
+        return bound
+
+    def tail_slack(self):
+        """Certified ``tail_slack(gamma)`` for the gamma search: a bound on
+        |evaluate(gamma').value - (1 - alpha)| for every gamma' >= gamma,
+        finite and nonincreasing from gamma = 0 on and exactly 0 once the
+        computed value must equal 1 - alpha: ``additive_tail_slack`` of
+        ``_correction_bound``.  Through ``block_objective`` a scan grid
+        point's bound comes with those of the next ``_SCAN_BLOCK - 1`` grid
+        points, in one call, so the scan asks once per block."""
+        bound, _ = block_objective(self._correction_bound(), _SCAN_BLOCK)
+        return additive_tail_slack(1.0 - self.alpha, bound)
 
     def evaluate(self, gammas) -> list[CoverageResult]:
         """The coverage at each of ``gammas``, in order.  The start values of
         the whole block come from one pass: one D call over its radii, the
         normal densities over its 2-D start nodes and one ``bvn_rectangle``
-        call over its w nodes.  Each gamma then refines its own quadratures
-        from its slice, so its result does not depend on its block."""
+        call over its w nodes; so do the start-mesh rules of each term, from
+        one ``adaptive_quad_batch`` call.  A gamma whose start error meets
+        its budget is done; any other refines its own quadratures, so its
+        result does not depend on its block."""
         gammas = [float(g) for g in gammas]
         if not all(map(math.isfinite, gammas)):
             raise ValueError("gamma must be finite")
@@ -278,8 +298,19 @@ class _CoveragePlan:
         col = (-1,) + (1,) * self.q_start.ndim
         sub_start = self._sub_values(np.reshape(cs, col), block.reshape(col),
                                      self.q_start, *self.sub_start)
-        return [self._refine(c, g, sub, full)
-                for c, g, sub, full in zip(cs, gammas, sub_start, full_start)]
+        subs = adaptive_quad_batch(
+            [partial(self._sub_integrand, c, g) for c, g in zip(cs, gammas)],
+            *self.sub_limits, abs_err=_SUB_SHARE * self.abs_err,
+            initial=_SUB_MESH, start_values=sub_start)
+        fulls = adaptive_quad_batch(
+            [partial(self._full_integrand, g) for g in gammas],
+            self.w_lo, self.w_hi, abs_err=_FULL_SHARE * self.abs_err,
+            initial=_FULL_MESH, start_values=full_start)
+        # each gamma's two terms refine in turn, as a gamma alone would
+        return [CoverageResult(
+            value=((1.0 - self.alpha) + sub.value) - full.value,
+            quad_err=sub.err + full.err + BVN_RECTANGLE_ERR + _W_MASS_EPS,
+            panels=sub.panels + full.panels) for sub, full in zip(subs, fulls)]
 
     @staticmethod
     def _sub_values(c, gamma, q, h, mass):
@@ -290,21 +321,14 @@ class _CoveragePlan:
     def _full_values(self, gamma, f_w, lo1, hi1, lo2, hi2):
         return f_w * bvn_rectangle(lo1, hi1, lo2 - gamma, hi2 - gamma, self.rho)
 
-    def _refine(self, c: float, gamma: float, sub_start, full_start) -> CoverageResult:
-        # one gamma's two quadratures from its start values
-        sub = adaptive_quad_2d(
-            lambda r, theta: self._sub_values(c, gamma, self._half_width(r),
-                                              *self._polar_factors(r, theta)),
-            *self.sub_limits, abs_err=_SUB_SHARE * self.abs_err,
-            initial=_SUB_MESH, start_values=sub_start)
-        full = adaptive_quad(
-            lambda w: self._full_values(gamma, *self._full_factors(w)),
-            self.w_lo, self.w_hi, abs_err=_FULL_SHARE * self.abs_err,
-            initial=_FULL_MESH, start_values=full_start)
-        return CoverageResult(
-            value=((1.0 - self.alpha) + sub.value) - full.value,
-            quad_err=sub.err + full.err + BVN_RECTANGLE_ERR + _W_MASS_EPS,
-            panels=sub.panels + full.panels)
+    def _sub_integrand(self, c: float, gamma: float, r, theta):
+        # the submodel term's integrand at one gamma, for refined panels
+        return self._sub_values(c, gamma, self._half_width(r),
+                                *self._polar_factors(r, theta))
+
+    def _full_integrand(self, gamma: float, w):
+        # the full-model term's integrand at one gamma, for refined panels
+        return self._full_values(gamma, *self._full_factors(w))
 
 
 def coverage_probability(problem: BoundProblem, method: SelectionMethod,
@@ -334,8 +358,12 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     evaluations share one ``_CoveragePlan``.  Through ``block_objective``,
     the memo the m = inf bound shares, the scan computes ``_SCAN_BLOCK``
     grid points at a time and polish points one by one; past the stop at
-    most ``_SCAN_BLOCK - 1`` go unread.  Neither the result nor its
-    evaluation count depends on ``_SCAN_BLOCK``.  The search gets no
+    most ``_SCAN_BLOCK - 1`` go unread.  A block is one batched start pass:
+    its start values, the start-mesh rules of both quadratures
+    (``adaptive_quad_batch``) and, through the same memo, the tail
+    certificate of its grid points are each one call; only a gamma that
+    misses its error budget on the start meshes refines alone.  Neither
+    the result nor its evaluation count depends on ``_SCAN_BLOCK``.  The search gets no
     ``prefetch``, so it polishes by Brent's method, in about 7.5 evaluations
     on the golden rows where golden section takes 26-28: a look-ahead
     would compute points Brent never reads, and here a block of

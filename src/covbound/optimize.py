@@ -90,16 +90,17 @@ def additive_tail_slack(tail_value: float, correction_bound):
 
 
 def block_objective(evaluate, block: int):
-    """The scalar objective of ``evaluate(gammas)``, a (value, err) pair per
-    gamma, and ``fill(gammas)``, which computes those not yet computed in
-    one call.  A grid miss fills ``block`` grid points on, a polish miss one."""
-    memo: dict[float, tuple[float, float]] = {}
+    """The scalar function of ``evaluate(gammas)``, one result per gamma (a
+    (value, err) pair for an objective), and ``fill(gammas)``, which
+    computes those not yet computed in one call.  A grid miss fills
+    ``block`` grid points on, any other miss one."""
+    memo: dict[float, object] = {}
 
     def fill(gammas) -> None:
         if new := [g for g in dict.fromkeys(gammas) if g not in memo]:
             memo.update(zip(new, evaluate(new)))
 
-    def objective(g: float) -> tuple[float, float]:
+    def objective(g: float):
         if g not in memo:
             i = _SCAN_INDEX.get(g)
             fill([g] if i is None else SCAN_GRID[i:i + block])

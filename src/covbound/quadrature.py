@@ -10,11 +10,14 @@ are evaluated in a single vectorized call, and the final sum runs over
 panels sorted by position, so results are bit-for-bit reproducible.
 
 Two entry points share that loop: ``adaptive_quad`` over [a, b] and
-``adaptive_quad_2d`` over [ua, ub] x [va, vb].  Integrands must be
-vectorized (ndarray in, ndarray out, elementwise) and limits finite.  An
-exhausted panel budget, panels too narrow to split, or an error estimate
-that is not finite raise ``QuadratureError``, carrying the best estimate
-and the achieved error so callers can decide what to do.
+``adaptive_quad_2d`` over [ua, ub] x [va, vb].  Each is a batch of one of
+``adaptive_quad_batch``, which takes the start-mesh rules of many
+integrands over one box in one call and then refines each alone, with the
+bits it has alone.  Integrands must be vectorized (ndarray in, ndarray
+out, elementwise) and limits finite.  An exhausted panel budget, panels
+too narrow to split, or an error estimate that is not finite raise
+``QuadratureError``, carrying the best estimate and the achieved error so
+callers can decide what to do.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = ["QuadratureError", "QuadResult", "adaptive_quad", "adaptive_quad_2d",
-           "start_mesh", "start_nodes"]
+           "adaptive_quad_batch", "start_mesh", "start_nodes"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (ascending order).
 _XK_HALF = (
@@ -129,36 +132,29 @@ def start_nodes(*limits: float, initial):
 
 
 def _rule(fv, h):
-    # Kronrod value, error indicator and per-axis Gauss deficits of each
-    # panel, from f on its nodes and its half-widths h
-    fv = np.asarray(fv, dtype=float).reshape((h.shape[1],) + NODES.shape * len(h))
+    # Kronrod values, error indicators and per-axis Gauss deficits of each
+    # panel for a batch of integrands, from their values on the panels'
+    # nodes (one row per integrand) and the half-widths h: values and
+    # indicators as (integrand, panel), deficits as (axis, integrand, panel)
+    fv = np.asarray(fv, dtype=float).reshape(
+        (-1, h.shape[1]) + NODES.shape * len(h))
     if len(h) == 1:
         val = h[0] * (fv @ WEIGHTS_K)
         err = np.abs(val - h[0] * (fv @ WEIGHTS_G))
         return val, err, err[None]
     area = h[0] * h[1]
-    kk = area * np.einsum("pij,i,j->p", fv, WEIGHTS_K, WEIGHTS_K)
-    gg = area * np.einsum("pij,i,j->p", fv, WEIGHTS_G, WEIGHTS_G)
-    gk = area * np.einsum("pij,i,j->p", fv, WEIGHTS_G, WEIGHTS_K)
-    kg = area * np.einsum("pij,i,j->p", fv, WEIGHTS_K, WEIGHTS_G)
+    kk = area * np.einsum("bpij,i,j->bp", fv, WEIGHTS_K, WEIGHTS_K)
+    gg = area * np.einsum("bpij,i,j->bp", fv, WEIGHTS_G, WEIGHTS_G)
+    gk = area * np.einsum("bpij,i,j->bp", fv, WEIGHTS_G, WEIGHTS_K)
+    kg = area * np.einsum("bpij,i,j->bp", fv, WEIGHTS_K, WEIGHTS_G)
     dev = np.abs([kk - gk, kk - kg])
     return kk, np.maximum(np.abs(kk - gg), np.maximum(dev[0], dev[1])), dev
 
 
-def _refine(f, limits, abs_err, initial, start_values):
-    # the refinement loop of both drivers over the box limits = (lo, hi)
-    # per axis; c, h and dev hold one row per axis, one column per panel
-    los, his = limits[::2], limits[1::2]
-    if not all(map(math.isfinite, limits)):
-        raise ValueError("integration limits must be finite")
-    if any(map(operator.eq, los, his)):
-        return QuadResult(0.0, 0.0, 0)
-    if any(map(operator.gt, los, his)):
-        raise ValueError("require hi >= lo on every axis")
-    c, h = start_mesh(*limits, initial=initial)
-    floor = 1e-15 * max(*map(abs, limits), 1.0)
-    val, err, dev = _rule(f(*_nodes(c, h)) if start_values is None
-                          else start_values, h)
+def _refine(f, c, h, floor, abs_err, val, err, dev):
+    # one integrand's refinement loop from the rule on its start mesh (c, h);
+    # c, h and dev hold one row per axis, one column per panel
+    start = len(val)
     while True:
         err_sum, n = float(err.sum()), len(val)
         if not math.isfinite(err_sum):
@@ -185,29 +181,61 @@ def _refine(f, limits, abs_err, initial, start_values):
         new_val, new_err, new_dev = _rule(f(*_nodes(child_c, child_h)), child_h)
         c = np.concatenate([c.take(stay, axis=1), child_c], axis=1)
         h = np.concatenate([h.take(stay, axis=1), child_h], axis=1)
-        val = np.concatenate([val.take(stay), new_val])
-        err = np.concatenate([err.take(stay), new_err])
-        dev = np.concatenate([dev.take(stay, axis=1), new_dev], axis=1)
+        val = np.concatenate([val.take(stay), new_val[0]])
+        err = np.concatenate([err.take(stay), new_err[0]])
+        dev = np.concatenate([dev.take(stay, axis=1), new_dev[:, 0]], axis=1)
 
-    order = np.lexsort(c[::-1])
-    return QuadResult(float(val[order].sum()), float(err.sum()), len(val))
+    # the sum runs over panels by position; the start mesh is in that order,
+    # split children are appended
+    if n > start:
+        val = val[np.lexsort(c[::-1])]
+    return QuadResult(float(val.sum()), err_sum, n)
+
+
+def adaptive_quad_batch(fs, *limits: float, abs_err: float, initial,
+                        start_values=None):
+    """An iterator over the ``QuadResult`` of each integrand of ``fs`` over
+    [a, b] (``limits`` a, b, as ``adaptive_quad``) or [ua, ub] x [va, vb]
+    (ua, ub, va, vb, as ``adaptive_quad_2d``).
+
+    Row i of ``start_values``, when given, is ``fs[i]`` at ``start_nodes(
+    *limits, initial=initial)``; otherwise each integrand is called there.
+    The start-mesh rules of the whole batch come from one call.  Each
+    integrand then refines alone, when the iterator reaches it, and one
+    whose start error meets ``abs_err`` returns at once; so each result has
+    the bits of a batch of one, and a failure raises in batch order.
+    """
+    fs = list(fs)
+    los, his = limits[::2], limits[1::2]
+    if not all(map(math.isfinite, limits)):
+        raise ValueError("integration limits must be finite")
+    if any(map(operator.eq, los, his)):
+        return iter([QuadResult(0.0, 0.0, 0)] * len(fs))
+    if any(map(operator.gt, los, his)):
+        raise ValueError("require hi >= lo on every axis")
+    c, h = start_mesh(*limits, initial=initial)
+    floor = 1e-15 * max(*map(abs, limits), 1.0)
+    if start_values is None:
+        start_values = [f(*_nodes(c, h)) for f in fs]
+    val, err, dev = _rule(start_values, h)
+    return (_refine(f, c, h, floor, abs_err, *rule)
+            for f, *rule in zip(fs, val, err, dev.swapaxes(0, 1)))
 
 
 def adaptive_quad(f: Callable, a: float, b: float, abs_err: float = 1e-10,
-                  initial: int = 4, start_values=None) -> QuadResult:
-    """Integrate vectorized ``f`` over [a, b] to the requested tolerance;
-    ``start_values`` are ``f`` at ``start_nodes(a, b, initial=initial)``."""
-    return _refine(f, (a, b), abs_err, initial, start_values)
+                  initial: int = 4) -> QuadResult:
+    """Integrate vectorized ``f`` over [a, b] to the requested tolerance."""
+    return next(adaptive_quad_batch([f], a, b, abs_err=abs_err, initial=initial))
 
 
 def adaptive_quad_2d(f: Callable, ua: float, ub: float, va: float, vb: float,
-                     abs_err: float = 1e-8, initial: tuple[int, int] = (8, 4),
-                     start_values=None) -> QuadResult:
+                     abs_err: float = 1e-8,
+                     initial: tuple[int, int] = (8, 4)) -> QuadResult:
     """Integrate vectorized ``f(u, v)`` over [ua, ub] x [va, vb].
 
     Rectangular panels carry a 15x15 Kronrod tensor value; the error
     indicator is the worst of |KK - GG|, |KK - GK|, |KK - KG|, and each
-    split halves the axis whose Gauss deficit is larger.  ``start_values``
-    are ``f`` at ``start_nodes(ua, ub, va, vb, initial=initial)``.
+    split halves the axis whose Gauss deficit is larger.
     """
-    return _refine(f, (ua, ub, va, vb), abs_err, initial, start_values)
+    return next(adaptive_quad_batch([f], ua, ub, va, vb, abs_err=abs_err,
+                                    initial=initial))

@@ -187,7 +187,8 @@ def bvn_rectangle(lo1, hi1, lo2, hi2, rho: float):
     by 6-, 12- or 20-point Gauss-Legendre in t.  From 0.925 up it is
     Genz's (2004) expansion about the perfectly correlated law: the
     probability Pc that X = Y lands in both intervals, minus the summed
-    corner corrections of ``_genz_correction``.  Negative rho reflects Y.
+    corner corrections of ``_genz_correction``; only that branch computes
+    Pc.  Negative rho reflects Y.
     Every interval probability is a difference of two Phi on the
     interval's tail side, and the result is clipped into
     [0, min(P1, P2)]: far out it is small or exactly 0.  Absolute error
@@ -208,27 +209,33 @@ def bvn_rectangle(lo1, hi1, lo2, hi2, rho: float):
     lo1, hi1, lo2, hi2 = lims
     h = lims[[0, 1, 0, 1]]
     k = lims[[2, 2, 3, 3]]
-    # one Phi call: P1, P2, Pc = P(Z in both intervals), and Genz's Phi(-b/a)
-    lo = np.stack([lo1, lo2, np.maximum(lo1, lo2)])
-    hi = np.stack([hi1, hi2, np.maximum(lo[2], np.minimum(hi1, hi2))])
+    # one Phi call: P1, P2 and, on Genz's branch only, Pc = P(Z in both
+    # intervals) and Phi(-b/a)
+    lo, hi = [lo1, lo2], [hi1, hi2]
+    genz = rho >= 0.925
+    if genz:
+        lo.append(np.maximum(lo1, lo2))
+        hi.append(np.maximum(lo[2], np.minimum(hi1, hi2)))
+    lo, hi, n = np.stack(lo), np.stack(hi), len(lo)
     flip = lo + hi > 0.0
-    ends = np.stack([np.where(flip, -lo, hi), np.where(flip, -hi, lo)]).reshape(6, -1)
-    if 0.925 <= rho < 1.0:
+    ends = np.stack([np.where(flip, -lo, hi), np.where(flip, -hi, lo)]).reshape(2 * n, -1)
+    if genz and rho < 1.0:
         bs = (h - k) ** 2
         b = np.sqrt(bs)
         ends = np.concatenate([ends, -b / math.sqrt((1.0 - rho) * (1.0 + rho))])
     cdf = norm_cdf(ends)
-    p1, p2, pc = cdf[0:3] - cdf[3:6]
+    p = cdf[:n] - cdf[n:2 * n]
+    p1, p2 = p[:2]
     x, w = _BVN_RULES[0 if rho < 0.3 else 1 if rho < 0.75 else 2]
-    if rho < 0.925:
+    if not genz:
         asr = math.asin(rho)
         sn = np.sin(0.5 * asr * (x + 1.0))[:, None, None]
         terms = np.exp((sn * (h * k) - 0.5 * (h * h + k * k)) / (1.0 - sn * sn))
         val = p1 * p2 + asr / (4.0 * math.pi) * (_BVN_SIGN @ _rule_sum(w, terms))
     elif rho < 1.0:
-        val = pc - _BVN_SIGN @ _genz_correction(h, k, bs, b, cdf[6:], rho, x, w)
+        val = p[2] - _BVN_SIGN @ _genz_correction(h, k, bs, b, cdf[6:], rho, x, w)
     else:
-        val = pc
+        val = p[2]
     val = np.maximum(np.minimum(val, np.minimum(p1, p2)), 0.0).reshape(shape)
     return float(val) if val.ndim == 0 else val
 

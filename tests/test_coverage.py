@@ -253,13 +253,14 @@ def test_start_values_are_the_integrand_on_the_start_mesh(case, monkeypatch):
     # radii of the 1-D start mesh are the 2-D nodes' r, bit for bit
     plan = _start_plan(case)
     seen = []
-    quad_2d = coverage.adaptive_quad_2d
+    quad_batch = coverage.adaptive_quad_batch
 
-    def capture(f, *args, start_values, **kwargs):
-        seen.append((f, start_values))
-        return quad_2d(f, *args, start_values=start_values, **kwargs)
+    def capture(fs, *limits, start_values, **kwargs):
+        if len(limits) == 4:
+            seen.append((fs[0], start_values[0]))
+        return quad_batch(fs, *limits, start_values=start_values, **kwargs)
 
-    monkeypatch.setattr(coverage, "adaptive_quad_2d", capture)
+    monkeypatch.setattr(coverage, "adaptive_quad_batch", capture)
     r_lo, r_hi, _, theta_d = plan.sub_limits
     r, theta = start_nodes(r_lo, r_hi, 0.0, theta_d, initial=coverage._SUB_MESH)
     (radii,) = start_nodes(r_lo, r_hi, initial=coverage._SUB_MESH[0])
@@ -323,13 +324,15 @@ def test_polar_submodel_term_matches_the_wx_term(case, monkeypatch):
     method, p, m, rho, gamma = case
     pr = BoundProblem.from_m(0.05, p, m, rho)
     terms = []
-    quad_2d = coverage.adaptive_quad_2d
+    quad_batch = coverage.adaptive_quad_batch
 
-    def capture(*args, **kwargs):
-        terms.append(quad_2d(*args, **kwargs))
-        return terms[-1]
+    def capture(fs, *limits, **kwargs):
+        results = list(quad_batch(fs, *limits, **kwargs))
+        if len(limits) == 4:
+            terms.extend(results)
+        return iter(results)
 
-    monkeypatch.setattr(coverage, "adaptive_quad_2d", capture)
+    monkeypatch.setattr(coverage, "adaptive_quad_batch", capture)
     res = coverage_probability(pr, method, gamma)
     want = folded_submodel_term(0.05, pr.m, rho,
                                 selection_threshold(method, pr.n, pr.p), gamma)
@@ -574,6 +577,28 @@ class TestTailCertificate:
         assert slack(edge + 12.0) == 0.0
 
 
+    def test_blocked_bound_equals_the_scalar_bound(self, case):
+        # the certificate's correction bound takes a block of gammas in one
+        # call; at every scan grid point and off the grid each bound has
+        # the bits of a call for its gamma alone, so the slack the scan
+        # reads, block by block, is that of scalar calls
+        method, alpha, m, rho = case
+        plan = coverage._CoveragePlan(BoundProblem.from_m(alpha, 10, m, rho),
+                                      method)
+        bound = plan._correction_bound()
+        gammas = list(optimize.SCAN_GRID) + [-2.5, 0.03, 1.2345, 7.77, 30.5, 45.0]
+        scalar = [bound(g) for g in gammas]
+        assert all(type(c) is float for c in scalar)
+        for size in (coverage._SCAN_BLOCK, 3, len(gammas)):
+            blocked = [c for i in range(0, len(gammas), size)
+                       for c in bound(np.array(gammas[i:i + size]))]
+            assert list(map(float.hex, blocked)) == list(map(float.hex, scalar))
+        ulp = math.ulp(1.0 - alpha)
+        slack = plan.tail_slack()
+        assert [slack(g).hex() for g in gammas] \
+            == [(0.0 if c < 0.25 * ulp else c + 2.0 * ulp).hex() for c in scalar]
+
+
 # refined evaluations: every node stays in its start cell, so the
 # envelope built on the start meshes bounds them too
 # the t tests at m 1 and 2 have theta_d near pi/2, where the (r, theta)
@@ -610,13 +635,14 @@ def test_sub_cell_bound_holds_inside_each_start_cell(case, monkeypatch):
     method, p, m, rho = case
     plan = coverage._CoveragePlan(BoundProblem.from_m(0.05, p, m, rho), method)
     integrands = []
-    quad_2d = coverage.adaptive_quad_2d
+    quad_batch = coverage.adaptive_quad_batch
 
-    def capture(f, *args, **kwargs):
-        integrands.append(f)
-        return quad_2d(f, *args, **kwargs)
+    def capture(fs, *limits, **kwargs):
+        if len(limits) == 4:
+            integrands.append(fs[0])
+        return quad_batch(fs, *limits, **kwargs)
 
-    monkeypatch.setattr(coverage, "adaptive_quad_2d", capture)
+    monkeypatch.setattr(coverage, "adaptive_quad_batch", capture)
     _, cell_bound = plan._sub_cell_bound()
     (r_c, t_c), (r_h, t_h) = start_mesh(*plan.sub_limits,
                                         initial=coverage._SUB_MESH)
@@ -625,10 +651,13 @@ def test_sub_cell_bound_holds_inside_each_start_cell(case, monkeypatch):
     u, v = (np.concatenate([z.ravel(), rng.uniform(-1.0, 1.0, 400)])
             for z in np.meshgrid(split, split, indexing="ij"))
     r, theta = r_c[:, None] + r_h[:, None] * u, t_c[:, None] + t_h[:, None] * v
-    for gamma in (0.0, 0.5, 1.5, 3.0, 5.0, 8.0):
+    gammas = (0.0, 0.5, 1.5, 3.0, 5.0, 8.0)
+    bounds = cell_bound(np.array(gammas))
+    assert bounds.shape == (len(gammas), r.shape[0])
+    for gamma, bound in zip(gammas, bounds):
         plan.evaluate([gamma])
         values = integrands[-1](r.ravel(), theta.ravel()).reshape(r.shape)
-        assert np.all(values <= (1.0 + 1e-12) * cell_bound(gamma)[:, None])
+        assert np.all(values <= (1.0 + 1e-12) * bound[:, None])
 
 
 # the default search: the result is the full scan's, bit for bit, at a

@@ -9,7 +9,7 @@ import pytest
 from covbound import quadrature
 from covbound.quadrature import (NODES, WEIGHTS_G, WEIGHTS_K, QuadratureError,
                                  QuadResult, adaptive_quad, adaptive_quad_2d,
-                                 start_nodes)
+                                 adaptive_quad_batch, start_mesh, start_nodes)
 
 
 def _single_panel(f, a, b):
@@ -218,11 +218,19 @@ _START_CASES = [
 ]
 
 
+def _batch_options(driver, opts):
+    # the keyword arguments of adaptive_quad_batch that run like driver(**opts)
+    dim = 1 if driver is adaptive_quad else 2
+    return {"abs_err": opts.get("abs_err", 1e-10 if dim == 1 else 1e-8),
+            "initial": opts.get("initial", 4 if dim == 1 else (8, 4))}
+
+
 @pytest.mark.parametrize("case", _START_CASES,
                          ids=lambda c: f"{c[0].__name__}-{c[4]}")
 def test_start_values_give_the_same_result(case, monkeypatch):
-    # values on the start nodes, computed by the caller, stand in for the
-    # driver's first integrand call and change nothing else
+    # values on the start nodes, computed by the caller and handed to the
+    # batch driver, stand in for the driver's first integrand call and
+    # change nothing else
     driver, f, limits, opts, outcome = case
     if outcome == "budget":
         monkeypatch.setattr(quadrature, "_MAX_PANELS", (64, 400))
@@ -232,17 +240,18 @@ def test_start_values_give_the_same_result(case, monkeypatch):
         calls.append(1)
         return f(*args)
 
-    def run(**extra):
+    def run(call):
         calls.clear()
         try:
-            return driver(counted, *limits, **opts, **extra), len(calls)
+            return call(), len(calls)
         except QuadratureError as exc:
             return (exc.value, exc.err, exc.panels), len(calls)
 
-    initial = opts.get("initial", 4 if driver is adaptive_quad else (8, 4))
-    start = f(*start_nodes(*limits, initial=initial))
-    plain, n_plain = run()
-    given, n_given = run(start_values=start)
+    batch = _batch_options(driver, opts)
+    start = f(*start_nodes(*limits, initial=batch["initial"]))
+    plain, n_plain = run(lambda: driver(counted, *limits, **opts))
+    given, n_given = run(lambda: next(adaptive_quad_batch(
+        [counted], *limits, **batch, start_values=start[None])))
     assert given == plain
     assert n_given == n_plain - 1
     assert isinstance(plain, QuadResult) == (outcome != "budget")
@@ -250,6 +259,97 @@ def test_start_values_give_the_same_result(case, monkeypatch):
         assert n_plain == 1
     else:
         assert n_plain >= 3
+
+
+# Gaussian peaks of several widths over one box: at the drivers' default
+# budgets the narrow ones refine, the wide ones converge on the start mesh
+_PEAK_WIDTHS = (8.0, 0.03, 1.0, 0.01, 0.5, 0.001, 2.0, 0.1)
+_PEAK_DRIVERS = {adaptive_quad: (-1.0, 1.0), adaptive_quad_2d: (-1.0, 1.0, -1.0, 1.0)}
+
+
+def _peak(width):
+    return lambda *x: np.exp(-((x[0] - 0.3) ** 2 + sum(x[1:]) ** 2) / width)
+
+
+def _start_rule_alone(f, limits, initial):
+    # one integrand's start-mesh result by the rule of one integrand
+    c, h = start_mesh(*limits, initial=initial)
+    fv = f(*start_nodes(*limits, initial=initial)).reshape(
+        (h.shape[1],) + NODES.shape * len(h))
+    if len(h) == 1:
+        val = h[0] * (fv @ WEIGHTS_K)
+        err = np.abs(val - h[0] * (fv @ WEIGHTS_G))
+    else:
+        def rule(wu, wv):
+            return h[0] * h[1] * np.einsum("pij,i,j->p", fv, wu, wv)
+        val = rule(WEIGHTS_K, WEIGHTS_K)
+        err = np.maximum.reduce([np.abs(val - rule(WEIGHTS_G, WEIGHTS_G)),
+                                 np.abs(val - rule(WEIGHTS_G, WEIGHTS_K)),
+                                 np.abs(val - rule(WEIGHTS_K, WEIGHTS_G))])
+    return QuadResult(float(val.sum()), float(err.sum()), len(val))
+
+
+@pytest.mark.parametrize("size", [1, 8])
+@pytest.mark.parametrize("driver", list(_PEAK_DRIVERS), ids=lambda d: d.__name__)
+def test_batch_gives_each_integrand_its_own_result(driver, size):
+    # a batch's start rules come from one call and each integrand then
+    # refines alone: every result equals the driver's for that integrand,
+    # bit for bit, in batches of one and of eight where only some refine;
+    # one that meets its budget on the start mesh is the one-integrand rule
+    # summed by position, and its integrand is never called again
+    limits = _PEAK_DRIVERS[driver]
+    batch = _batch_options(driver, {})
+    fs = [_peak(width) for width in _PEAK_WIDTHS]
+    alone = [driver(f, *limits) for f in fs]
+    start = math.prod(np.atleast_1d(batch["initial"]))
+    refined = [res.panels > start for res in alone]
+    assert any(refined) and not all(refined)
+    calls = [0] * len(fs)
+
+    def counted(i):
+        def f(*x):
+            calls[i] += 1
+            return fs[i](*x)
+        return f
+
+    for i in range(0, len(fs), size):
+        items = range(i, i + size)
+        values = np.stack([fs[j](*start_nodes(*limits, initial=batch["initial"]))
+                           for j in items])
+        assert list(adaptive_quad_batch([fs[j] for j in items], *limits,
+                                        **batch)) == alone[i:i + size]
+        assert list(adaptive_quad_batch([counted(j) for j in items], *limits,
+                                        **batch, start_values=values)) \
+            == alone[i:i + size]
+    for f, res, refine, n in zip(fs, alone, refined, calls):
+        assert (n > 0) == refine
+        if not refine:
+            assert res == _start_rule_alone(f, limits, batch["initial"])
+
+
+def test_batch_refines_in_order_and_raises_at_the_first_failure(monkeypatch):
+    # each integrand refines when the iterator reaches it: a failure
+    # raises there, and integrands after it are never refined
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", (64, 400))
+    fs = {"peak": _peak(0.1), "pole": lambda x: np.abs(x) ** -0.9,
+          "late": _peak(0.01)}
+    called = []
+
+    def traced(name):
+        def f(x):
+            called.append(name)
+            return fs[name](x)
+        return f
+
+    results = adaptive_quad_batch(map(traced, fs), -1.0, 1.0, abs_err=1e-10,
+                                  initial=4)
+    assert called == list(fs)  # the start values, before any refinement
+    called.clear()
+    assert next(results) == adaptive_quad(fs["peak"], -1.0, 1.0)
+    assert set(called) == {"peak"}
+    with pytest.raises(QuadratureError, match="budget"):
+        next(results)
+    assert "late" not in called
 
 
 @pytest.mark.parametrize("driver, limits", [
