@@ -218,7 +218,8 @@ def bvn_rectangle(lo1, hi1, lo2, hi2, rho: float):
         hi.append(np.maximum(lo[2], np.minimum(hi1, hi2)))
     lo, hi, n = np.stack(lo), np.stack(hi), len(lo)
     flip = lo + hi > 0.0
-    ends = np.stack([np.where(flip, -lo, hi), np.where(flip, -hi, lo)]).reshape(2 * n, -1)
+    ends = np.stack([np.where(flip, -lo, hi),
+                     np.where(flip, -hi, lo)]).reshape(2 * n, -1)
     if genz and rho < 1.0:
         bs = (h - k) ** 2
         b = np.sqrt(bs)
