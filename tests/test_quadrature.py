@@ -273,7 +273,7 @@ def _peak(width):
 
 def _start_rule_alone(f, limits, initial):
     # one integrand's start-mesh result by the rule of one integrand
-    c, h = start_mesh(*limits, initial=initial)
+    _, h = start_mesh(*limits, initial=initial)
     fv = f(*start_nodes(*limits, initial=initial)).reshape(
         (h.shape[1],) + NODES.shape * len(h))
     if len(h) == 1:
