@@ -275,7 +275,7 @@ class _CoveragePlan:
         ``_correction_bound``.  Through ``block_objective`` a scan grid
         point's bound comes with those of the next ``_SCAN_BLOCK - 1`` grid
         points, in one call, so the scan asks once per block."""
-        bound, _ = block_objective(self._correction_bound(), _SCAN_BLOCK)
+        bound = block_objective(self._correction_bound(), _SCAN_BLOCK)
         return additive_tail_slack(1.0 - self.alpha, bound)
 
     def evaluate(self, gammas) -> list[CoverageResult]:
@@ -363,19 +363,16 @@ def coverage_bound(problem: BoundProblem, method: SelectionMethod,
     (``adaptive_quad_batch``) and, through the same memo, the tail
     certificate of its grid points are each one call; only a gamma that
     misses its error budget on the start meshes refines alone.  Neither
-    the result nor its evaluation count depends on ``_SCAN_BLOCK``.  The search gets no
-    ``prefetch``, so it polishes by Brent's method, in about 7.5 evaluations
-    on the golden rows where golden section takes 26-28: a look-ahead
-    would compute points Brent never reads, and here a block of
-    quadratures costs several single evaluations.
+    the result nor its evaluation count depends on ``_SCAN_BLOCK``.  Brent's
+    method polishes, in about 7.5 evaluations on the golden rows.
     ``quad_err`` on the result is the quadrature error at gamma_star
     (0.0 when the tail value wins).
     """
     plan = _CoveragePlan(problem, method, abs_err)
-    objective, _ = block_objective(lambda gammas: [
+    objective = block_objective(lambda gammas: [
         (res.value, res.quad_err) for res in plan.evaluate(gammas)], _SCAN_BLOCK)
     return minimize_over_gamma(objective, 1.0 - problem.alpha,
-                               plan.tail_slack(), None)
+                               plan.tail_slack())
 
 
 def minimum_coverage(method: SelectionMethod, alpha: float, p: int,

@@ -17,17 +17,11 @@ best value so far (a tie loses to the earlier gamma).  The result is then
 identical, bit for bit, to that of the full scan; only unneeded
 evaluations go.
 
-The polish is Brent's method (Brent, 1973, ch. 5) for a search without
-a ``prefetch``, which is every finite-m bound: parabolic steps where the
-curve allows them, golden-section steps where it does not, from the best
-grid point: about 7.5 reads per golden-row bound.  A search with a ``prefetch`` (the m = inf
-bound) polishes by golden section with look-ahead, for now: Brent would
-move the m = inf row that the benchmark pins at |d bound| 0 by one ulp.
-Golden section is deterministic, so that polish can look ahead: one call
-computes every point its next ``_LOOKAHEAD`` reads could be, either way
-each comparison goes.  It reads the same values as without the
-look-ahead.  A look-ahead cannot serve Brent, whose parabolic steps
-depend on the values read.
+The polish is Brent's method (Brent, 1973, ch. 5) from the best grid
+point: parabolic steps where the curve allows them, golden-section steps
+where it does not, to a bracket whose ends lie within 0.5e-6 of its best
+point.  It reads about 7.5 values per finite-m golden-row bound and 8.3
+per m = inf one.
 """
 
 from __future__ import annotations
@@ -40,8 +34,7 @@ __all__ = ["BoundResult", "minimize_over_gamma", "additive_tail_slack"]
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GAMMA_MAX = 30.0   # end of the scan grid
 _STEP = 0.1         # scan grid spacing
-_REFINE_TOL = 1e-6  # widest final polish bracket, Brent's or golden section's
-_LOOKAHEAD = 5      # golden steps whose points one prefetch call carries
+_REFINE_TOL = 1e-6  # widest final polish bracket
 # the scan grid 0, 0.1, ..., 30, in the order the scan visits it
 SCAN_GRID = tuple(i * _STEP for i in range(int(round(_GAMMA_MAX / _STEP)) + 1))
 _SCAN_INDEX = {g: i for i, g in enumerate(SCAN_GRID)}
@@ -53,16 +46,13 @@ class BoundResult:
     ``quad_err``, the objective's own error estimate at gamma_star (0.0
     when the exact tail value wins).
 
-    ``bracket`` is the polish's final bracket, at most ``_REFINE_TOL`` wide
-    and around the polish's best point: Brent's (finite m), which counts
-    the best grid point it starts from, has both ends within
-    ``_REFINE_TOL / 2`` of it; golden section's (m = inf) is wider than
-    ``INV_PHI * _REFINE_TOL``.
+    ``bracket`` is Brent's final bracket: both ends lie within
+    ``_REFINE_TOL / 2`` of the polish's best point, which counts the best
+    grid point it starts from.
 
     ``evaluations`` counts the objective values the search read, not those
-    computed: the golden look-ahead computes points it never reads, and up
-    to ``coverage._SCAN_BLOCK - 1`` computed grid values go unread past the
-    scan's certified stop."""
+    computed: up to ``coverage._SCAN_BLOCK - 1`` computed grid values go
+    unread past the scan's certified stop."""
 
     bound: float
     gamma_star: float
@@ -91,39 +81,17 @@ def additive_tail_slack(tail_value: float, correction_bound):
 
 def block_objective(evaluate, block: int):
     """The scalar function of ``evaluate(gammas)``, one result per gamma (a
-    (value, err) pair for an objective), and ``fill(gammas)``, which
-    computes those not yet computed in one call.  A grid miss fills
-    ``block`` grid points on, any other miss one."""
+    (value, err) pair for an objective), memoized.  A grid miss computes
+    ``block`` grid points on in one call, any other miss one point."""
     memo: dict[float, object] = {}
-
-    def fill(gammas) -> None:
-        if new := [g for g in dict.fromkeys(gammas) if g not in memo]:
-            memo.update(zip(new, evaluate(new)))
 
     def objective(g: float):
         if g not in memo:
             i = _SCAN_INDEX.get(g)
-            fill([g] if i is None else SCAN_GRID[i:i + block])
+            gammas = [g] if i is None else list(SCAN_GRID[i:i + block])
+            memo.update(zip(gammas, evaluate(gammas)))
         return memo[g]
-    return objective, fill
-
-
-def _golden_step(a, b, c, d, lower: bool):
-    """The golden-section step from bracket (a, b) with interior points
-    c < d, keeping (a, d) if ``lower`` (fc <= fd), else (c, b): the new
-    (a, b, c, d) and its new point."""
-    if lower:
-        return (a, d, g := d - (d - a) * INV_PHI, c), g
-    return (c, b, d, g := c + (b - c) * INV_PHI), g
-
-
-def _golden_reads(state, steps: int) -> list[float]:
-    """Every point the next ``steps`` golden steps from ``state`` could
-    read, over both outcomes of each comparison."""
-    if steps == 0 or state[1] - state[0] <= _REFINE_TOL:  # the loop's test
-        return []
-    (lo, g), (hi, h) = _golden_step(*state, True), _golden_step(*state, False)
-    return [g, h] + _golden_reads(lo, steps - 1) + _golden_reads(hi, steps - 1)
+    return objective
 
 
 def _brent(f, a: float, b: float, x: float, fx: float) -> tuple[float, float]:
@@ -171,33 +139,8 @@ def _brent(f, a: float, b: float, x: float, fx: float) -> tuple[float, float]:
     return a, b
 
 
-def _golden(f, a: float, b: float, prefetch) -> tuple[float, float]:
-    """Golden-section minimization of ``f`` on (a, b) to a bracket of width
-    at most ``_REFINE_TOL``, which it returns.  Each point not yet handed to
-    ``prefetch`` goes there with every point the next ``_LOOKAHEAD - 1``
-    steps could read."""
-    fetched: set[float] = set()
-
-    def ahead(first, state) -> None:
-        if first[0] not in fetched:
-            gammas = first + _golden_reads(state, _LOOKAHEAD - 1)
-            fetched.update(gammas)
-            prefetch(gammas)
-
-    c = b - (b - a) * INV_PHI
-    d = a + (b - a) * INV_PHI
-    ahead([c, d], (a, b, c, d))
-    fc, fd = f(c), f(d)
-    while b - a > _REFINE_TOL:
-        lower = fc <= fd
-        (a, b, c, d), g = _golden_step(a, b, c, d, lower)
-        ahead([g], (a, b, c, d))
-        fc, fd = (f(g), fc) if lower else (fd, f(g))
-    return a, b
-
-
-def minimize_over_gamma(objective, tail_value: float, tail_slack,
-                        prefetch) -> BoundResult:
+def minimize_over_gamma(objective, tail_value: float,
+                        tail_slack) -> BoundResult:
     """Minimize ``objective(gamma)``, a (value, err) pair, over gamma >= 0.
 
     ``tail_value`` is the exact gamma -> infinity limit and competes as a
@@ -213,12 +156,8 @@ def minimize_over_gamma(objective, tail_value: float, tail_slack,
     the smallest-gamma tie).  Either way the result equals that of the
     full scan.
 
-    With ``prefetch`` None the polish is Brent's method (``_brent``), from
-    the best grid point.
-    Otherwise it is golden section (``_golden``), and ``prefetch(gammas)``
-    computes gammas for ``objective`` in one call: each polish point not yet
-    handed to it goes there with every point the next ``_LOOKAHEAD - 1``
-    steps could read.
+    The polish is Brent's method (``_brent``) on [best - 0.1, best + 0.1]
+    within [0, 30], from the best grid point.
     """
     seen: list[tuple[float, float, float]] = []
 
@@ -238,10 +177,7 @@ def minimize_over_gamma(objective, tail_value: float, tail_slack,
 
     lo = max(0.0, best_g - _STEP)
     hi = min(_GAMMA_MAX, best_g + _STEP)
-    if prefetch is None:
-        a, b = _brent(f, lo, hi, best_g, best_v)
-    else:
-        a, b = _golden(f, lo, hi, prefetch)
+    a, b = _brent(f, lo, hi, best_g, best_v)
 
     gamma_star, bound, err = min(seen, key=lambda gve: (gve[1], gve[0]))
     if tail_value < bound:

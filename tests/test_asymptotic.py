@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covbound import asymptotic, optimize
+from covbound import asymptotic
 from covbound.asymptotic import (AsymptoticProblem, asymptotic_bound,
                                  asymptotic_coverage)
 from covbound.coverage import minimum_coverage
@@ -181,17 +181,11 @@ class TestAsymptoticBound:
         assert a == b
 
 
-def _no_prefetch(gammas):
-    # a prefetch that computes nothing: the golden-section polish that
-    # ``asymptotic_bound`` uses, without its look-ahead
-    return None
-
-
 def _full_scan(pr):
     """The gamma search with "no bound known" for the tail: every grid
-    point is evaluated, then golden section polishes."""
+    point is evaluated, then Brent's method polishes."""
     return minimize_over_gamma(lambda g: (asymptotic_coverage(pr, g), 0.0),
-                               1.0 - pr.alpha, lambda g: math.inf, _no_prefetch)
+                               1.0 - pr.alpha, lambda g: math.inf)
 
 
 @pytest.mark.parametrize("method", [CP, SelectionMethod("adjr2")],
@@ -237,7 +231,7 @@ def test_array_with_nonfinite_gamma_raises(bad):
 
 def _traced_asymptotic_bound(pr, monkeypatch):
     """``asymptotic_bound`` with the gammas of each closed-form call, each
-    with the number of objective calls made before it, and the arguments
+    with the number of objective calls begun by then, and the arguments
     of its search's objective calls."""
     blocks, reads = [], []
     coverage, search = asymptotic.asymptotic_coverage, asymptotic.minimize_over_gamma
@@ -263,22 +257,19 @@ def _traced_asymptotic_bound(pr, monkeypatch):
                          ids=lambda c: f"{c[0].kind}-a{c[1]}-rho{c[2]}")
 def test_search_contract_at_infinite_m(case, monkeypatch):
     # the search reads one float per counted evaluation; the scan grid is
-    # one block, the first call; every later call begins with the point the
-    # search reads next and carries the look-ahead; no gamma is computed
-    # twice, every gamma read was computed, and the golden steps after the
-    # first polish call need at most one call per _LOOKAHEAD of them
+    # one block, the first call; every later call computes only the point
+    # being read; no gamma is computed twice, and every gamma read was
+    # computed
     method, alpha, rho = case
     res, blocks, reads = _traced_asymptotic_bound(problem(rho, method, alpha),
                                                   monkeypatch)
     assert len(reads) == res.evaluations
     assert all(type(g) is float for g in reads)
     assert blocks[0] == (1, list(SCAN_GRID))  # the first read brings it
-    assert all(block[0] == reads[n] for n, block in blocks[1:])
+    assert all(block == [reads[n - 1]] for n, block in blocks[1:])
     computed = [g for _, block in blocks for g in block]
     assert len(set(computed)) == len(computed)
     assert set(reads) <= set(computed)
-    steps = res.evaluations - len(SCAN_GRID) - 2
-    assert len(blocks) <= 2 + steps // optimize._LOOKAHEAD
 
 
 def _golden_inf_rows():
@@ -291,7 +282,7 @@ def _golden_inf_rows():
 
 def test_golden_rows_equal_the_scalar_search():
     # the block search gives the scalar search's result, field for field,
-    # on every m = inf golden row; both polish by golden section
+    # on every m = inf golden row
     rows = _golden_inf_rows()
     assert len(rows) == 60
     for row in rows:
@@ -299,7 +290,7 @@ def test_golden_rows_equal_the_scalar_search():
         pr = problem(float(row["rho"]), method, float(row["alpha"]))
         scalar = minimize_over_gamma(
             lambda g: (asymptotic_coverage(pr, g), BVN_RECTANGLE_ERR),
-            1.0 - pr.alpha, lambda g: math.inf, _no_prefetch)
+            1.0 - pr.alpha, lambda g: math.inf)
         assert asymptotic_bound(pr) == scalar, row
 
 
@@ -326,13 +317,14 @@ def _closed_form_calls(monkeypatch, wrap_objective=False):
 
 
 def test_golden_rows_call_count(monkeypatch):
-    # the polish look-ahead at depth 5 makes 6-7 closed-form calls per
-    # bound (404 in all) where scalar polish points made 29 (1,740)
-    assert _closed_form_calls(monkeypatch) <= 404
+    # one call for the scan grid and one per Brent polish point: about 9.3
+    # closed-form calls per bound (556 in all)
+    assert _closed_form_calls(monkeypatch) <= 556
 
 
-def test_look_ahead_survives_a_wrapped_objective(monkeypatch):
-    # the look-ahead reaches the memo past a wrapper of the objective
+def test_memo_survives_a_wrapped_objective(monkeypatch):
+    # the scan grid stays one call when the search's objective is wrapped,
+    # as a span tracer wraps it: the block memo sits inside the objective
     plain = _closed_form_calls(monkeypatch)
     monkeypatch.undo()
     assert _closed_form_calls(monkeypatch, wrap_objective=True) == plain

@@ -376,8 +376,7 @@ def _full_scan(pr, method):
     def objective(g):
         res = coverage_probability(pr, method, g)
         return res.value, res.quad_err
-    return minimize_over_gamma(objective, 1.0 - pr.alpha, lambda g: math.inf,
-                               None)
+    return minimize_over_gamma(objective, 1.0 - pr.alpha, lambda g: math.inf)
 
 
 class TestCoverageBound:

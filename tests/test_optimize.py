@@ -1,10 +1,7 @@
 """Scan plus polish minimization over the nonnegative half line.
 
-The polish is Brent's method when the search is given no ``prefetch``
-(every finite-m bound), and golden section with look-ahead when it is
-(the m = inf bound).  Tests that compare golden section with itself pass
-the no-op prefetch ``_no_prefetch``.  scipy's bounded Brent serves as the
-oracle for the Brent polish; the package itself never imports scipy.
+The polish is Brent's method at every m.  scipy's bounded Brent serves as
+its oracle; the package itself never imports scipy.
 """
 
 import math
@@ -12,10 +9,9 @@ import math
 import pytest
 from scipy.optimize import minimize_scalar
 
-from covbound import optimize
-from covbound.optimize import (INV_PHI, SCAN_GRID, BoundResult,
-                               additive_tail_slack, block_objective,
-                               minimize_over_gamma)
+from covbound.asymptotic import AsymptoticProblem, asymptotic_coverage
+from covbound.optimize import (SCAN_GRID, BoundResult, additive_tail_slack,
+                               block_objective, minimize_over_gamma)
 
 
 def _no_bound(g):
@@ -23,23 +19,15 @@ def _no_bound(g):
     return math.inf
 
 
-def _no_prefetch(gammas):
-    # a prefetch that computes nothing: golden section, no look-ahead
-    return None
-
-
-def _minimize(f, tail_value=math.inf, tail_slack=_no_bound, prefetch=None):
+def _minimize(f, tail_value=math.inf, tail_slack=_no_bound):
     """The search on a scalar objective reported with error 0.0; with no
-    tail by default (an infinite tail value never wins) and the Brent
-    polish unless a ``prefetch`` is given."""
-    return minimize_over_gamma(lambda g: (f(g), 0.0), tail_value, tail_slack,
-                               prefetch)
+    tail by default (an infinite tail value never wins)."""
+    return minimize_over_gamma(lambda g: (f(g), 0.0), tail_value, tail_slack)
 
 
 class TestSearchConfig:
-    """The one search: a scan of gamma = 0, 0.1, ..., 30, then a polish to a
-    bracket of width at most 1e-6: Brent's method, or golden section where
-    the search is given a prefetch."""
+    """The one search: a scan of gamma = 0, 0.1, ..., 30, then Brent's
+    polish to a bracket of width at most 1e-6."""
 
     def test_defaults(self):
         # a minimum between the last two grid points is reached and polished;
@@ -49,15 +37,6 @@ class TestSearchConfig:
         lo, hi = res.bracket
         assert 29.8 <= lo <= res.gamma_star <= hi <= 30.0
         assert max(res.gamma_star - lo, hi - res.gamma_star) <= 0.5e-6
-
-    def test_golden_section_bracket(self):
-        # golden section stops at its first bracket no wider than 1e-6, which
-        # is wider than INV_PHI times 1e-6
-        res = _minimize(lambda g: (g - 29.95) ** 2, prefetch=_no_prefetch)
-        assert res.gamma_star == pytest.approx(29.95, abs=1e-6)
-        lo, hi = res.bracket
-        assert 29.8 <= lo <= res.gamma_star <= hi <= 30.0
-        assert 0.5e-6 < hi - lo <= 1e-6
 
 
 class TestMinimizeOverGamma:
@@ -238,17 +217,17 @@ class TestReportedError:
         # the error reported with each value is g + 1, so the error at the
         # minimum names the gamma it came from
         res = minimize_over_gamma(lambda g: ((g - 1.37) ** 2, g + 1.0),
-                                  math.inf, _no_bound, None)
+                                  math.inf, _no_bound)
         assert res.quad_err == res.gamma_star + 1.0
 
     def test_error_of_repeated_minimum_from_smallest_gamma(self):
         res = minimize_over_gamma(lambda g: (2.0, g + 1.0), math.inf,
-                                  _no_bound, None)
+                                  _no_bound)
         assert (res.gamma_star, res.quad_err) == (0.0, 1.0)
 
     def test_exact_tail_reports_zero_error(self):
         res = minimize_over_gamma(lambda g: (1.0 / (1.0 + g), 0.5), 0.0,
-                                  _no_bound, None)
+                                  _no_bound)
         assert (res.bound, res.gamma_star, res.quad_err) == (0.0, math.inf, 0.0)
 
 
@@ -284,7 +263,7 @@ class TestBlockObjective:
             calls.append(list(gammas))
             return [(g * g, g) for g in gammas]
 
-        objective, _ = block_objective(evaluate, 8)
+        objective = block_objective(evaluate, 8)
         grid = SCAN_GRID
         for g in (grid[0], grid[1], grid[7], grid[8], 0.25, 0.25, grid[295]):
             assert objective(g) == (g * g, g)
@@ -295,8 +274,8 @@ class TestBlockObjective:
         def evaluate(gammas):
             return [(_bimodal(g), 0.0) for g in gammas]
 
-        results = {minimize_over_gamma(block_objective(evaluate, block)[0],
-                                       1.0, _bimodal_slack, None)
+        results = {minimize_over_gamma(block_objective(evaluate, block),
+                                       1.0, _bimodal_slack)
                    for block in (1, 8, len(SCAN_GRID))}
         assert len(results) == 1
 
@@ -305,70 +284,8 @@ def _flat(g):
     return 2.0
 
 
-def _increasing(g):
-    return g
-
-
-def _decreasing(g):
-    return -g
-
-
 def _near_end(g):
     return (g - 29.95) ** 2
-
-
-class TestLookAhead:
-    """The polish computes its next steps' candidate points ahead of their
-    reads; the search reads what it reads without the look-ahead."""
-
-    @pytest.mark.parametrize("f,tail,slack", [
-        (_bimodal, math.inf, _no_bound),
-        (_bimodal, 1.0, _bimodal_slack),
-        (_flat, math.inf, _no_bound),         # every comparison a tie
-        (_increasing, math.inf, _no_bound),   # minimum at the edge 0
-        (_decreasing, math.inf, _no_bound),   # minimum at the edge 30
-        (_near_end, math.inf, _no_bound),
-        (_damped_cos, 0.0, _damped_cos_slack),
-    ], ids=["bimodal", "bimodal-slack", "flat", "increasing", "decreasing",
-            "near-end", "cos"])
-    def test_equals_the_search_without_look_ahead(self, f, tail, slack):
-        calls, fills = [], []
-
-        def evaluate(gammas):
-            calls.append(list(gammas))
-            return [(f(g), 0.0) for g in gammas]
-
-        objective, fill = block_objective(evaluate, len(SCAN_GRID))
-
-        def counted_fill(gammas):
-            fills.append(list(gammas))
-            fill(gammas)
-
-        reads = []
-
-        def read(g):
-            reads.append(g)
-            return objective(g)
-
-        res = minimize_over_gamma(read, tail, slack, counted_fill)
-        assert res == _minimize(f, tail, slack, _no_prefetch)
-        # each fill computes, beginning with the point read next; no polish
-        # read misses the memo, so the objective computes nothing on its own
-        assert [call[0] for call in calls[1:]] == [gs[0] for gs in fills]
-        steps = len(reads) - reads.index(fills[0][0]) - 2
-        assert 1 <= len(fills) <= 1 + steps // optimize._LOOKAHEAD
-
-    def test_candidates_are_the_loops_points(self):
-        # the points the next steps could read are those of _golden_step,
-        # both outcomes of each comparison, stopping where the loop stops
-        a, b = 1.2, 1.4
-        state = (a, b, b - (b - a) * INV_PHI, a + (b - a) * INV_PHI)
-        (_, _, c, _), g = optimize._golden_step(*state, True)
-        (_, _, _, d), h = optimize._golden_step(*state, False)
-        assert (g, h) == (c, d)
-        assert optimize._golden_reads(state, 1) == [g, h]
-        assert len(optimize._golden_reads(state, 3)) == 2 + 4 + 8
-        assert optimize._golden_reads((0.0, 1e-6, 0.3e-6, 0.6e-6), 3) == []
 
 
 def _quadratic(g):
@@ -379,6 +296,11 @@ def _origin(g):
     return g * g + 1.0
 
 
+def _asymptotic(g):
+    # a large-sample coverage curve, cp's d' = sqrt(2) at rho 0.6
+    return asymptotic_coverage(AsymptoticProblem(0.05, 0.6, math.sqrt(2.0)), g)
+
+
 class TestBrentOracle:
     """The Brent polish against scipy's bounded Brent on the bracket the scan
     hands it, [best grid point - 0.1, best grid point + 0.1] within [0, 30].
@@ -386,9 +308,9 @@ class TestBrentOracle:
     golden point."""
 
     @pytest.mark.parametrize("f", [_quadratic, _bimodal, _origin, _near_end,
-                                   _flat],
+                                   _flat, _asymptotic],
                              ids=["quadratic", "bimodal", "origin", "near-end",
-                                  "flat"])
+                                  "flat", "asymptotic"])
     def test_matches_scipy_bounded(self, f):
         reads = []
 
@@ -396,7 +318,7 @@ class TestBrentOracle:
             reads.append(g)
             return f(g), 0.0
 
-        res = minimize_over_gamma(objective, math.inf, _no_bound, None)
+        res = minimize_over_gamma(objective, math.inf, _no_bound)
         assert reads[:len(SCAN_GRID)] == list(SCAN_GRID)
         polish = reads[len(SCAN_GRID):]
         best = min(SCAN_GRID, key=lambda g: (f(g), g))
