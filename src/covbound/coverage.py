@@ -74,11 +74,11 @@ from functools import partial
 import numpy as np
 
 from .asymptotic import AsymptoticProblem, asymptotic_bound
-from .optimize import (BoundResult, additive_tail_slack, block_objective,
-                       minimize_over_gamma)
-from .quadrature import NODES, adaptive_quad_batch, start_mesh, start_nodes
-from .rules import (BoundProblem, SelectionMethod, asymptotic_threshold,
-                    selection_threshold)
+from .optimize import BoundResult, block_objective, minimize_over_gamma
+from .quadrature import (NODES, _check_abs_err, adaptive_quad_batch,
+                         start_mesh, start_nodes)
+from .rules import (BoundProblem, SelectionMethod, _check_p,
+                    asymptotic_threshold, selection_threshold)
 from .special import (BVN_RECTANGLE_ERR, SQRT2, bvn_rectangle, erfc, norm_pdf,
                       residual_scale_density, residual_scale_interval,
                       symmetric_interval_prob, t_quantile, t_two_sided_tail)
@@ -121,12 +121,6 @@ def _submodel_half_width(t2: float, mww, h, m: int, sd: float):
     """Submodel half-width t_{m+1} sqrt((m w^2 + h^2)/(m+1)) sqrt(1 - rho^2),
     from t2 = t_{m+1}, mww = m w^2 and sd = sqrt(1 - rho^2)."""
     return t2 * np.sqrt((mww + h * h) / (m + 1.0)) * sd
-
-
-def _check_abs_err(abs_err: float) -> float:
-    if not abs_err > 0.0:
-        raise ValueError("abs_err must be strictly positive")
-    return abs_err
 
 
 class _CoveragePlan:
@@ -220,8 +214,7 @@ class _CoveragePlan:
     def _correction_bound(self):
         """``bound(gammas)``: at one gamma, or at each of an array of gammas,
         a bound on the summed magnitudes of the two computed terms, the
-        corrections to 1 - alpha, at every gamma' >= gamma (what
-        ``additive_tail_slack`` needs).
+        corrections to 1 - alpha, at every gamma' >= gamma.
 
         The value is (1 - alpha) plus the submodel term minus the
         full-model term, and it is bounded cell by cell over the start
@@ -263,20 +256,27 @@ class _CoveragePlan:
                            - full_edge, 0.0)
             q = norm_pdf(x)
             full = q / np.maximum(x, q)
-            return (2.0 * (np.sum(sub_area * sub_bound(gammas), axis=-1)
-                           + np.sum(full_scale * full, axis=-1))).tolist()
+            return 2.0 * (np.sum(sub_area * sub_bound(gammas), axis=-1)
+                          + np.sum(full_scale * full, axis=-1))
         return bound
 
     def tail_slack(self):
         """Certified ``tail_slack(gamma)`` for the gamma search: a bound on
         |evaluate(gamma').value - (1 - alpha)| for every gamma' >= gamma,
         finite and nonincreasing from gamma = 0 on and exactly 0 once the
-        computed value must equal 1 - alpha: ``additive_tail_slack`` of
-        ``_correction_bound``.  Through ``block_objective`` a scan grid
-        point's bound comes with those of the next ``_SCAN_BLOCK - 1`` grid
-        points, in one call, so the scan asks once per block."""
-        bound = block_objective(self._correction_bound(), _SCAN_BLOCK)
-        return additive_tail_slack(1.0 - self.alpha, bound)
+        computed value must equal 1 - alpha.  ``evaluate`` adds the two
+        terms to 1 - alpha, one floating-point addition each, and c, the
+        ``_correction_bound``, bounds their summed magnitudes: below a
+        quarter ulp of 1 - alpha each addition rounds back to 1 - alpha
+        exactly, so the slack is 0; above it c plus two ulps covers the
+        rounding.  Through ``block_objective`` the scan asks once per block
+        of ``_SCAN_BLOCK`` grid points."""
+        bound, ulp = self._correction_bound(), math.ulp(1.0 - self.alpha)
+
+        def slack(gammas):
+            c = bound(gammas)
+            return np.where(c < 0.25 * ulp, 0.0, c + 2.0 * ulp).tolist()
+        return block_objective(slack, _SCAN_BLOCK)
 
     def evaluate(self, gammas) -> list[CoverageResult]:
         """The coverage at each of ``gammas``, in order.  The start values of
@@ -389,6 +389,7 @@ def minimum_coverage(method: SelectionMethod, alpha: float, p: int,
     the closed form.  bic and ttest raise ``ValueError`` at m = inf."""
     _check_abs_err(abs_err)
     if m == math.inf:
+        _check_p(p)
         d = asymptotic_threshold(method)
         if abs(rho) != 1.0:
             return asymptotic_bound(AsymptoticProblem(alpha, rho, d))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["BoundResult", "minimize_over_gamma", "additive_tail_slack"]
+__all__ = ["BoundResult", "minimize_over_gamma"]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GAMMA_MAX = 30.0   # end of the scan grid
@@ -51,32 +51,14 @@ class BoundResult:
     grid point it starts from.
 
     ``evaluations`` counts the objective values the search read, not those
-    computed: up to ``coverage._SCAN_BLOCK - 1`` computed grid values go
-    unread past the scan's certified stop."""
+    computed: a ``block_objective`` may compute grid values past the scan's
+    certified stop that the search never reads."""
 
     bound: float
     gamma_star: float
     evaluations: int
     bracket: tuple[float, float]
     quad_err: float
-
-
-def additive_tail_slack(tail_value: float, correction_bound):
-    """``tail_slack`` for an objective computed as ``tail_value`` plus at
-    most two correction terms, one floating-point addition each.
-
-    ``correction_bound(g)`` must bound the summed magnitudes of the computed
-    corrections at every g' >= g (inf where no bound is known).  Below a
-    quarter ulp of ``tail_value`` each addition rounds back to
-    ``tail_value`` exactly, so the slack is exactly 0; above it, two ulps
-    cover the rounding of the additions.
-    """
-    ulp = math.ulp(tail_value)
-
-    def tail_slack(g: float) -> float:
-        c = correction_bound(g)
-        return 0.0 if c < 0.25 * ulp else c + 2.0 * ulp
-    return tail_slack
 
 
 def block_objective(evaluate, block: int):

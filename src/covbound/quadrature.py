@@ -17,7 +17,8 @@ bits it has alone.  Integrands must be vectorized (ndarray in, ndarray
 out, elementwise) and limits finite.  An exhausted panel budget, panels
 too narrow to split, or an error estimate that is not finite raise
 ``QuadratureError``, carrying the best estimate and the achieved error so
-callers can decide what to do.
+callers can decide what to do.  A budget ``abs_err`` that is not positive
+raises ``ValueError`` before any integrand call.
 """
 
 from __future__ import annotations
@@ -192,6 +193,12 @@ def _refine(f, c, h, floor, abs_err, val, err, dev):
     return QuadResult(float(val.sum()), err_sum, n)
 
 
+def _check_abs_err(abs_err: float) -> float:
+    if not abs_err > 0.0:
+        raise ValueError("abs_err must be strictly positive")
+    return abs_err
+
+
 def adaptive_quad_batch(fs, *limits: float, abs_err: float, initial,
                         start_values=None):
     """An iterator over the ``QuadResult`` of each integrand of ``fs`` over
@@ -205,6 +212,7 @@ def adaptive_quad_batch(fs, *limits: float, abs_err: float, initial,
     whose start error meets ``abs_err`` returns at once; so each result has
     the bits of a batch of one, and a failure raises in batch order.
     """
+    _check_abs_err(abs_err)
     fs = list(fs)
     los, his = limits[::2], limits[1::2]
     if not all(map(math.isfinite, limits)):

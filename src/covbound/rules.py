@@ -74,8 +74,7 @@ class BoundProblem:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.p != int(self.p) or self.p < 2:
-            raise ValueError("p must be an integer >= 2")
+        _check_p(self.p)
         if self.n != int(self.n) or self.n <= self.p:
             raise ValueError("n must be an integer > p")
         if not abs(self.rho) <= 1.0:
@@ -90,6 +89,13 @@ class BoundProblem:
         if not all(math.isfinite(v) and v == int(v) for v in (p, m)):
             raise ValueError("p and m must be integers")
         return cls(alpha=alpha, p=int(p), n=int(p) + int(m), rho=rho)
+
+
+def _check_p(p) -> None:
+    # p, the number of regressors, as ``BoundProblem`` and the m = inf bound
+    # (which has no n) both require it
+    if not (math.isfinite(p) and p == int(p) and p >= 2):
+        raise ValueError("p must be an integer >= 2")
 
 
 def selection_threshold(method: SelectionMethod, n: int, p: int) -> float:

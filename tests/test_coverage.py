@@ -472,14 +472,23 @@ class TestMinimumCoverage:
         with pytest.raises(ValueError, match="large-sample"):
             minimum_coverage(method, 0.05, 2, math.inf, rho)
 
-    @pytest.mark.parametrize("m,rho", [(5, 0.7), (math.inf, 0.7),
-                                       (5, 1.0), (math.inf, 1.0)],
-                             ids=("finite", "limit", "finite-perfect",
-                                  "limit-perfect"))
+    # the four paths of minimum_coverage: finite m or m = inf, |rho| < 1 or 1
+    _PATHS = pytest.mark.parametrize(
+        "m,rho", [(5, 0.7), (math.inf, 0.7), (5, 1.0), (math.inf, 1.0)],
+        ids=("finite", "limit", "finite-perfect", "limit-perfect"))
+
+    @_PATHS
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
     def test_rejects_bad_alpha(self, m, rho, alpha):
         with pytest.raises(ValueError, match="alpha"):
             minimum_coverage(CP, alpha, 2, m, rho)
+
+    @_PATHS
+    @pytest.mark.parametrize("p", [-7, 1, 2.5, math.nan])
+    def test_rejects_bad_p(self, m, rho, p):
+        # m = inf reads no p, yet a p that no finite m accepts is refused
+        with pytest.raises(ValueError, match="integer"):
+            minimum_coverage(CP, 0.05, p, m, rho)
 
 
 _PERFECT_METHODS = ([SelectionMethod(k) for k in ("cp", "aic", "bic", "adjr2")]
@@ -579,23 +588,63 @@ class TestTailCertificate:
     def test_blocked_bound_equals_the_scalar_bound(self, case):
         # the certificate's correction bound takes a block of gammas in one
         # call; at every scan grid point and off the grid each bound has
-        # the bits of a call for its gamma alone, so the slack the scan
-        # reads, block by block, is that of scalar calls
+        # the bits of a call for its gamma alone, so the slacks the scan
+        # reads, finished block by block in the memo, are the rounding rule
+        # applied to scalar calls
         method, alpha, m, rho = case
         plan = coverage._CoveragePlan(BoundProblem.from_m(alpha, 10, m, rho),
                                       method)
         bound = plan._correction_bound()
         gammas = list(optimize.SCAN_GRID) + [-2.5, 0.03, 1.2345, 7.77, 30.5, 45.0]
-        scalar = [bound(g) for g in gammas]
-        assert all(type(c) is float for c in scalar)
+        scalar = [float(bound(g)) for g in gammas]
         for size in (coverage._SCAN_BLOCK, 3, len(gammas)):
             blocked = [c for i in range(0, len(gammas), size)
-                       for c in bound(np.array(gammas[i:i + size]))]
+                       for c in bound(np.array(gammas[i:i + size])).tolist()]
             assert list(map(float.hex, blocked)) == list(map(float.hex, scalar))
         ulp = math.ulp(1.0 - alpha)
-        slack = plan.tail_slack()
-        assert [slack(g).hex() for g in gammas] \
+        slacks = list(map(plan.tail_slack(), gammas))
+        assert all(type(s) is float for s in slacks)
+        assert list(map(float.hex, slacks)) \
             == [(0.0 if c < 0.25 * ulp else c + 2.0 * ulp).hex() for c in scalar]
+
+
+def _synthetic_slack(alpha, correction):
+    """``tail_slack`` of a plan at level 1 - alpha whose correction bound is
+    the synthetic ``correction`` at every gamma."""
+    def correction_bound():
+        return lambda gammas: np.full(len(gammas), correction)
+
+    plan = coverage._CoveragePlan(prob(20, 0.5, alpha), CP)
+    plan._correction_bound = correction_bound
+    return plan.tail_slack()
+
+
+class TestTailSlackRounding:
+    """The slack's rounding rule: ``evaluate`` adds the two terms to
+    1 - alpha in two floating-point additions, so a correction bound below
+    a quarter ulp of 1 - alpha gives exactly 0, and any other adds two
+    ulps."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999, 0.75])
+    def test_exact_zero_below_quarter_ulp(self, alpha):
+        tail = 1.0 - alpha
+        c = 0.25 * math.ulp(tail) * (1.0 - 1e-3)
+        assert _synthetic_slack(alpha, c)(1.0) == 0.0
+        # the certificate: corrections that small round back to tail
+        for x in (c, -c):
+            assert tail + x == tail
+            assert (tail + x) - x == tail
+
+    def test_ulp_scaled_not_fixed(self):
+        # a fixed 2^-60 floor would certify 1 - 0.999 = 0.001 as exact
+        # where a correction below it still moves the sum
+        tail = 1.0 - 0.999
+        assert tail + 2.0 ** -61 != tail
+        assert _synthetic_slack(0.999, 2.0 ** -61)(1.0) > 0.0
+
+    def test_adds_rounding_above_threshold(self):
+        assert _synthetic_slack(0.05, 1e-3)(1.0) == 1e-3 + 2.0 * math.ulp(0.95)
+        assert _synthetic_slack(0.05, math.inf)(1.0) == math.inf
 
 
 # refined evaluations: every node stays in its start cell, so the

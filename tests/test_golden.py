@@ -3,12 +3,13 @@
 The golden CSVs in ``perfbench/golden`` hold 400 rows of ``covbound
 curve`` output: 4 families x 5 values of m (inf included) x 20 rho.  This
 recomputes one row per (family, m), 20 rows in all, through the CLI and
-holds each to the benchmark's gate, |d bound| <= 1e-9.  The row for the
-k-th (family, m) pair sits at rho index 7 k mod 20, so the sample visits
-every rho once.  The files are only read.  On the sample's finite-m rows
-the Brent polish is also held to its count of reads.  The 60 m = inf rows
-are cheap, so all of them are held to the gate and to the polish's count
-of reads there.
+holds each to the benchmark's gate, |d bound| <= 1e-9, and its gamma_star
+to within 2e-6 of the CSV's (except at m = inf and rho = 0, where the
+curve is flat).  The row for the k-th (family, m) pair sits at rho index
+7 k mod 20, so the sample visits every rho once.  The files are only
+read.  On the sample's finite-m rows the Brent polish is also held to its
+count of reads.  The 60 m = inf rows are cheap, so all of them are held
+to the gates and to the polish's count of reads there.
 """
 
 import csv
@@ -26,6 +27,7 @@ from covbound.rules import SelectionMethod
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 FAMILIES = ("cp", "adjr2", "aic", "bic")
 GATE_DBOUND = 1e-9
+GATE_DGAMMA = 2e-6
 
 
 def _rows(family):
@@ -56,6 +58,15 @@ def _bound(row):
                             float(row["rho"]))
 
 
+def _check_gamma_star(gamma_star, row):
+    want = float(row["gamma_star"])
+    assert math.isinf(gamma_star) == math.isinf(want)
+    # at m = inf and rho = 0 the curve is 1 - alpha in exact arithmetic, so
+    # its argmin is wherever rounding dips lowest
+    if row["m"] != "inf" or float(row["rho"]) != 0.0:
+        assert gamma_star == want or abs(gamma_star - want) <= GATE_DGAMMA, row
+
+
 def test_sample_is_stratified():
     assert len(SAMPLE) == 20
     assert len({(r["method"], r["m"]) for r in SAMPLE}) == 20
@@ -76,8 +87,7 @@ def test_golden_row(row, capsys):
         == (row["method"], row["m"], row["rho"])
     bound, want = float(got["bound"]), float(row["bound"])
     assert abs(bound - want) <= GATE_DBOUND
-    assert math.isinf(float(got["gamma_star"])) \
-        == math.isinf(float(row["gamma_star"]))
+    _check_gamma_star(float(got["gamma_star"]), row)
 
 
 def test_finite_m_polish_reads(monkeypatch):
@@ -111,7 +121,7 @@ def test_every_infinite_m_row():
     for row in INF_ROWS:
         res = _bound(row)
         assert abs(res.bound - float(row["bound"])) <= GATE_DBOUND, row
-        assert math.isinf(res.gamma_star) == math.isinf(float(row["gamma_star"]))
+        _check_gamma_star(res.gamma_star, row)
 
 
 def test_infinite_m_polish_reads():

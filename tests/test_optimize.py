@@ -10,8 +10,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from covbound.asymptotic import AsymptoticProblem, asymptotic_coverage
-from covbound.optimize import (SCAN_GRID, BoundResult, additive_tail_slack,
-                               block_objective, minimize_over_gamma)
+from covbound.optimize import (SCAN_GRID, BoundResult, block_objective,
+                               minimize_over_gamma)
 
 
 def _no_bound(g):
@@ -229,30 +229,6 @@ class TestReportedError:
         res = minimize_over_gamma(lambda g: (1.0 / (1.0 + g), 0.5), 0.0,
                                   _no_bound)
         assert (res.bound, res.gamma_star, res.quad_err) == (0.0, math.inf, 0.0)
-
-
-class TestAdditiveTailSlack:
-    @pytest.mark.parametrize("tail", [0.95, 0.5, 1.0 - 0.999, 0.25])
-    def test_exact_zero_below_quarter_ulp(self, tail):
-        q = 0.25 * math.ulp(tail)
-        slack = additive_tail_slack(tail, lambda g: q * (1.0 - 1e-3))
-        assert slack(1.0) == 0.0
-        # the certificate: corrections that small round back to tail
-        for c in (q * (1.0 - 1e-3), -q * (1.0 - 1e-3)):
-            assert tail + c == tail
-            assert (tail + c) - c == tail
-
-    def test_ulp_scaled_not_fixed(self):
-        # a fixed 2^-60 floor would certify 1 - 0.999 = 0.001 as exact
-        # where a correction below it still moves the sum
-        tail = 1.0 - 0.999
-        assert tail + 2.0 ** -61 != tail
-        assert additive_tail_slack(tail, lambda g: 2.0 ** -61)(1.0) > 0.0
-
-    def test_adds_rounding_above_threshold(self):
-        slack = additive_tail_slack(0.95, lambda g: 1e-3)
-        assert slack(1.0) == 1e-3 + 2.0 * math.ulp(0.95)
-        assert additive_tail_slack(0.95, lambda g: math.inf)(1.0) == math.inf
 
 
 class TestBlockObjective:

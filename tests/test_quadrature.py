@@ -404,6 +404,22 @@ def test_non_finite_values_raise(driver, f, limits, abs_err):
     assert exc.value.panels == (4 if driver is adaptive_quad else 8 * 4)
 
 
+@pytest.mark.parametrize("driver, limits", [
+    (adaptive_quad, (0.0, 1.0)),
+    (adaptive_quad_2d, (0.0, 1.0, 0.0, 1.0)),
+    (lambda f, *limits, abs_err: next(adaptive_quad_batch(
+        [f], *limits, abs_err=abs_err, initial=(2, 2))), (0.0, 1.0, 0.0, 1.0)),
+], ids=["1d", "2d", "batch"])
+@pytest.mark.parametrize("abs_err", [0.0, -1.0, np.nan])
+def test_nonpositive_abs_err_is_rejected(driver, limits, abs_err):
+    # no budget is met by a negative or NaN error, and 0 only by luck: each
+    # raises before the integrand is called, not after the panel budget
+    def f(*x):
+        raise AssertionError("integrand called")
+    with pytest.raises(ValueError, match="abs_err"):
+        driver(f, *limits, abs_err=abs_err)
+
+
 def test_quadrature_error_survives_pickling():
     # a worker process raises it to its parent through pickle
     err = QuadratureError("quadrature did not converge within the panel "
