@@ -117,10 +117,13 @@ class CoverageResult:
     panels: int
 
 
-def _submodel_half_width(t2: float, mww, h, m: int, sd: float):
+def _submodel_half_width(t2: float, mww, h, m: int, sd: float, out=None):
     """Submodel half-width t_{m+1} sqrt((m w^2 + h^2)/(m+1)) sqrt(1 - rho^2),
-    from t2 = t_{m+1}, mww = m w^2 and sd = sqrt(1 - rho^2)."""
-    return t2 * np.sqrt((mww + h * h) / (m + 1.0)) * sd
+    from t2 = t_{m+1}, mww = m w^2 and sd = sqrt(1 - rho^2).  Given an
+    array ``out`` of h's shape, every step writes into it."""
+    half = np.add(mww, np.multiply(h, h, out=out), out=out)
+    half = np.sqrt(np.divide(half, m + 1.0, out=out), out=out)
+    return np.multiply(np.multiply(t2, half, out=out), sd, out=out)
 
 
 class _CoveragePlan:

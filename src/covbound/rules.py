@@ -75,7 +75,7 @@ class BoundProblem:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         _check_p(self.p)
-        if self.n != int(self.n) or self.n <= self.p:
+        if not (math.isfinite(self.n) and self.n == int(self.n) and self.n > self.p):
             raise ValueError("n must be an integer > p")
         if not abs(self.rho) <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")

@@ -29,6 +29,7 @@ scheduled or which cells share a call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Sequence
@@ -50,6 +51,7 @@ __all__ = [
 
 _MAX_FREE = 12  # enumeration cap on p - q (2^(p-q) candidate subsets)
 _MC_CHUNK = 1 << 18   # draws per chunk in mc_coverage
+_MC_TILE = 1 << 15    # draws per scoring tile in mc_coverage
 _SIM_CHUNK = 1 << 16  # replicates per chunk in empirical_min_coverage
 
 
@@ -67,10 +69,14 @@ def _standard_draws(m: int, n_draws: int,
     return z1, z2, w
 
 
-def _coefficient(gamma: float, rho: float, z1: np.ndarray,
-                 z2: np.ndarray) -> np.ndarray:
-    # h: mean gamma, unit variance, correlation rho with g = z1
-    return gamma + rho * z1 + math.sqrt(1.0 - rho * rho) * z2
+def _coefficient(gamma: float, rho: float, z1: np.ndarray, z2: np.ndarray,
+                 out: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
+    # h = (gamma + rho z1) + sqrt(1 - rho^2) z2: mean gamma, unit variance,
+    # correlation rho with g = z1; given buffers out and work of z1's
+    # shape, it allocates nothing
+    h = np.add(gamma, np.multiply(rho, z1, out=out), out=out)
+    return np.add(h, np.multiply(math.sqrt(1.0 - rho * rho), z2, out=work), out=out)
 
 
 def _cutoff_value(problem: BoundProblem, cutoff: SelectionMethod | float) -> float:
@@ -92,6 +98,13 @@ def _chunk_streams(seq: np.random.SeedSequence, total: int, chunk_size: int):
                np.random.Generator(np.random.Philox(child)))
 
 
+def _check_count(count, name: str) -> None:
+    # a number of draws or replicates: a float or a bool would otherwise
+    # reach SeedSequence.spawn, or run one replicate for True
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"{name} must be positive and an integer, got {count!r}")
+
+
 def _proportion(hits: int, n: int) -> MCEstimate:
     est = hits / n
     return MCEstimate(est, math.sqrt(est * (1.0 - est) / n))
@@ -104,23 +117,27 @@ def mc_coverage(cells: Sequence[tuple[BoundProblem, SelectionMethod | float, flo
 
     ``cutoff`` is a selection method (its threshold is derived from the
     problem dimensions) or a raw cutoff d >= 0.  |rho| = 1 is allowed.
+    ``n_draws`` is a positive integer.
 
     Cells of any alpha and m may share a call.  The cells that share
     (alpha, m) share one stream of n_draws (z1, z2, chi2_m) draws from
-    ``SeedSequence(seed)`` (common random numbers): per chunk, w, the
+    ``SeedSequence(seed)`` (common random numbers).  Each chunk of the
+    stream is scored in tiles of ``_MC_TILE`` draws, small enough to stay
+    in cache, into a few buffers allocated once per call: per tile, w, the
     full-model hits and their count are computed once, and h and the
     submodel hits once per (rho, gamma).  A cutoff d changes the count
     only on the discordant draws, where exactly one model covers, so |h|/w
     is computed on those draws alone and a cell's count is the full-model
     count, plus the discordant draws with |h|/w < d that only the submodel
-    covers, minus those with |h|/w < d that only the full model covers.  A
-    cell's estimate depends only on the seed, not on which cells share the
-    call, so a one-cell call returns exactly the same estimate.
+    covers, minus those with |h|/w < d that only the full model covers.
+    Every draw is scored by the same elementwise arithmetic and the counts
+    are integers, so neither the tile size nor the grouping of cells
+    changes an estimate: it depends only on the seed, and a one-cell call
+    returns exactly the same estimate as any call that shares its stream.
     """
     cells = list(cells)
     ds = [_cutoff_value(p, c) for p, c, _ in cells]
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
+    _check_count(n_draws, "n_draws")
     if not all(math.isfinite(g) for _, _, g in cells):
         raise ValueError("gamma must be finite")
     # cells sharing (alpha, m) share a stream; within it, cells sharing
@@ -129,28 +146,36 @@ def mc_coverage(cells: Sequence[tuple[BoundProblem, SelectionMethod | float, flo
     for k, (p, _, g) in enumerate(cells):
         streams.setdefault((p.alpha, p.m), {}).setdefault((p.rho, g), []).append(k)
 
+    tile = min(_MC_TILE, _MC_CHUNK, n_draws)
+    floats, flags = np.empty((4, tile)), np.empty((3, tile), dtype=bool)
     covered = [0] * len(cells)
     for (alpha, m), groups in streams.items():
         t1, t2 = t_quantile(m, alpha), t_quantile(m + 1, alpha)
         for size, rng in _chunk_streams(np.random.SeedSequence(seed), n_draws,
                                         _MC_CHUNK):
-            z1, z2, w = _standard_draws(m, size, rng)
-            mww = m * w * w
-            full = np.abs(z1) <= t1 * w
-            base = int(np.count_nonzero(full))
-            for (rho, g), group in groups.items():
-                h = _coefficient(g, rho, z1, z2)
-                half = _submodel_half_width(t2, mww, h, m, math.sqrt(1.0 - rho * rho))
-                sub = np.abs(z1 - rho * h) <= half
-                # d moves the count only where exactly one model covers
-                idx = np.flatnonzero(sub != full)
-                ratio = np.abs(h[idx]) / w[idx]
-                only_sub = sub[idx]
-                gain, loss = ratio[only_sub], ratio[~only_sub]
-                for k in group:
-                    covered[k] += (base + int(np.count_nonzero(gain < ds[k]))
-                                   - int(np.count_nonzero(loss < ds[k])))
-                del h, half, sub, idx, ratio, only_sub, gain, loss  # one group at a time
+            draws = _standard_draws(m, size, rng)
+            for lo in range(0, size, tile):
+                z1, z2, w = (a[lo:lo + tile] for a in draws)
+                mww, h, half, work = floats[:, :len(z1)]
+                full, sub, discordant = flags[:, :len(z1)]
+                np.multiply(np.multiply(m, w, out=mww), w, out=mww)
+                np.less_equal(np.abs(z1, out=work), np.multiply(t1, w, out=half),
+                              out=full)
+                base = int(np.count_nonzero(full))
+                for (rho, g), group in groups.items():
+                    _coefficient(g, rho, z1, z2, out=h, work=work)
+                    _submodel_half_width(t2, mww, h, m, math.sqrt(1.0 - rho * rho),
+                                         out=half)
+                    np.subtract(z1, np.multiply(rho, h, out=work), out=work)
+                    np.less_equal(np.abs(work, out=work), half, out=sub)
+                    # d moves the count only where exactly one model covers
+                    idx = np.flatnonzero(np.not_equal(sub, full, out=discordant))
+                    ratio = np.abs(h[idx]) / w[idx]
+                    only_sub = sub[idx]
+                    gain, loss = ratio[only_sub], ratio[~only_sub]
+                    for k in group:
+                        covered[k] += (base + int(np.count_nonzero(gain < ds[k]))
+                                       - int(np.count_nonzero(loss < ds[k])))
     return [_proportion(c, n_draws) for c in covered]
 
 
@@ -329,8 +354,7 @@ def empirical_min_coverage(design: SimDesign, method: SelectionMethod,
                            reps: int, seed: int) -> list[EmpiricalCoverage]:
     """Empirical naive-interval coverage at each beta on the grid, under
     both the full deletion family and the pair family {} / {p-1}."""
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    _check_count(reps, "reps")
     full = all_deletion_subsets(design.q, design.p)
     engine = _Engine(design, full)
     # the pair family {(), (p-1,)} is two rows of the full family

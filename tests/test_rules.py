@@ -123,6 +123,13 @@ class TestBoundProblem:
         with pytest.raises(ValueError):
             BoundProblem(**kwargs)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_rejects_nonfinite_n(self, n):
+        # int(n) alone would raise OverflowError for inf, and for NaN a
+        # ValueError with int's own message
+        with pytest.raises(ValueError, match="n must be an integer > p"):
+            BoundProblem(alpha=0.05, p=2, n=n, rho=0.5)
+
     def test_rho_one_is_constructible(self):
         # |rho| = 1 is a legal problem; only the smooth evaluator rejects it
         prob = BoundProblem.from_m(0.05, 2, 5, 1.0)

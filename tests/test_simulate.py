@@ -195,6 +195,19 @@ class TestMcCoverageBatched:
         for (pr, cut, gamma), est in zip(cells, batched):
             assert est.estimate == direct_estimate(pr, cut, gamma, 1000, 9, 300)
 
+    @pytest.mark.parametrize("n_draws", [1000, 1100])
+    def test_tile_size_changes_nothing(self, monkeypatch, n_draws):
+        # tiles of 128 neither divide a 300-draw chunk nor equal it; at 1100
+        # draws the last chunk (200 draws) ends on a partial tile, as a
+        # 2M-draw call's last chunk (164,992 draws) does in tiles of 2^15
+        cells = self.grid() + self.grid(m=3, alpha=0.1)
+        whole = mc_coverage(cells, n_draws, seed=9)  # one tile per chunk
+        monkeypatch.setattr(simulate, "_MC_TILE", 128)
+        tiled = mc_coverage(cells, n_draws, seed=9)
+        assert tiled == whole
+        for (pr, cut, gamma), est in zip(cells, tiled):
+            assert est.estimate == direct_estimate(pr, cut, gamma, n_draws, 9, 300)
+
     def test_empty_batch(self):
         assert mc_coverage([], 100, seed=1) == []
 
@@ -282,6 +295,35 @@ class TestDiscordantCounting:
         assert self.discordant_share(most, 3.0) > 0.9
         self.check([(pr, c, g) for pr, g in ((none, 0.0), (few, 0.0), (most, 3.0))
                     for c in (CP, 0.5, math.inf)])
+
+
+class TestCountsArePositiveIntegers:
+    """mc_coverage's n_draws and empirical_min_coverage's reps pass one
+    check, before any draw."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew before checking the count")
+        monkeypatch.setattr(simulate, "_chunk_streams", refuse)
+
+    @pytest.mark.usefixtures("no_draws")
+    @pytest.mark.parametrize("count", [1000.0, 2.5, True, False])
+    def test_rejected(self, count):
+        pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
+        with pytest.raises(ValueError, match="n_draws must be positive and an integer"):
+            mc_coverage([(pr, CP, 1.0)], count, seed=1)
+        d = orthonormal_design()
+        with pytest.raises(ValueError, match="reps must be positive and an integer"):
+            empirical_min_coverage(d, CP, 0.05, [d.beta], count, seed=1)
+
+    def test_numpy_integers_accepted(self):
+        pr = BoundProblem.from_m(0.05, 2, 5, 0.5)
+        assert (mc_coverage([(pr, CP, 1.0)], np.int64(1000), seed=1)
+                == mc_coverage([(pr, CP, 1.0)], 1000, seed=1))
+        d = orthonormal_design()
+        assert (empirical_min_coverage(d, CP, 0.05, [d.beta], np.int64(100), seed=1)
+                == empirical_min_coverage(d, CP, 0.05, [d.beta], 100, seed=1))
 
 
 class TestSimDesign:
